@@ -1,10 +1,16 @@
 """Bounded counterexample search, so violations can be produced in-house.
 
 The search enumerates lasso-shaped input words per quantified trace within
-the given prefix/period bounds, in a fixed deterministic order, and returns
-the first assignment whose traces falsify the body.  The synchronous
-product of the machine with itself is also available; explanation itself
-never needs it, but it grounds the reduction and its projection property.
+the given prefix/period bounds, in a fixed deterministic order (smallest
+shapes first), runs each on the machine, and returns the first assignment
+of traces, in the product order over the distinct traces, whose traces
+falsify the body.  It is lazy: the size guard counts the words
+arithmetically, words are run one at a time only when the product needs a
+trace not yet seen, and the search stops at the first falsifying
+assignment.  The
+synchronous product of the machine with itself is also available;
+explanation itself never needs it, but it grounds the reduction and its
+projection property.
 """
 
 from __future__ import annotations
@@ -83,16 +89,45 @@ def self_compose(
     return ProductMachine(machine, k, max_states)
 
 
-def _input_words(machine: MooreMachine, prefix_bound: int, period_bound: int) -> Iterator[Lasso]:
-    """All input lassos within the bounds, smallest shapes first."""
-    letters = sorted(assignments(machine.inputs), key=lambda s: (len(s), sorted(s)))
+def _shapes(prefix_bound: int, period_bound: int) -> Iterator[tuple[int, int]]:
+    """(prefix length, period length) of the input words, smallest total first."""
     for total in range(1, prefix_bound + period_bound + 1):
         for period_len in range(1, min(period_bound, total) + 1):
             prefix_len = total - period_len
-            if prefix_len > prefix_bound:
-                continue
-            for combo in itertools.product(letters, repeat=total):
-                yield Lasso(combo[:prefix_len], combo[prefix_len:])
+            if prefix_len <= prefix_bound:
+                yield prefix_len, period_len
+
+
+def _input_words(machine: MooreMachine, prefix_bound: int, period_bound: int) -> Iterator[Lasso]:
+    """All input lassos within the bounds, smallest shapes first."""
+    letters = sorted(assignments(machine.inputs), key=lambda s: (len(s), sorted(s)))
+    for prefix_len, period_len in _shapes(prefix_bound, period_bound):
+        for combo in itertools.product(letters, repeat=prefix_len + period_len):
+            yield Lasso(combo[:prefix_len], combo[prefix_len:])
+
+
+def _distinct_runs(machine: MooreMachine, words: Iterator[Lasso]) -> Iterator[Lasso]:
+    """Traces of `words`, each distinct trace once, in first-appearance order."""
+    seen: set[Lasso] = set()
+    for word in words:
+        trace = machine.run(word)
+        if trace not in seen:
+            seen.add(trace)
+            yield trace
+
+
+def _lazy_product(items: Iterator[Lasso], k: int) -> Iterator[tuple[Lasso, ...]]:
+    """``itertools.product(list(items), repeat=k)``, drawing `items` on demand.
+
+    The first ``len(items)`` tuples repeat the first item and vary only the
+    last place, so they are yielded while `items` is drawn; the rest need
+    every item.
+    """
+    drawn: list[Lasso] = []
+    for item in items:
+        drawn.append(item)
+        yield (drawn[0],) * (k - 1) + (item,)
+    yield from itertools.islice(itertools.product(drawn, repeat=k), len(drawn), None)
 
 
 def find_counterexample(
@@ -101,24 +136,22 @@ def find_counterexample(
     prefix_bound: int = 4,
     period_bound: int = 3,
 ) -> Counterexample | None:
-    """First trace assignment falsifying the body, or None within bounds."""
+    """First trace assignment falsifying the body, or None within bounds.
+
+    Assignments follow ``itertools.product(traces, repeat=k)`` over the
+    distinct traces in first-appearance order.
+    """
     k = len(formula.variables)
-    words = list(_input_words(machine, prefix_bound, period_bound))
-    if len(words) ** k > MAX_ASSIGNMENTS:
+    letters = 2 ** len(machine.inputs)
+    words = sum(letters ** (p + q) for p, q in _shapes(prefix_bound, period_bound))
+    if words ** k > MAX_ASSIGNMENTS:
         raise SizeGuardError(
-            f"{len(words) ** k} candidate assignments exceed the search guard"
+            f"{words ** k} candidate assignments exceed the search guard"
         )
-    traces = [machine.run(w) for w in words]
-    seen: set = set()
-    unique: list[Lasso] = []
-    for t in traces:
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
-    for combo in itertools.product(unique, repeat=k):
-        assignment = Counterexample(
-            {f"t{i + 1}": trace for i, trace in enumerate(combo)}
-        )
+    traces = _distinct_runs(machine, _input_words(machine, prefix_bound, period_bound))
+    names = [f"t{i + 1}" for i in range(k)]
+    for combo in _lazy_product(traces, k):
+        assignment = Counterexample(dict(zip(names, combo)))
         if not eval_hyper(assignment, formula):
             return assignment
     return None

@@ -15,6 +15,7 @@ Exit codes: 0 success with a result, 1 property holds / nothing to explain,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -83,6 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--syntax", choices=["auto", "infix", "sexpr"], default="auto")
     validate.add_argument("--counterexample", default=None)
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once: parsing keeps no state in it."""
+    return build_parser()
 
 
 def _load_formula(path: str, syntax: str) -> HyperFormula:
@@ -249,8 +256,7 @@ def cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     handlers = {
         "check": cmd_check,
         "explain": cmd_explain,

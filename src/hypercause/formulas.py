@@ -11,6 +11,7 @@ negation normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnsupportedFragmentError, ValidationError
 
@@ -116,6 +117,13 @@ class HyperFormula:
         from .printer import infix
 
         return f"forall {' '.join(self.variables)}. {infix(self.body)}"
+
+    @cached_property
+    def program(self):
+        """The body compiled for `semantics.eval_hyper`, built on first use."""
+        from .semantics import compile_body
+
+        return compile_body(self)
 
 
 def atoms(f: Formula) -> set[Atom]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import ValidationError
 
 Letter = frozenset
@@ -100,6 +102,4 @@ class Lasso:
 
 
 def lcm(a: int, b: int) -> int:
-    from math import gcd
-
     return a // gcd(a, b) * b

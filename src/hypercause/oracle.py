@@ -74,12 +74,13 @@ def brute_force_causes(
         return trace_memo[key]
 
     def world_satisfies(cause, resets) -> bool:
+        # keyed on trace values, as in CauseSearch.satisfies_after: different
+        # interventions often produce the same world
         traces = tuple(trace_after(name, cause, resets) for name in cex.names())
-        key = tuple(id(t) for t in traces)
-        if key not in eval_memo:
+        if traces not in eval_memo:
             world = Counterexample(dict(zip(cex.names(), traces)))
-            eval_memo[key] = eval_hyper(world, formula)
-        return eval_memo[key]
+            eval_memo[traces] = eval_hyper(world, formula)
+        return eval_memo[traces]
 
     def witness(cause) -> tuple[Event, ...] | None:
         if world_satisfies(cause, ()):

@@ -1,15 +1,33 @@
-"""Exact LTL evaluation on lasso words and the zipping reduction.
+"""Exact LTL evaluation on lasso words: compiled bit rows and the zipping reference.
 
-A counterexample assigns one lasso per trace variable.  Zipping merges the
-assignment into a single lasso whose letters carry ``prop@var`` keys; the
-quantifier-free body then reads like an ordinary LTL formula over those
-keys.  Until/Release truth is computed by fixpoint iteration over the
-finite unrolling with the last position wrapping to the loop start.
+A counterexample assigns one lasso per trace variable.  Their joint
+unrolling has the longest component prefix and, after it, the least common
+multiple of the component periods; the last position wraps to the loop
+start.  `eval_hyper` evaluates a quantifier-free body on that unrolling with
+the body's compiled `Program` (built once per formula and cached on it as
+``HyperFormula.program``).  The program lists the distinct subformulas in
+postorder, its atoms resolved to (trace index, proposition), and holds the
+truth of each subformula at every position as one Python int, bit ``i``
+for position ``i``:
+
+* the Boolean operators are ``&``, ``|`` and ``^`` on whole rows;
+* ``X`` shifts the row down one position and moves the loop start's bit to
+  the last position;
+* ``F`` and ``G`` are closed forms (from the loop on, every position sees
+  the whole loop), ``U`` and ``R`` whole-row fixpoints.
+
+Zipping is the reference the program is checked against: it merges the
+assignment into a single lasso whose letters carry ``prop@var`` keys, so the
+body reads like an ordinary LTL formula over those keys, and `truth_table`
+computes Until/Release truth by fixpoint iteration over the finite
+unrolling, one list of booleans per subformula.  The alternating-automaton
+annotations and the CLI's automaton dump work on the zipped trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import formulas as F
 from .errors import ValidationError
@@ -139,10 +157,161 @@ def _gfp(step, n: int) -> list[bool]:
         cur = nxt
 
 
+_NOT, _AND, _OR, _IMPLIES, _IFF, _NEXT, _EVENTUALLY, _ALWAYS, _UNTIL, _RELEASE, _CONST = range(11)
+
+_OPCODES = {
+    F.Not: _NOT,
+    F.And: _AND,
+    F.Or: _OR,
+    F.Implies: _IMPLIES,
+    F.Iff: _IFF,
+    F.Next: _NEXT,
+    F.Eventually: _EVENTUALLY,
+    F.Always: _ALWAYS,
+    F.Until: _UNTIL,
+    F.Release: _RELEASE,
+    F.Const: _CONST,
+}
+
+
+class Program:
+    """A hyper formula's body as a postorder list of row operations.
+
+    Rows ``0 .. len(atoms) - 1`` hold the atoms, each given as the index of
+    the trace its variable binds and the proposition it reads.  Instruction
+    ``j`` of `code` is ``(opcode, x, y)`` and computes row ``len(atoms) + j``
+    from rows ``x`` and ``y`` (unary operators ignore ``y``; a constant
+    keeps its value in ``x``).  Row `result` is the body.  A plain class,
+    not a dataclass: creating a dataclass takes about a millisecond, paid
+    on every import of the package.
+    """
+
+    __slots__ = ("arity", "atoms", "code", "result")
+
+    def __init__(
+        self,
+        arity: int,
+        atoms: tuple[tuple[int, str], ...],
+        code: tuple[tuple[int, int, int], ...],
+        result: int,
+    ):
+        self.arity = arity
+        self.atoms = atoms
+        self.code = code
+        self.result = result
+
+    def holds(self, lassos: Sequence[Lasso]) -> bool:
+        """Truth of the body at position 0 of the joint unrolling of `lassos`."""
+        if len(lassos) != self.arity:
+            raise ValidationError(
+                f"formula quantifies {self.arity} traces but the "
+                f"counterexample assigns {len(lassos)}"
+            )
+        loop, period = 0, 1
+        for t in lassos:
+            loop = max(loop, len(t.prefix))
+            period = lcm(period, len(t.period))
+        n = loop + period
+        full = (1 << n) - 1
+        last = n - 1
+
+        unrolled: dict[int, tuple[frozenset[str], ...]] = {}
+        rows = []
+        for index, prop in self.atoms:
+            letters = unrolled.get(index)
+            if letters is None:
+                t = lassos[index]
+                copies = (n - len(t.prefix)) // len(t.period) + 1
+                letters = unrolled[index] = (t.prefix + t.period * copies)[:n]
+            row = 0
+            for pos, letter in enumerate(letters):
+                if prop in letter:
+                    row |= 1 << pos
+            rows.append(row)
+        for op, x, y in self.code:
+            if op == _AND:
+                row = rows[x] & rows[y]
+            elif op == _OR:
+                row = rows[x] | rows[y]
+            elif op == _NOT:
+                row = full ^ rows[x]
+            elif op == _IMPLIES:
+                row = (full ^ rows[x]) | rows[y]
+            elif op == _IFF:
+                row = full ^ rows[x] ^ rows[y]
+            elif op == _NEXT:
+                a = rows[x]
+                row = (a >> 1) | ((a >> loop & 1) << last)
+            elif op == _EVENTUALLY:
+                row = _eventually(rows[x], loop, full)
+            elif op == _ALWAYS:
+                row = full ^ _eventually(full ^ rows[x], loop, full)
+            elif op == _UNTIL:
+                # least fixpoint of  b | (a & X cur), from the first iterate b
+                a, b = rows[x], rows[y]
+                row = b
+                while True:
+                    step = b | (a & ((row >> 1) | ((row >> loop & 1) << last)))
+                    if step == row:
+                        break
+                    row = step
+            elif op == _RELEASE:
+                # greatest fixpoint of  b & (a | X cur), from the first iterate b
+                a, b = rows[x], rows[y]
+                row = b
+                while True:
+                    step = b & (a | ((row >> 1) | ((row >> loop & 1) << last)))
+                    if step == row:
+                        break
+                    row = step
+            else:  # _CONST
+                row = full if x else 0
+            rows.append(row)
+        return bool(rows[self.result] & 1)
+
+
+def _eventually(row: int, loop: int, full: int) -> int:
+    """F on a row: a position at or after the loop start sees every loop
+    position, one before it sees itself and every later position."""
+    return full if row >> loop else (1 << row.bit_length()) - 1
+
+
+def compile_body(formula: F.HyperFormula) -> Program:
+    """Compile the body of `formula`; use the cached ``formula.program``."""
+    index = {var: i for i, var in enumerate(formula.variables)}
+    subs = F.subformulas(formula.body)
+    atoms = [sub for sub in subs if isinstance(sub, F.Atom)]
+    slot: dict[F.Formula, int] = {atom: i for i, atom in enumerate(atoms)}
+    code: list[tuple[int, int, int]] = []
+    for sub in subs:
+        if isinstance(sub, F.Atom):
+            continue
+        op = _OPCODES.get(type(sub))
+        if op is None:
+            raise TypeError(f"not a formula node: {sub!r}")
+        if op == _CONST:
+            code.append((op, int(sub.value), 0))
+        elif isinstance(sub, (F.Not, F.Next, F.Eventually, F.Always)):
+            code.append((op, slot[sub.arg], 0))
+        else:
+            code.append((op, slot[sub.left], slot[sub.right]))
+        slot[sub] = len(atoms) + len(code) - 1
+    return Program(
+        arity=len(formula.variables),
+        atoms=tuple((index[a.var], a.prop) for a in atoms),
+        code=tuple(code),
+        result=slot[formula.body],
+    )
+
+
 def eval_hyper(cex: Counterexample, formula: F.HyperFormula) -> bool:
-    """Truth of the quantifier-free body on the given trace assignment."""
-    body, zipped = zip_hyper(formula, cex)
-    return eval_ltl(zipped.lasso, body)
+    """Truth of the quantifier-free body on the given trace assignment.
+
+    Variables bind positionally to the counterexample's traces, as in
+    `zip_hyper`, and the answer is that of ``eval_ltl(zipped.lasso, body)``
+    for ``body, zipped = zip_hyper(formula, cex)``.
+    """
+    return formula.program.holds(cex.lassos())
 
 
 def falsifies(cex: Counterexample, formula: F.HyperFormula) -> bool:

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from hypercause.events import Counterexample
 from hypercause.lasso import Lasso
 from hypercause.machine import MooreMachine
+
+# property tests draw the same examples on every run, so a tier-1 result
+# never depends on the luck of the draw
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 def leaky_machine() -> MooreMachine:

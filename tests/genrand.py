@@ -105,15 +105,8 @@ def random_machine(
     return MooreMachine(ins, outs, labels, names[0], delta)
 
 
-def random_violated_instance(seed: int):
-    """One (machine, formula, counterexample) with a confirmed violation.
-
-    Returns None when the draw yields no violation within bounds or the
-    traces outgrow the desk-scale caps.
-    """
-    from hypercause.checker import find_counterexample
-    from hypercause.errors import SizeGuardError
-
+def random_draw(seed: int) -> tuple[MooreMachine, F.HyperFormula]:
+    """Machine and formula of one corpus draw, before any search."""
     rng = random.Random(seed)
     n_inputs = rng.choice([1, 1, 2, 2, 3])
     n_outputs = rng.choice([1, 2, 2, 3])
@@ -123,7 +116,20 @@ def random_violated_instance(seed: int):
     variables = tuple(str(i) for i in range(k))
     props = list(machine.inputs) + list(machine.outputs)
     body = random_hyper_body(rng, props, variables, rng.randint(1, 3))
-    formula = F.HyperFormula(variables, body)
+    return machine, F.HyperFormula(variables, body)
+
+
+def random_violated_instance(seed: int):
+    """One (machine, formula, counterexample) with a confirmed violation.
+
+    Returns None when the draw yields no violation within bounds or the
+    traces outgrow the desk-scale caps.
+    """
+    from hypercause.checker import find_counterexample
+    from hypercause.errors import SizeGuardError
+
+    machine, formula = random_draw(seed)
+    n_inputs, n_outputs = len(machine.inputs), len(machine.outputs)
     try:
         cex = find_counterexample(machine, formula, prefix_bound=2, period_bound=2)
     except SizeGuardError:

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from hypercause.checker import find_counterexample, self_compose
+from hypercause.checker import MAX_ASSIGNMENTS, _input_words, find_counterexample, self_compose
 from hypercause.errors import SizeGuardError
 from hypercause.events import Counterexample
 from hypercause.lasso import Lasso
@@ -9,8 +11,42 @@ from hypercause.parser import parse_hyperltl
 from hypercause.semantics import eval_hyper, falsifies
 
 from conftest import leaky_machine
+from genrand import random_draw
 
 OD = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
+
+
+def eager_find_counterexample(machine, formula, prefix_bound, period_bound):
+    """Reference search: build every word, run and deduplicate them all, then
+    try the assignments in product order."""
+    k = len(formula.variables)
+    words = list(_input_words(machine, prefix_bound, period_bound))
+    if len(words) ** k > MAX_ASSIGNMENTS:
+        raise SizeGuardError(
+            f"{len(words) ** k} candidate assignments exceed the search guard"
+        )
+    traces = [machine.run(w) for w in words]
+    seen: set = set()
+    unique: list[Lasso] = []
+    for t in traces:
+        if t not in seen:
+            seen.add(t)
+            unique.append(t)
+    for combo in itertools.product(unique, repeat=k):
+        assignment = Counterexample(
+            {f"t{i + 1}": trace for i, trace in enumerate(combo)}
+        )
+        if not eval_hyper(assignment, formula):
+            return assignment
+    return None
+
+
+def outcome(search, *args):
+    try:
+        found = search(*args)
+    except SizeGuardError as exc:
+        return "guard", str(exc)
+    return "found", None if found is None else found.traces
 
 
 def test_self_compose_state_count(machine):
@@ -80,3 +116,27 @@ def test_size_guard_on_large_composition():
     m = leaky_machine()
     with pytest.raises(SizeGuardError):
         self_compose(m, 9)
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 2)])
+def test_lazy_search_equals_eager_reference(bounds):
+    for seed in range(1, 61):
+        machine, formula = random_draw(seed)
+        lazy = outcome(find_counterexample, machine, formula, *bounds)
+        eager = outcome(eager_find_counterexample, machine, formula, *bounds)
+        assert lazy == eager, f"seed {seed}"
+
+
+def test_size_guard_raises_before_any_run(monkeypatch):
+    machine, formula = next(
+        (m, f) for m, f in map(random_draw, range(1, 100))
+        if len(m.inputs) == 3 and len(f.variables) == 2
+    )
+    expected = outcome(eager_find_counterexample, machine, formula, 2, 2)
+    assert expected[0] == "guard"
+
+    def run(word):
+        raise AssertionError("the guard must refuse before any word is run")
+
+    monkeypatch.setattr(machine, "run", run)
+    assert outcome(find_counterexample, machine, formula, 2, 2) == expected

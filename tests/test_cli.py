@@ -192,3 +192,25 @@ def test_validate_warns_when_assignment_satisfies(tmp_path, capsys):
     )
     assert code == 0
     assert "warning" in out
+
+
+def test_main_twice_carries_no_option_over(capsys, monkeypatch):
+    from hypercause import cli
+
+    parsed = []
+    explain = cli.cmd_explain
+
+    def recording(args):
+        parsed.append(vars(args))
+        return explain(args)
+
+    monkeypatch.setattr(cli, "cmd_explain", recording)
+    argv = ["explain", "--system", SYSTEM, "--formula", FORMULA, "--counterexample", TRACES]
+    code, out_all, _ = run_cli(capsys, *argv, "--all", "--max-contingency-size", "3")
+    assert code == 0
+    code, out_default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert parsed[0]["all"] and parsed[0]["max_contingency_size"] == 3
+    assert parsed[1] == vars(cli.build_parser().parse_args(argv))
+    assert len(json.loads(out_all)["causes"]) == 2
+    assert len(json.loads(out_default)["causes"]) == 1

@@ -83,3 +83,19 @@ def test_oracle_independent_of_enumeration_order(machine):
     cex = leaky_cex()
     pairs = brute_force_causes(machine, OD, cex)
     assert tuple(sorted(c for c, _ in pairs)) == tuple(c for c, _ in pairs)
+
+
+def test_each_distinct_world_evaluated_once(machine, cex, monkeypatch):
+    from hypercause import oracle
+
+    worlds = []
+    evaluate = oracle.eval_hyper
+
+    def recording(world, formula):
+        worlds.append(world)
+        return evaluate(world, formula)
+
+    monkeypatch.setattr(oracle, "eval_hyper", recording)
+    pairs = brute_force_causes(machine, OD, cex)
+    assert pairs
+    assert len(worlds) == len(set(worlds))

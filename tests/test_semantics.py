@@ -2,11 +2,17 @@ import math
 import random
 from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hypercause import formulas as F
+from hypercause import semantics
+from hypercause.errors import ValidationError
 from hypercause.events import Counterexample
 from hypercause.lasso import Lasso
 from hypercause.parser import parse_hyperltl
-from hypercause.semantics import eval_hyper, eval_ltl, falsifies, zip_hyper
+from hypercause.semantics import eval_hyper, eval_ltl, falsifies, truth_table, zip_hyper
 
 from conftest import leaky_cex, leaky_machine
 from genrand import random_hyper_body, random_lasso
@@ -158,3 +164,82 @@ def test_eval_hyper_on_intervened_pair():
     assert eval_hyper(fixed, OD)
     broken = intervene(machine, cex, [Event("t2", 0, "hi", True)], [])
     assert not eval_hyper(broken, OD)
+
+
+PROPS = ("x", "y")
+LETTERS = st.frozensets(st.sampled_from(PROPS))
+LASSOS = st.builds(
+    Lasso, st.lists(LETTERS, max_size=4), st.lists(LETTERS, min_size=1, max_size=4)
+)
+UNARY = (F.Not, F.Next, F.Eventually, F.Always)
+BINARY = (F.And, F.Or, F.Implies, F.Iff, F.Until, F.Release)
+
+
+def bodies(variables):
+    leaves = st.one_of(
+        st.builds(F.Atom, st.sampled_from(PROPS), st.sampled_from(variables)),
+        st.builds(F.Const, st.booleans()),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            *(st.builds(op, sub) for op in UNARY),
+            *(st.builds(op, sub, sub) for op in BINARY),
+        ),
+        max_leaves=10,
+    )
+
+
+VARIABLES = {k: tuple(str(i) for i in range(k)) for k in (1, 2, 3)}
+BODIES = {k: bodies(variables) for k, variables in VARIABLES.items()}
+
+
+@st.composite
+def assigned_formulas(draw):
+    k = draw(st.sampled_from(sorted(VARIABLES)))
+    formula = F.HyperFormula(VARIABLES[k], draw(BODIES[k]))
+    cex = Counterexample({f"t{i + 1}": draw(LASSOS) for i in range(k)})
+    return formula, cex
+
+
+@settings(max_examples=300)
+@given(assigned_formulas())
+def test_compiled_evaluator_equals_zipped_reference(case):
+    # the body's truth at position i is its truth on the i-th suffixes, so
+    # every position of the reference's row is compared
+    formula, cex = case
+    body, zipped = zip_hyper(formula, cex)
+    row = truth_table(zipped.lasso, body)[body]
+    for i, expected in enumerate(row):
+        shifted = Counterexample({name: suffix(t, i) for name, t in cex.traces.items()})
+        assert eval_hyper(shifted, formula) == expected, f"position {i}"
+
+
+def suffix(trace: Lasso, i: int) -> Lasso:
+    if i < trace.loop_start:
+        return Lasso(trace.prefix[i:], trace.period)
+    j = (i - trace.loop_start) % len(trace.period)
+    return Lasso([], trace.period[j:] + trace.period[:j])
+
+
+def test_program_compiled_once_per_formula(monkeypatch):
+    compiled = []
+    compile_body = semantics.compile_body
+
+    def counting(formula):
+        compiled.append(formula)
+        return compile_body(formula)
+
+    monkeypatch.setattr(semantics, "compile_body", counting)
+    formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
+    for _ in range(3):
+        assert not eval_hyper(leaky_cex(), formula)
+    assert compiled == [formula]
+    # the program lives on the formula instance, not in a shared table
+    assert formula.program is formula.program
+    assert parse_hyperltl(str(formula), "infix").program is not formula.program
+
+
+def test_eval_hyper_rejects_wrong_trace_count():
+    with pytest.raises(ValidationError, match="quantifies 2 traces"):
+        eval_hyper(Counterexample({"t1": leaky_cex()["t1"]}), OD)
