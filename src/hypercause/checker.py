@@ -7,10 +7,9 @@ of traces, in the product order over the distinct traces, whose traces
 falsify the body.  It is lazy: the size guard counts the words
 arithmetically, words are run one at a time only when the product needs a
 trace not yet seen, and the search stops at the first falsifying
-assignment.  The
-synchronous product of the machine with itself is also available;
-explanation itself never needs it, but it grounds the reduction and its
-projection property.
+assignment.  The synchronous product of the machine with itself is also
+available; explanation itself never needs it, but it grounds the
+reduction and its projection property.
 """
 
 from __future__ import annotations
