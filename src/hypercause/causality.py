@@ -6,12 +6,14 @@ their counterexample values) satisfies the property, and no proper subset
 already does.  The search tests one counterfactual per candidate set (the
 full flip); subset flips are covered by the outer minimality loop.
 
-Contingency search follows the annotate-then-widen strategy: output events
-that the violation's accepting run actually read and that differ between
-counterexample and counterfactual come first, then all differing output
-events, then any remaining resettable output events (a reset can only
-matter after an earlier reset changed the path, so this last ring is rare
-but needed for completeness).
+Every search decides a subset with the order-least contingency test
+(`least_contingency`) and reports the contingency it finds; all tests of one
+search share a `counterfactual.InterventionTable`.  Only `compute_contingency`
+orders its sets by the annotate-then-widen strategy: output events that the
+violation's accepting run read and that differ between counterexample and
+counterfactual come first, then all differing output events, then every
+resettable output event up to the same bound (a reset can only matter after
+an earlier reset changed the path), so `check_cf` passes the same subsets.
 """
 
 from __future__ import annotations
@@ -19,35 +21,23 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import formulas as F
 from .alternating import accepts_lasso, ltl_to_alternating, union_annotations
-from .counterfactual import (
-    CounterfactualAutomaton,
-    DegradedContingencyWarning,
-    intervention_word,
-)
+from .counterfactual import InterventionTable
 from .errors import ValidationError
 from .events import Counterexample, Event, satisfies_events, sort_events
 from .machine import MooreMachine
 from .satcore import CandidateSet
-from .semantics import (
-    eval_hyper,
-    satisfied_input_events,
-    zip_hyper,
-)
+from .semantics import satisfied_input_events, zip_hyper
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
     kind: str  # "counterfactual" | "contingency" | "fail"
     contingency: tuple[Event, ...] = ()
-
-    def passed(self) -> bool:
-        return self.kind != "fail"
 
 
 @dataclass(frozen=True)
@@ -79,63 +69,12 @@ class CauseSearch:
         self.formula = formula
         self.cex = cex
         self.max_contingency_size = max_contingency_size
-        for name, trace in cex.traces.items():
-            diag = machine.validate_trace(trace)
-            if not diag:
-                raise ValidationError(
-                    f"trace {name!r} is not a trace of the machine: "
-                    f"{diag.message} @ {diag.position}"
-                )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedContingencyWarning)
-            self.automata = {
-                name: CounterfactualAutomaton(machine, trace)
-                for name, trace in cex.traces.items()
-            }
+        self.table = InterventionTable(machine, formula, cex)
+        self.automata = self.table.automata
+        self.intervened = self.table.intervened
+        self.satisfies_after = self.table.satisfies_after
         self._violation_automaton = None
-        self._eval_memo: dict[tuple, bool] = {}
-        self._trace_memo: dict[tuple, object] = {}
-        self.evaluations = 0
-
-    # -- primitives ----------------------------------------------------------
-
-    def _trace_after(self, name: str, cause, contingency):
-        # memoized per trace: subsets sharing their footprint on a trace
-        # share the counterfactual run
-        mine = (
-            name,
-            frozenset(e for e in cause if e.trace == name),
-            frozenset(e for e in contingency if e.trace == name),
-        )
-        if mine not in self._trace_memo:
-            if not mine[1] and not mine[2]:
-                self._trace_memo[mine] = self.cex[name]
-            else:
-                aut = self.automata[name]
-                self._trace_memo[mine] = aut.run(intervention_word(aut, mine[1], mine[2]))
-        return self._trace_memo[mine]
-
-    def intervened(self, cause: Iterable[Event], contingency: Iterable[Event]) -> Counterexample:
-        cause = tuple(cause)
-        contingency = tuple(contingency)
-        return Counterexample(
-            {name: self._trace_after(name, cause, contingency) for name in self.cex.names()}
-        )
-
-    def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:
-        cause = tuple(cause)
-        contingency = tuple(contingency)
-        traces = tuple(
-            self._trace_after(name, cause, contingency) for name in self.cex.names()
-        )
-        # keyed on trace values (lasso equality is equality of the infinite
-        # words): different interventions often produce the same world
-        key = traces
-        if key not in self._eval_memo:
-            world = Counterexample(dict(zip(self.cex.names(), traces)))
-            self._eval_memo[key] = eval_hyper(world, self.formula)
-            self.evaluations += 1
-        return self._eval_memo[key]
+        self._resettable: dict[tuple[str, ...], tuple[Event, ...]] = {}
 
     def violation_automaton(self):
         if self._violation_automaton is None:
@@ -145,14 +84,16 @@ class CauseSearch:
 
     def resettable_events(self, traces: Iterable[str]) -> tuple[Event, ...]:
         """Satisfied output events the counterfactual automata can enact."""
-        out = []
-        for name in traces:
-            aut = self.automata[name]
-            trace = self.cex[name]
-            for pos in range(len(trace)):
-                for prop in aut.controllable:
-                    out.append(Event(name, pos, prop, prop in trace.at(pos)))
-        return sort_events(out)
+        traces = tuple(traces)
+        if traces not in self._resettable:
+            out = []
+            for name in traces:
+                trace = self.cex[name]
+                for pos in range(len(trace)):
+                    for prop in self.automata[name].controllable:
+                        out.append(Event(name, pos, prop, prop in trace.at(pos)))
+            self._resettable[traces] = sort_events(out)
+        return self._resettable[traces]
 
     def differing_output_events(self, counterfactual: Counterexample) -> tuple[Event, ...]:
         """Output events of the counterexample whose value changed, as
@@ -316,10 +257,8 @@ def actual_cause(
     """First subset-minimal actual cause within the candidate set.
 
     Sizes are tried in ascending order, ties broken by the global event
-    order, up to the whole candidate set.  Each subset gets the
-    counterfactual check of `check_cf`, with contingencies tried in the
-    order-least order: only whether one exists matters here, so the
-    annotation-first order of `compute_contingency` would only add work.
+    order, up to the whole candidate set.  Each subset is decided by
+    `least_contingency`, whose witness is the one reported.
     """
     started = time.monotonic()
     search = CauseSearch(machine, formula, cex, max_contingency_size)
@@ -329,26 +268,29 @@ def actual_cause(
     for size in range(1, len(events) + 1):
         for combo in itertools.combinations(events, size):
             checked += 1
-            if least_contingency(search, combo, max_contingency_size) is not None:
-                found = _entry(search, sort_events(combo), max_contingency_size)
+            contingency = least_contingency(search, combo, max_contingency_size)
+            if contingency is not None:
+                found = _entry(search, sort_events(combo), contingency, max_contingency_size)
                 break
         if found:
             break
     stats = {
         "subsets_checked": checked,
         "time_ms": round((time.monotonic() - started) * 1000, 3),
+        "evaluations": search.table.evaluations,
     }
     if found is None:
         return CauseReport(candidate, (), "no-actual-cause", stats)
     return CauseReport(candidate, (found,), "found", stats)
 
 
-def _entry(search: CauseSearch, cause: tuple[Event, ...], max_size) -> CauseEntry:
-    contingency = least_contingency(search, cause, max_size)
+def _entry(
+    search: CauseSearch, cause: tuple[Event, ...], contingency: tuple[Event, ...], max_size
+) -> CauseEntry:
     verified = verify_actual_cause(
         search.machine, search.formula, search.cex, cause, max_size, search
     )
-    return CauseEntry(cause, contingency if contingency is not None else (), verified)
+    return CauseEntry(cause, contingency, verified)
 
 
 def all_minimal_causes(
@@ -364,32 +306,33 @@ def all_minimal_causes(
     The search runs over all input events satisfied by the counterexample
     (the candidate set is reported alongside and orders nothing here: a
     cause can reach outside the transition analysis when an earlier flip
-    reroutes the run).
+    reroutes the run).  Each subset is decided by `least_contingency`, whose
+    witness is the one reported.
     """
     started = time.monotonic()
     search = CauseSearch(machine, formula, cex, max_contingency_size)
     universe = satisfied_input_events(machine, cex)
     limit = len(universe) if bound is None else min(bound, len(universe))
-    causes: list[tuple[Event, ...]] = []
+    found: list[tuple[tuple[Event, ...], tuple[Event, ...]]] = []
     checked = 0
     for size in range(1, limit + 1):
         for combo in itertools.combinations(universe, size):
-            if any(set(c) <= set(combo) for c in causes):
+            if any(set(c) <= set(combo) for c, _ in found):
                 continue
             checked += 1
-            outcome = check_cf(machine, formula, cex, combo, max_contingency_size, search)
-            if outcome.passed():
-                causes.append(sort_events(combo))
-    complete = _covers_all_larger_subsets(universe, causes, limit)
-    entries = tuple(_entry(search, c, max_contingency_size) for c in causes)
+            contingency = least_contingency(search, combo, max_contingency_size)
+            if contingency is not None:
+                found.append((sort_events(combo), contingency))
+    complete = _covers_all_larger_subsets(universe, [c for c, _ in found], limit)
+    entries = tuple(_entry(search, c, w, max_contingency_size) for c, w in found)
     stats = {
         "subsets_checked": checked,
         "time_ms": round((time.monotonic() - started) * 1000, 3),
-        "evaluations": search.evaluations,
+        "evaluations": search.table.evaluations,
     }
     if not complete:
         status = "bounded-out"
-    elif causes:
+    elif found:
         status = "found"
     else:
         status = "no-actual-cause"
@@ -404,14 +347,15 @@ def _covers_all_larger_subsets(
         return True
     if not causes:
         return False
-    # a larger subset is ruled out iff it contains a found cause; the
-    # largest cause-free subset leaves out one event per cause
+    # a larger subset is ruled out iff it contains a found cause, so a
+    # cause-free subset above the bound is the complement of a hitting set
+    # of the causes with fewer than len(universe) - bound events
     pool = sorted({e for c in causes for e in c}, key=Event.sort_key)
-    for k in range(len(pool) + 1):
+    for k in range(min(len(pool), len(universe) - bound - 1) + 1):
         for hitting in itertools.combinations(pool, k):
             if all(any(h in c for h in hitting) for c in causes):
-                return len(universe) - k <= bound
-    return False
+                return False
+    return True
 
 
 def verify_actual_cause(
@@ -438,18 +382,9 @@ def verify_actual_cause(
     if max_contingency_size is None:
         max_contingency_size = search.max_contingency_size
 
-    def flip_ok(events: tuple[Event, ...]) -> bool:
-        if search.satisfies_after(events, ()):
-            return True
-        touched = sorted({e.trace for e in events})
-        for combo in _subsets(search.resettable_events(touched), max_contingency_size):
-            if combo and search.satisfies_after(events, combo):
-                return True
-        return False
-
     def cf(events: tuple[Event, ...]) -> bool:
         return any(
-            flip_ok(sub)
+            least_contingency(search, sub, max_contingency_size) is not None
             for size in range(1, len(events) + 1)
             for sub in itertools.combinations(events, size)
         )

@@ -21,11 +21,13 @@ import warnings
 import weakref
 from typing import Iterable, Mapping
 
+from . import formulas as F
 from .boolexpr import assignments as boolexpr_assignments
 from .errors import ValidationError
 from .events import Counterexample, Event, check_event
 from .lasso import Lasso
 from .machine import MooreMachine
+from .semantics import eval_hyper
 
 
 class DegradedContingencyWarning(UserWarning):
@@ -321,12 +323,98 @@ def intervention_word(
     return Lasso(word[:loop_start], word[loop_start:])
 
 
+class InterventionTable:
+    """Memoized counterfactual tests for one (machine, formula, counterexample).
+
+    `satisfies_after(cause, contingency)` answers whether the property holds
+    once `cause` is flipped and `contingency` reset.  The table builds one
+    counterfactual automaton per trace, which validates the trace, and gives
+    each event a bit the first time it sees it.  Per trace, the (cause bits,
+    reset bits) on that trace map to an interned trace id, equal runs sharing
+    one id.  A new footprint is run through `intervention_word`, which
+    rejects an invalid event; since a footprint that raised is never stored,
+    an invalid event raises on every call.  Verdicts are memoized on the
+    tuple of trace ids, and `evaluations` counts the calls to `eval_hyper`.
+    """
+
+    def __init__(self, machine: MooreMachine, formula: F.HyperFormula, cex: Counterexample):
+        self.formula = formula
+        self.names = cex.names()
+        self.automata: dict[str, CounterfactualAutomaton] = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedContingencyWarning)
+            for name, trace in cex.traces.items():
+                try:
+                    self.automata[name] = CounterfactualAutomaton(machine, trace)
+                except ValidationError as exc:
+                    raise ValidationError(f"trace {name!r}: {exc}") from None
+        self._bits: dict[Event, int] = {}
+        self._masks = dict.fromkeys(self.names, 0)
+        self._lassos: list[Lasso] = []
+        self._ids: dict[Lasso, int] = {}
+        self._runs = {name: {(0, 0): self._intern(cex[name])} for name in self.names}
+        self._verdicts: dict[tuple[int, ...], bool] = {}
+        self.evaluations = 0
+
+    def _intern(self, lasso: Lasso) -> int:
+        tid = self._ids.get(lasso)
+        if tid is None:
+            tid = self._ids[lasso] = len(self._lassos)
+            self._lassos.append(lasso)
+        return tid
+
+    def _new_bit(self, event: Event) -> int:
+        if event.trace not in self._masks:
+            raise ValidationError(f"event {event} references unknown trace {event.trace!r}")
+        bit = self._bits[event] = 1 << len(self._bits)
+        self._masks[event.trace] |= bit
+        return bit
+
+    def _trace_ids(self, cause: Iterable[Event], contingency: Iterable[Event]) -> tuple[int, ...]:
+        cause = tuple(cause)
+        contingency = tuple(contingency)
+        cause_bits = reset_bits = 0
+        for e in cause:
+            cause_bits |= self._bits.get(e) or self._new_bit(e)
+        for e in contingency:
+            reset_bits |= self._bits.get(e) or self._new_bit(e)
+        ids = []
+        for name in self.names:
+            mask = self._masks[name]
+            key = (cause_bits & mask, reset_bits & mask)
+            runs = self._runs[name]
+            tid = runs.get(key)
+            if tid is None:
+                aut = self.automata[name]
+                word = intervention_word(
+                    aut,
+                    [e for e in cause if e.trace == name],
+                    [e for e in contingency if e.trace == name],
+                )
+                tid = runs[key] = self._intern(aut.run(word))
+            ids.append(tid)
+        return tuple(ids)
+
+    def _world(self, ids: tuple[int, ...]) -> Counterexample:
+        return Counterexample({name: self._lassos[i] for name, i in zip(self.names, ids)})
+
+    def intervened(self, cause: Iterable[Event], contingency: Iterable[Event]) -> Counterexample:
+        return self._world(self._trace_ids(cause, contingency))
+
+    def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:
+        ids = self._trace_ids(cause, contingency)
+        verdict = self._verdicts.get(ids)
+        if verdict is None:
+            verdict = self._verdicts[ids] = eval_hyper(self._world(ids), self.formula)
+            self.evaluations += 1
+        return verdict
+
+
 def intervene(
     machine: MooreMachine,
     cex: Counterexample,
     cause: Iterable[Event],
     contingency: Iterable[Event],
-    automata: Mapping[str, CounterfactualAutomaton] | None = None,
 ) -> Counterexample:
     """Counterfactual counterexample after flipping `cause` under `contingency`."""
     cause = tuple(cause)
@@ -340,9 +428,6 @@ def intervene(
         if not mine_cause and not mine_cont:
             result[name] = trace
             continue
-        if automata is not None and name in automata:
-            aut = automata[name]
-        else:
-            aut = CounterfactualAutomaton(machine, trace)
+        aut = CounterfactualAutomaton(machine, trace)
         result[name] = aut.run(intervention_word(aut, mine_cause, mine_cont))
     return Counterexample(result)

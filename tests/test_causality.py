@@ -1,6 +1,12 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypercause.causality import (
+    _covers_all_larger_subsets,
     actual_cause,
     all_minimal_causes,
     check_cf,
@@ -213,18 +219,19 @@ def test_default_search_finds_rerouted_cause_on_corpus_draw(draw):
 
 
 def test_each_distinct_world_evaluated_once(machine, cex, monkeypatch):
-    from hypercause import causality
+    from hypercause import counterfactual
 
     worlds = []
-    evaluate = causality.eval_hyper
+    evaluate = counterfactual.eval_hyper
 
     def recording(world, formula):
         worlds.append(world)
         return evaluate(world, formula)
 
-    monkeypatch.setattr(causality, "eval_hyper", recording)
+    monkeypatch.setattr(counterfactual, "eval_hyper", recording)
     report = all_minimal_causes(machine, OD, cex)
     assert report.status == "found"
+    assert worlds
     assert len(worlds) == len(set(worlds)) == report.stats["evaluations"]
 
 
@@ -253,3 +260,60 @@ def test_compute_contingency_union_annotation_ring(machine, cex):
     found = compute_contingency(machine, OD, cex, [HIGH_T2], union_annotations=True)
     assert found != ()
     assert check_contingency_valid(machine, OD, cex, [HIGH_T2], found)
+
+
+def _covers_unbounded(universe, causes, bound):
+    """`_covers_all_larger_subsets` before its enumeration was bounded."""
+    if bound >= len(universe):
+        return True
+    if not causes:
+        return False
+    pool = sorted({e for c in causes for e in c}, key=Event.sort_key)
+    for k in range(len(pool) + 1):
+        for hitting in itertools.combinations(pool, k):
+            if all(any(h in c for h in hitting) for c in causes):
+                return len(universe) - k <= bound
+    return False
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_bounded_cover_check_agrees_with_unbounded(seed):
+    rng = random.Random(seed)
+    universe = [Event("t", pos, "i", True) for pos in range(rng.randint(1, 8))]
+    causes = [
+        tuple(rng.sample(universe, rng.randint(1, min(3, len(universe)))))
+        for _ in range(rng.randint(0, 4))
+    ]
+    bound = rng.randint(0, len(universe))
+    assert _covers_all_larger_subsets(universe, causes, bound) == _covers_unbounded(
+        universe, causes, bound
+    )
+
+
+def test_bounded_cover_check_stops_early():
+    # 20 disjoint pairs: the least hitting set has 20 events, so the
+    # unbounded loop would try every set of fewer than 20 of the 40 events
+    # (over 10^11) before answering; with bound 36 only sets of at most 3
+    # events can matter.  Each set tried asks at least one cause whether it
+    # holds an event, so the count of those questions bounds the sets tried.
+    class Cause(tuple):
+        asked = 0
+
+        def __contains__(self, event):
+            Cause.asked += 1
+            if Cause.asked > 10**6:
+                raise AssertionError("more than 10^6 membership tests")
+            return tuple.__contains__(self, event)
+
+    universe = [Event("t", pos, "i", True) for pos in range(40)]
+    causes = [Cause((universe[2 * k], universe[2 * k + 1])) for k in range(20)]
+    assert _covers_all_larger_subsets(universe, causes, 36)
+    assert 0 < Cause.asked
+
+
+def test_search_names_the_trace_that_is_not_a_run(machine):
+    from conftest import t1
+
+    bad = Counterexample({"t1": t1(), "t2": Lasso([frozenset({"ho"})], [frozenset({"ho", "lo"})])})
+    with pytest.raises(ValidationError, match="'t2'"):
+        all_minimal_causes(machine, OD, bad)

@@ -3,10 +3,13 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercause.counterfactual import (
     CounterfactualAutomaton,
     DegradedContingencyWarning,
+    InterventionTable,
     build_counterfactual_automaton,
     controllable_outputs,
     intervene,
@@ -16,6 +19,7 @@ from hypercause.errors import ValidationError
 from hypercause.events import Counterexample, Event, satisfies_events
 from hypercause.lasso import Lasso
 from hypercause.machine import MooreMachine
+from hypercause.semantics import eval_hyper, satisfied_input_events
 
 from conftest import t1, t2
 from test_machine import random_input_word, random_machine
@@ -274,3 +278,73 @@ def test_controllable_outputs_computed_once_per_machine(monkeypatch):
     search = CauseSearch(machine, formula, cex)
     assert computed == [machine]
     assert all(aut.controllable == ("ho", "lo") for aut in search.automata.values())
+
+
+def _table_case(seed: int):
+    """A draw's machine and formula with one trace per variable, each the run
+    of a random input word (no violation needed: the table's semantics does
+    not depend on one)."""
+    from genrand import random_draw, random_lasso
+
+    rng = random.Random(seed)
+    machine, formula = random_draw(seed)
+    cex = Counterexample({
+        f"t{k}": machine.run(random_lasso(rng, machine.inputs))
+        for k in range(len(formula.variables))
+    })
+    return rng, machine, formula, cex
+
+
+@pytest.mark.filterwarnings("ignore", category=DegradedContingencyWarning)
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_interned_evaluation_agrees_with_uninterned(seed):
+    rng, machine, formula, cex = _table_case(seed)
+    table = InterventionTable(machine, formula, cex)
+    inputs = satisfied_input_events(machine, cex)
+    resets = [
+        Event(name, pos, prop, prop in cex[name].at(pos))
+        for name in cex.names()
+        for pos in range(len(cex[name]))
+        for prop in table.automata[name].controllable
+    ]
+
+    def draw(pool):
+        return rng.sample(pool, rng.randint(0, min(3, len(pool))))
+
+    pairs = []
+    for _ in range(6):
+        cause, reset = draw(inputs), draw(resets)
+        pairs.append((cause, reset))
+        # the same footprint on the first trace, a new one on the others
+        first = cex.names()[0]
+        pairs.append((
+            [e for e in cause if e.trace == first] + [e for e in draw(inputs) if e.trace != first],
+            [e for e in reset if e.trace == first] + [e for e in draw(resets) if e.trace != first],
+        ))
+    for cause, reset in pairs + pairs[::-1]:
+        world = intervene(machine, cex, cause, reset)
+        assert table.intervened(cause, reset) == world
+        assert table.satisfies_after(cause, reset) == eval_hyper(world, formula)
+    assert table.evaluations == len({intervene(machine, cex, c, r) for c, r in pairs})
+
+    name = cex.names()[-1]
+    some = inputs[-1]
+    bad_causes = [
+        Event(some.trace, some.position, some.prop, not some.positive),
+        Event(name, len(cex[name]) + rng.randint(0, 3), machine.inputs[0], True),
+        Event("nowhere", 0, machine.inputs[0], True),
+    ] + resets[:1]
+    bad_resets = [Event(e.trace, e.position, e.prop, not e.positive) for e in resets[:1]]
+    cause, reset = pairs[0]
+    bad_resets += inputs[:1]  # an input event, valid only as a cause
+    for bad in bad_causes:
+        for _ in range(2):  # before and after the valid footprint is memoized
+            with pytest.raises(ValidationError):
+                table.satisfies_after(cause + [bad], reset)
+            table.satisfies_after(cause, reset)
+    for bad in bad_resets:
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                table.satisfies_after(cause, reset + [bad])
+            table.satisfies_after(cause, reset)

@@ -86,16 +86,22 @@ def test_oracle_independent_of_enumeration_order(machine):
 
 
 def test_each_distinct_world_evaluated_once(machine, cex, monkeypatch):
-    from hypercause import oracle
+    from hypercause import counterfactual, oracle
 
     worlds = []
-    evaluate = oracle.eval_hyper
+    evaluate = counterfactual.eval_hyper
 
     def recording(world, formula):
         worlds.append(world)
         return evaluate(world, formula)
 
-    monkeypatch.setattr(oracle, "eval_hyper", recording)
+    tables = []
+    table = oracle.InterventionTable
+    monkeypatch.setattr(counterfactual, "eval_hyper", recording)
+    monkeypatch.setattr(
+        oracle, "InterventionTable", lambda *args: tables.append(table(*args)) or tables[-1]
+    )
     pairs = brute_force_causes(machine, OD, cex)
     assert pairs
-    assert len(worlds) == len(set(worlds))
+    assert worlds
+    assert len(worlds) == len(set(worlds)) == tables[0].evaluations
