@@ -11,12 +11,10 @@ from .causality import (
     CauseReport,
     actual_cause,
     all_minimal_causes,
-    check_cf,
     check_contingency_valid,
-    compute_contingency,
     verify_actual_cause,
 )
-from .checker import find_counterexample, self_compose
+from .checker import find_counterexample
 from .counterfactual import CounterfactualAutomaton, build_counterfactual_automaton, intervene
 from .events import Counterexample, Event, satisfies_events
 from .formulas import HyperFormula, negate_to_nnf, nnf
@@ -24,7 +22,7 @@ from .lasso import Lasso
 from .machine import MooreMachine, load_machine, load_traces
 from .oracle import brute_force_causes
 from .parser import parse_hyperltl
-from .satcore import CandidateSet, candidate_cause, transition_constraint, unsat_core
+from .satcore import CandidateSet, candidate_cause
 from .semantics import eval_hyper, eval_ltl, zip_hyper
 
 __all__ = [
@@ -42,9 +40,7 @@ __all__ = [
     "brute_force_causes",
     "build_counterfactual_automaton",
     "candidate_cause",
-    "check_cf",
     "check_contingency_valid",
-    "compute_contingency",
     "eval_hyper",
     "eval_ltl",
     "find_counterexample",
@@ -55,9 +51,6 @@ __all__ = [
     "nnf",
     "parse_hyperltl",
     "satisfies_events",
-    "self_compose",
-    "transition_constraint",
-    "unsat_core",
     "verify_actual_cause",
     "zip_hyper",
 ]

@@ -407,49 +407,6 @@ def annotated_events(tree: RunTree, zipped: ZippedTrace) -> tuple[Event, ...]:
     return sort_events(events)
 
 
-def union_annotations(aut: AutExpr, trace: Lasso) -> tuple[tuple[str, bool, int], ...]:
-    """Annotations over the union of all accepting runs, not just the
-    canonical one: every literal that participates in some accepting run.
-
-    Better recall when annotations seed a contingency search; less
-    reproducible as an explanation, hence opt-in.
-    """
-    value = _values(aut, trace)
-    if not _value_of(aut, 0, value):
-        return ()
-    n = len(trace)
-    loop_start = trace.loop_start
-    succ = [i + 1 for i in range(n)]
-    succ[n - 1] = loop_start
-    seen: set[tuple[int, int]] = set()
-    out: set[tuple[str, bool, int]] = set()
-    stack: list[tuple[AutExpr, int]] = [(aut, 0)]
-    while stack:
-        e, p = stack.pop()
-        if (id(e), p) in seen or isinstance(e, AutEmpty):
-            continue
-        seen.add((id(e), p))
-        if isinstance(e, AutNode):
-            if isinstance(e.state_formula, (F.Atom, F.Not)):
-                atom = (
-                    e.state_formula
-                    if isinstance(e.state_formula, F.Atom)
-                    else e.state_formula.arg
-                )
-                out.add((atom.key(), isinstance(e.state_formula, F.Atom), p))
-            if e.next is not EMPTY:
-                stack.append((e.next, succ[p]))
-        elif isinstance(e, AutConj):
-            stack.append((e.left, p))
-            stack.append((e.right, p))
-        else:
-            # any satisfied branch extends to an accepting run
-            for child in (e.left, e.right):
-                if _value_of(child, p, value):
-                    stack.append((child, p))
-    return tuple(sorted(out))
-
-
 def dump_automaton(aut: AutExpr) -> str:
     """Indented text, one element per line.
 

@@ -1,10 +1,8 @@
 """Propositional expressions over named variables.
 
 Used for transition guards of Moore machines (variables are input
-proposition names) and for the transition constraints of the candidate
-analysis (variables tagged with trace positions).  Desk scale only: every
-satisfiability question here is decided by enumerating assignments over
-the variables that actually occur.
+proposition names).  Desk scale only: machines enumerate every assignment
+of their inputs (`assignments`).
 """
 
 from __future__ import annotations
@@ -109,23 +107,6 @@ def assignments(variables: Iterable[str]) -> Iterator[frozenset[str]]:
     names = sorted(set(variables))
     for bits in itertools.product((False, True), repeat=len(names)):
         yield frozenset(n for n, b in zip(names, bits) if b)
-
-
-def is_satisfiable(expr: BoolExpr, fixed: Iterable[tuple[str, bool]] = ()) -> bool:
-    """Exhaustive satisfiability of `expr` under fixed literal values."""
-    fixed = tuple(fixed)
-    fixed_names = {name for name, _ in fixed}
-    free = expr.variables() - fixed_names
-    base_true = frozenset(name for name, value in fixed if value)
-    for extra in assignments(free):
-        if expr.evaluate(base_true | extra):
-            return True
-    return False
-
-
-def equivalent(a: BoolExpr, b: BoolExpr) -> bool:
-    names = a.variables() | b.variables()
-    return all(a.evaluate(s) == b.evaluate(s) for s in assignments(names))
 
 
 # -- guard syntax: identifiers, !, &, |, parentheses, true/false ------------

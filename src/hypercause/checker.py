@@ -7,9 +7,7 @@ of traces, in the product order over the distinct traces, whose traces
 falsify the body.  It is lazy: the size guard counts the words
 arithmetically, words are run one at a time only when the product needs a
 trace not yet seen, and the search stops at the first falsifying
-assignment.  The synchronous product of the machine with itself is also
-available; explanation itself never needs it, but it grounds the
-reduction and its projection property.
+assignment.
 """
 
 from __future__ import annotations
@@ -25,67 +23,7 @@ from .lasso import Lasso
 from .machine import MooreMachine
 from .semantics import eval_hyper
 
-MAX_PRODUCT_STATES = 100_000
 MAX_ASSIGNMENTS = 2_000_000
-
-
-def tagged(name: str, index: int) -> str:
-    return f"{name}@{index}"
-
-
-class ProductMachine(MooreMachine):
-    """Synchronous k-fold self-composition with propositions tagged per copy."""
-
-    def __init__(self, base: MooreMachine, k: int, max_states: int = MAX_PRODUCT_STATES):
-        if k < 1:
-            raise ValueError("self-composition needs k >= 1")
-        if len(base.states()) ** k > max_states:
-            raise SizeGuardError(
-                f"self-composition would have {len(base.states()) ** k} states"
-            )
-        self.base = base
-        self.k = k
-        inputs = [tagged(n, i) for i in range(k) for n in base.inputs]
-        outputs = [tagged(n, i) for i in range(k) for n in base.outputs]
-        tuples = list(itertools.product(base.states(), repeat=k))
-        labels = {
-            self._name(t): frozenset(
-                tagged(o, i) for i, s in enumerate(t) for o in base.label(s)
-            )
-            for t in tuples
-        }
-        delta = {}
-        for t in tuples:
-            for assignment in assignments(inputs):
-                succ = tuple(
-                    base.successor(
-                        s, {n for n in base.inputs if tagged(n, i) in assignment}
-                    )
-                    for i, s in enumerate(t)
-                )
-                delta[(self._name(t), assignment)] = self._name(succ)
-        initial = self._name(tuple(base.initial for _ in range(k)))
-        super().__init__(inputs, outputs, labels, initial, delta)
-
-    @staticmethod
-    def _name(state_tuple: tuple[str, ...]) -> str:
-        return "(" + ",".join(state_tuple) + ")"
-
-    def project(self, trace: Lasso, index: int) -> Lasso:
-        """Component trace of one copy, over the base alphabet."""
-        prefix = [self._untag(s, index) for s in trace.prefix]
-        period = [self._untag(s, index) for s in trace.period]
-        return Lasso(prefix, period)
-
-    def _untag(self, letter: frozenset[str], index: int) -> frozenset[str]:
-        suffix = f"@{index}"
-        return frozenset(p[: -len(suffix)] for p in letter if p.endswith(suffix))
-
-
-def self_compose(
-    machine: MooreMachine, k: int, max_states: int = MAX_PRODUCT_STATES
-) -> ProductMachine:
-    return ProductMachine(machine, k, max_states)
 
 
 def _shapes(prefix_bound: int, period_bound: int) -> Iterator[tuple[int, int]]:

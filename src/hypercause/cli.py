@@ -40,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="explain violations of universally quantified HyperLTL formulas "
         "on explicit-state Moore machines",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized diagnostics (reserved; results are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, counterexample_required):

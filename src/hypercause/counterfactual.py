@@ -229,9 +229,6 @@ class CounterfactualAutomaton:
     def label(self, state: tuple[str, int]) -> frozenset[str]:
         return self.machine.label(state[0])
 
-    def copy_index(self, state: tuple[str, int]) -> int:
-        return state[1]
-
     def run(self, input_word: Lasso) -> Lasso:
         """Trace over the base alphabet, normalized at state+input recurrence."""
         allowed = set(self.machine.inputs) | set(self._flags)

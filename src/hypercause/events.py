@@ -74,11 +74,6 @@ class Counterexample:
         inner = ", ".join(f"{k}: {v}" for k, v in self.traces.items())
         return f"<Counterexample {inner}>"
 
-    def with_trace(self, name: str, trace: Lasso) -> "Counterexample":
-        new = dict(self.traces)
-        new[name] = trace
-        return Counterexample(new)
-
 
 def check_event(cex: Counterexample, event: Event) -> None:
     if event.trace not in cex:

@@ -96,10 +96,6 @@ class Lasso:
         loop = " ".join(fmt(s) for s in self.period)
         return (head + " " if head else "") + f"({loop})^w"
 
-    def restrict(self, props) -> "Lasso":
-        props = frozenset(props)
-        return Lasso([s & props for s in self.prefix], [s & props for s in self.period])
-
 
 def lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b

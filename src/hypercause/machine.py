@@ -33,15 +33,9 @@ _IDENT_OK = boolexpr._IDENT_START
 _IDENT_CONT_OK = boolexpr._IDENT_CONT
 
 
-@dataclass(frozen=True)
-class AtomicProp:
-    name: str
-    kind: str  # "input" or "output"
-
-
 def _check_name(name: str, what: str) -> None:
-    # '@' only appears in internally tagged copies (self-composition);
-    # user-facing guard syntax cannot produce it
+    # names may contain '@' (zipped traces split their keys at the last
+    # '@', so such names stay unambiguous); guard syntax cannot produce it
     allowed = _IDENT_CONT_OK | {"@"}
     if not name or name[0] not in _IDENT_OK or any(c not in allowed for c in name[1:]):
         raise ValidationError(f"invalid {what} name {name!r}")
@@ -158,12 +152,6 @@ class MooreMachine:
                 f"no transition from state {state!r} for input set "
                 f"{{{', '.join(sorted(key[1]))}}}"
             ) from None
-
-    def props(self) -> tuple[AtomicProp, ...]:
-        return tuple(
-            [AtomicProp(n, "input") for n in self.inputs]
-            + [AtomicProp(n, "output") for n in self.outputs]
-        )
 
     def reachable_states(self) -> tuple[str, ...]:
         seen = [self.initial]

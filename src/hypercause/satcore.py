@@ -7,9 +7,9 @@ The analysis has three parts, reported separately and united in
   input literals that are locally relevant for the transition taken there,
   i.e. all inputs the successor function of the current state depends on,
   read with their polarity on the trace.  Every such per-step set is
-  jointly unsatisfiable with the negated transition constraint, i.e. it is
-  an unsatisfiable core (not necessarily an irredundant one; ``unsat_core``
-  minimizes any core by deletion when an irredundant subset is wanted).
+  jointly unsatisfiable with the negated transition constraint: every input
+  set that agrees with it takes the same transition.  It is an
+  unsatisfiable core, though not necessarily an irredundant one.
 * Formula support: inputs can also steer the property directly without
   ever being necessary for a transition, so every satisfied input event
   whose proposition the formula reads on that trace is a candidate.
@@ -33,74 +33,13 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
-from . import boolexpr
 from . import formulas as F
-from .boolexpr import BoolExpr
 from .counterfactual import DegradedContingencyWarning, controllable_outputs, copy_states
 from .errors import ValidationError
 from .events import Counterexample, Event, sort_events
 from .machine import MooreMachine
 from .semantics import formula_input_events
-
-Literal = tuple[str, bool]  # (variable name, polarity)
-
-
-def event_var(prop: str, position: int) -> str:
-    return f"{prop}@{position}"
-
-
-def transition_constraint(
-    machine: MooreMachine, state_from: str, state_to: str, position: int = 0
-) -> BoolExpr:
-    """Formula over position-tagged input variables, true exactly for the
-    input sets that move `state_from` to `state_to`."""
-    hits = []
-    total = 0
-    for assignment in boolexpr.assignments(machine.inputs):
-        total += 1
-        if machine.successor(state_from, assignment) == state_to:
-            hits.append(assignment)
-    if not hits:
-        raise ValidationError(f"state {state_to!r} is not a successor of {state_from!r}")
-    if len(hits) == total:
-        return boolexpr.TRUE
-    terms = []
-    for assignment in hits:
-        lits = [
-            boolexpr.Var(event_var(name, position))
-            if name in assignment
-            else boolexpr.Not(boolexpr.Var(event_var(name, position)))
-            for name in machine.inputs
-        ]
-        terms.append(boolexpr.conj(lits))
-    return boolexpr.disj(terms)
-
-
-def _sat(hard: BoolExpr, literals: Sequence[Literal]) -> bool:
-    return boolexpr.is_satisfiable(hard, literals)
-
-
-def unsat_core(hard: BoolExpr, assumptions: Sequence[Literal]) -> list[Literal]:
-    """Deletion-minimized subset of `assumptions` unsatisfiable with `hard`.
-
-    Raises if `hard` conjoined with all assumptions is satisfiable: for the
-    transition analysis that would mean the counterexample never took the
-    transition in question.
-    """
-    assumptions = list(assumptions)
-    if _sat(hard, assumptions):
-        raise ValidationError("assumptions are satisfiable with the hard formula; no core")
-    core = list(assumptions)
-    i = 0
-    while i < len(core):
-        trial = core[:i] + core[i + 1 :]
-        if not _sat(hard, trial):
-            core = trial
-        else:
-            i += 1
-    return core
 
 
 @dataclass(frozen=True)
@@ -116,19 +55,6 @@ class CandidateSet:
             if key == (trace, step):
                 return events
         return ()
-
-
-def _step_constraint_and_assumptions(
-    machine: MooreMachine, trace_name: str, trace, states, n: int
-) -> tuple[BoolExpr, list[tuple[Literal, Event]]]:
-    hard = boolexpr.Not(transition_constraint(machine, states[n], states[n + 1], n))
-    here = trace.at(n)
-    assumptions = []
-    for prop in machine.inputs:
-        positive = prop in here
-        lit = (event_var(prop, n), positive)
-        assumptions.append((lit, Event(trace_name, n, prop, positive)))
-    return hard, assumptions
 
 
 def candidate_cause(

@@ -324,12 +324,6 @@ def satisfied_input_events(machine, cex: Counterexample) -> tuple[Event, ...]:
     return satisfied_events(cex, machine.inputs)
 
 
-def satisfied_output_events(machine, cex: Counterexample) -> tuple[Event, ...]:
-    from .events import satisfied_events
-
-    return satisfied_events(cex, machine.outputs)
-
-
 def formula_input_events(machine, formula: F.HyperFormula, cex: Counterexample) -> tuple[Event, ...]:
     """Satisfied input events whose proposition the body reads on their trace.
 

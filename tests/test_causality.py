@@ -6,16 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercause.causality import (
+    CauseSearch,
     _covers_all_larger_subsets,
     actual_cause,
     all_minimal_causes,
-    check_cf,
     check_contingency_valid,
-    compute_contingency,
+    least_contingency,
     verify_actual_cause,
 )
 from hypercause.errors import ValidationError
-from hypercause.events import Counterexample, Event, satisfies_events
+from hypercause.events import Counterexample, Event
 from hypercause.lasso import Lasso
 from hypercause.machine import MooreMachine
 from hypercause.oracle import brute_force_causes
@@ -29,40 +29,6 @@ OD = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
 LOW_T1 = Event("t1", 0, "hi", False)
 HIGH_T2 = Event("t2", 0, "hi", True)
 LOW_CONTINGENCY = Event("t2", 2, "lo", True)
-
-
-def test_check_cf_counterfactual_ok(machine, cex):
-    outcome = check_cf(machine, OD, cex, [LOW_T1])
-    assert outcome.kind == "counterfactual"
-    assert outcome.contingency == ()
-
-
-def test_check_cf_needs_contingency(machine, cex):
-    outcome = check_cf(machine, OD, cex, [HIGH_T2])
-    assert outcome.kind == "contingency"
-    assert outcome.contingency != ()
-    assert check_contingency_valid(machine, OD, cex, [HIGH_T2], outcome.contingency)
-
-
-def test_check_cf_empty_cause_fails(machine, cex):
-    assert check_cf(machine, OD, cex, []).kind == "fail"
-
-
-def test_check_cf_rejects_unsatisfied_cause(machine, cex):
-    with pytest.raises(ValidationError):
-        check_cf(machine, OD, cex, [Event("t1", 0, "hi", True)])
-
-
-def test_compute_contingency_returns_documented_witness(machine, cex):
-    # the annotated-run priority ring finds the low-output reset at the loop
-    found = compute_contingency(machine, OD, cex, [HIGH_T2])
-    assert found == (LOW_CONTINGENCY,)
-
-
-def test_compute_contingency_random_validity(machine, cex):
-    found = compute_contingency(machine, OD, cex, [HIGH_T2])
-    assert satisfies_events(cex, found)
-    assert check_contingency_valid(machine, OD, cex, [HIGH_T2], found)
 
 
 def test_actual_cause_running_example(machine, cex):
@@ -243,23 +209,13 @@ def test_bounded_out_status():
 
 
 def test_max_contingency_size_zero_disables_contingencies(machine, cex):
-    outcome = check_cf(machine, OD, cex, [HIGH_T2], max_contingency_size=0)
-    assert outcome.kind == "fail"
-    outcome = check_cf(machine, OD, cex, [LOW_T1], max_contingency_size=0)
-    assert outcome.kind == "counterfactual"
-
-
-def test_compute_contingency_boundary_when_counterfactual_already_fixed(machine, cex):
-    # calling without the usual guard: the empty reset already satisfies,
-    # so the first success is the empty set
-    found = compute_contingency(machine, OD, cex, [LOW_T1])
-    assert found == ()
-
-
-def test_compute_contingency_union_annotation_ring(machine, cex):
-    found = compute_contingency(machine, OD, cex, [HIGH_T2], union_annotations=True)
-    assert found != ()
-    assert check_contingency_valid(machine, OD, cex, [HIGH_T2], found)
+    search = CauseSearch(machine, OD, cex, max_contingency_size=0)
+    assert least_contingency(search, (HIGH_T2,)) is None
+    assert least_contingency(search, (LOW_T1,)) == ()
+    report = all_minimal_causes(machine, OD, cex, max_contingency_size=0)
+    entries = {entry.cause: entry.contingency for entry in report.causes}
+    assert entries[(LOW_T1,)] == ()
+    assert (HIGH_T2,) not in entries
 
 
 def _covers_unbounded(universe, causes, bound):

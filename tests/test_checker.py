@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hypercause.checker import MAX_ASSIGNMENTS, _input_words, find_counterexample, self_compose
+from hypercause.checker import MAX_ASSIGNMENTS, _input_words, find_counterexample
 from hypercause.errors import SizeGuardError
 from hypercause.events import Counterexample
 from hypercause.lasso import Lasso
@@ -10,7 +10,6 @@ from hypercause.machine import MooreMachine
 from hypercause.parser import parse_hyperltl
 from hypercause.semantics import eval_hyper, falsifies
 
-from conftest import leaky_machine
 from genrand import random_draw
 
 OD = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
@@ -49,31 +48,6 @@ def outcome(search, *args):
     return "found", None if found is None else found.traces
 
 
-def test_self_compose_state_count(machine):
-    product = self_compose(machine, 2)
-    assert len(product.states()) == 16
-    assert set(product.inputs) == {"hi@0", "hi@1"}
-    assert set(product.outputs) == {"ho@0", "lo@0", "ho@1", "lo@1"}
-
-
-def test_self_compose_k1_isomorphic(machine):
-    product = self_compose(machine, 1)
-    assert len(product.states()) == len(machine.states())
-    word = Lasso([frozenset({"hi@0"})], [frozenset()])
-    trace = product.run(word)
-    assert product.project(trace, 0) == machine.run(Lasso([frozenset({"hi"})], [frozenset()]))
-
-
-def test_product_projections_validate(machine):
-    product = self_compose(machine, 2)
-    word = Lasso(
-        [frozenset({"hi@0"}), frozenset({"hi@1"})], [frozenset({"hi@0", "hi@1"})]
-    )
-    trace = product.run(word)
-    for i in range(2):
-        assert machine.validate_trace(product.project(trace, i))
-
-
 def test_find_counterexample_running_example(machine):
     found = find_counterexample(machine, OD, prefix_bound=3, period_bound=2)
     assert found is not None
@@ -110,12 +84,6 @@ def test_find_counterexample_exhaustive_at_tiny_bounds(machine):
     assert (found is not None) == any_violation
     if found is not None:
         assert falsifies(found, formula)
-
-
-def test_size_guard_on_large_composition():
-    m = leaky_machine()
-    with pytest.raises(SizeGuardError):
-        self_compose(m, 9)
 
 
 @pytest.mark.parametrize("bounds", [(1, 1), (2, 2)])

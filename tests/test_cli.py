@@ -174,15 +174,6 @@ def test_infix_syntax_selector(tmp_path, capsys):
     assert len(json.loads(out)["causes"]) == 2
 
 
-def test_seed_flag_accepted(capsys):
-    code, out, _ = run_cli(
-        capsys, "--seed", "7", "validate", "--system", SYSTEM,
-        "--formula", FORMULA, "--counterexample", TRACES,
-    )
-    assert code == 0
-    assert "falsifies" in out
-
-
 def test_validate_warns_when_assignment_satisfies(tmp_path, capsys):
     formula = tmp_path / "taut.txt"
     formula.write_text("forall p1 p2. G (lo[p1] <-> lo[p1])\n")

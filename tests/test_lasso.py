@@ -48,12 +48,6 @@ def test_rotation_equality():
     assert a == b
 
 
-def test_restrict():
-    t = L([["a", "b"]], [["b", "c"]])
-    r = t.restrict({"b"})
-    assert r.at(0) == {"b"} and r.at(1) == {"b"}
-
-
 def test_str_roundtrippable_shape():
     t = L([[], ["lo"]], [["ho", "lo"]])
     assert str(t) == "{} {lo} ({ho,lo})^w"

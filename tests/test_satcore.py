@@ -1,98 +1,14 @@
-import itertools
-import random
 import warnings
 
-import pytest
-
 from hypercause import boolexpr
-from hypercause.boolexpr import FALSE, Not, Var
-from hypercause.errors import ValidationError
 from hypercause.events import Event, satisfies_events
 from hypercause.parser import parse_hyperltl
 from hypercause.semantics import satisfied_input_events
-from hypercause.satcore import (
-    candidate_cause,
-    event_var,
-    transition_constraint,
-    unsat_core,
-)
+from hypercause.satcore import candidate_cause
 
 from conftest import leaky_cex
 
 OD = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
-
-
-def test_transition_constraint_positive_guard(machine):
-    expr = transition_constraint(machine, "s0", "s1", 0)
-    assert expr == Var("hi@0")
-
-
-def test_transition_constraint_negative_guard(machine):
-    expr = transition_constraint(machine, "s0", "s2", 0)
-    assert expr == Not(Var("hi@0"))
-
-
-def test_transition_constraint_unconditional(machine):
-    assert transition_constraint(machine, "s1", "s3", 1) == boolexpr.TRUE
-
-
-def test_transition_constraint_unreachable_target(machine):
-    with pytest.raises(ValidationError, match="not a successor"):
-        transition_constraint(machine, "s0", "s3")
-
-
-def test_unsat_core_unit_clash():
-    hard = Var("hi@0")
-    assert unsat_core(hard, [("hi@0", False)]) == [("hi@0", False)]
-
-
-def test_unsat_core_hard_alone_unsat():
-    assert unsat_core(Not(boolexpr.TRUE), [("a", True), ("b", False)]) == []
-    assert unsat_core(FALSE, [("a", True)]) == []
-
-
-def test_unsat_core_satisfiable_rejected():
-    with pytest.raises(ValidationError):
-        unsat_core(Var("a"), [("a", True)])
-
-
-def brute_minimal_cores(hard, assumptions):
-    """All minimal unsatisfiable subsets by exhaustive enumeration."""
-    minimal = []
-    for r in range(len(assumptions) + 1):
-        for combo in itertools.combinations(assumptions, r):
-            if any(set(m) <= set(combo) for m in minimal):
-                continue
-            if not boolexpr.is_satisfiable(hard, combo):
-                minimal.append(combo)
-    return minimal
-
-
-def random_expr(rng, names, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return Var(rng.choice(names))
-    op = rng.random()
-    if op < 0.25:
-        return Not(random_expr(rng, names, depth - 1))
-    left = random_expr(rng, names, depth - 1)
-    right = random_expr(rng, names, depth - 1)
-    return boolexpr.And((left, right)) if op < 0.6 else boolexpr.Or((left, right))
-
-
-def test_unsat_core_minimal_against_bruteforce():
-    rng = random.Random(3)
-    names = ["a", "b", "c"]
-    checked = 0
-    while checked < 120:
-        hard = Not(random_expr(rng, names, rng.randint(1, 3)))
-        assumptions = [(n, rng.random() < 0.5) for n in names]
-        if boolexpr.is_satisfiable(hard, assumptions):
-            continue
-        core = unsat_core(hard, assumptions)
-        assert not boolexpr.is_satisfiable(hard, core)
-        minimal = brute_minimal_cores(hard, assumptions)
-        assert any(set(core) == set(m) for m in minimal), (hard, assumptions, core)
-        checked += 1
 
 
 def test_candidate_cause_running_example(machine):
@@ -115,20 +31,21 @@ def test_candidate_events_sorted_and_satisfied(machine, cex):
 
 
 def test_per_step_sets_are_cores(machine, cex):
-    # every per-step event set, conjoined with the negated transition
-    # constraint, is unsatisfiable
-    from hypercause.satcore import _step_constraint_and_assumptions
-
+    # every per-step event set fixes the transition: each input set that
+    # agrees with its literals moves the run to the state it took there
+    cand = candidate_cause(machine, OD, cex)
+    checked = 0
     for name, trace in cex.traces.items():
         states = machine.state_sequence(trace)
-        cand = candidate_cause(machine, OD, cex)
         for n in range(len(trace)):
             step = cand.step_events(name, n)
             if not step:
                 continue
-            hard, _ = _step_constraint_and_assumptions(machine, name, trace, states, n)
-            lits = [(event_var(e.prop, e.position), e.positive) for e in step]
-            assert not boolexpr.is_satisfiable(hard, lits)
+            for inputs in boolexpr.assignments(machine.inputs):
+                if all((e.prop in inputs) == e.positive for e in step):
+                    assert machine.successor(states[n], inputs) == states[n + 1]
+                    checked += 1
+    assert checked
 
 
 def test_formula_support_collects_input_atoms():
