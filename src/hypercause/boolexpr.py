@@ -1,105 +1,20 @@
-"""Propositional expressions over named variables.
+"""Transition guards of Moore machines, as truth tables.
 
-Used for transition guards of Moore machines (variables are input
-proposition names).  Desk scale only: machines enumerate every assignment
-of their inputs (`assignments`).
+A guard is a propositional formula over input names.  `guard_table`
+evaluates it while parsing: the value of every subformula is its truth
+table, an int with bit ``i`` set when the ``i``-th input set of
+`assignments(inputs)` satisfies it.  So ``!`` is XOR with the full row,
+``&`` and ``|`` are AND and OR, and ``true``/``false`` are the full row and
+0.  `guard_text` prints a set of input sets back as a guard in DNF.  Desk
+scale only: a table has one bit per subset of the inputs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ParseError
-
-
-class BoolExpr:
-    def evaluate(self, true_vars: frozenset[str]) -> bool:
-        raise NotImplementedError
-
-    def variables(self) -> frozenset[str]:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return to_infix(self)
-
-
-@dataclass(frozen=True)
-class Const(BoolExpr):
-    value: bool
-
-    def evaluate(self, true_vars):
-        return self.value
-
-    def variables(self):
-        return frozenset()
-
-
-@dataclass(frozen=True)
-class Var(BoolExpr):
-    name: str
-
-    def evaluate(self, true_vars):
-        return self.name in true_vars
-
-    def variables(self):
-        return frozenset((self.name,))
-
-
-@dataclass(frozen=True)
-class Not(BoolExpr):
-    arg: BoolExpr
-
-    def evaluate(self, true_vars):
-        return not self.arg.evaluate(true_vars)
-
-    def variables(self):
-        return self.arg.variables()
-
-
-@dataclass(frozen=True)
-class And(BoolExpr):
-    args: tuple[BoolExpr, ...]
-
-    def evaluate(self, true_vars):
-        return all(a.evaluate(true_vars) for a in self.args)
-
-    def variables(self):
-        return frozenset().union(*(a.variables() for a in self.args)) if self.args else frozenset()
-
-
-@dataclass(frozen=True)
-class Or(BoolExpr):
-    args: tuple[BoolExpr, ...]
-
-    def evaluate(self, true_vars):
-        return any(a.evaluate(true_vars) for a in self.args)
-
-    def variables(self):
-        return frozenset().union(*(a.variables() for a in self.args)) if self.args else frozenset()
-
-
-TRUE = Const(True)
-FALSE = Const(False)
-
-
-def conj(args: Iterable[BoolExpr]) -> BoolExpr:
-    args = tuple(args)
-    if not args:
-        return TRUE
-    if len(args) == 1:
-        return args[0]
-    return And(args)
-
-
-def disj(args: Iterable[BoolExpr]) -> BoolExpr:
-    args = tuple(args)
-    if not args:
-        return FALSE
-    if len(args) == 1:
-        return args[0]
-    return Or(args)
 
 
 def assignments(variables: Iterable[str]) -> Iterator[frozenset[str]]:
@@ -142,9 +57,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _GuardParser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, rows: dict[str, int], full: int):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.rows = rows
+        self.full = full
+        self.unknown: set[str] = set()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -156,32 +74,32 @@ class _GuardParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> BoolExpr:
-        expr = self.disjunction()
+    def parse(self) -> int:
+        table = self.disjunction()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return expr
+        return table
 
-    def disjunction(self) -> BoolExpr:
-        parts = [self.conjunction()]
+    def disjunction(self) -> int:
+        table = self.conjunction()
         while self.peek()[0] == "|":
             self.take("|")
-            parts.append(self.conjunction())
-        return disj(parts)
+            table |= self.conjunction()
+        return table
 
-    def conjunction(self) -> BoolExpr:
-        parts = [self.unary()]
+    def conjunction(self) -> int:
+        table = self.unary()
         while self.peek()[0] == "&":
             self.take("&")
-            parts.append(self.unary())
-        return conj(parts)
+            table &= self.unary()
+        return table
 
-    def unary(self) -> BoolExpr:
+    def unary(self) -> int:
         kind, value, pos = self.peek()
         if kind == "!":
             self.take("!")
-            return Not(self.unary())
+            return self.unary() ^ self.full
         if kind == "(":
             self.take("(")
             inner = self.disjunction()
@@ -189,31 +107,40 @@ class _GuardParser:
             return inner
         if kind == "const":
             self.take("const")
-            return TRUE if value == "true" else FALSE
+            return self.full if value == "true" else 0
         if kind == "ident":
             self.take("ident")
-            return Var(value)
+            if value not in self.rows:
+                self.unknown.add(value)
+                return 0
+            return self.rows[value]
         raise ParseError(f"unexpected token {value!r} in guard", pos)
 
 
-def parse_guard(text: str) -> BoolExpr:
-    return _GuardParser(text).parse()
+def guard_table(text: str, inputs: Iterable[str]) -> tuple[int, frozenset[str]]:
+    """Truth table of guard `text` over `inputs`, and the names it uses that
+    are not inputs (read as false)."""
+    rows: dict[str, int] = {}
+    size = 1
+    # each name becomes the slowest-varying one so far (`assignments` varies
+    # the last name fastest): the input sets without it, then with it
+    for name in sorted(set(inputs), reverse=True):
+        for other in rows:
+            rows[other] |= rows[other] << size
+        rows[name] = ((1 << size) - 1) << size
+        size *= 2
+    parser = _GuardParser(text, rows, (1 << size) - 1)
+    table = parser.parse()
+    return table, frozenset(parser.unknown)
 
 
-def to_infix(expr: BoolExpr) -> str:
-    if isinstance(expr, Const):
-        return "true" if expr.value else "false"
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Not):
-        inner = to_infix(expr.arg)
-        if isinstance(expr.arg, (And, Or)):
-            return f"!({inner})"
-        return f"!{inner}"
-    if isinstance(expr, And):
-        return " & ".join(
-            f"({to_infix(a)})" if isinstance(a, Or) else to_infix(a) for a in expr.args
-        )
-    if isinstance(expr, Or):
-        return " | ".join(to_infix(a) for a in expr.args)
-    raise TypeError(f"not a BoolExpr: {expr!r}")
+def guard_text(inputs: Iterable[str], input_sets: Iterable[frozenset[str]]) -> str:
+    """A guard true exactly on `input_sets`: one conjunction of literals per
+    set, over `inputs` in their given order, or ``true`` when the sets are
+    all the input sets."""
+    inputs = tuple(inputs)
+    input_sets = tuple(input_sets)
+    if len(input_sets) == 1 << len(set(inputs)):
+        return "true"
+    terms = (" & ".join(n if n in s else f"!{n}" for n in inputs) for s in input_sets)
+    return " | ".join(terms) or "false"

@@ -21,7 +21,7 @@ import sys
 
 from . import causality, checker, oracle, reports, satcore
 from .alternating import accepts_lasso, dump_automaton, ltl_to_alternating
-from .errors import BoundExhaustedError, SizeGuardError, ValidationError
+from .errors import SizeGuardError, ValidationError
 from .events import Counterexample
 from .formulas import HyperFormula, negate_to_nnf
 from .machine import load_machine, load_traces, traces_to_json
@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (SizeGuardError, BoundExhaustedError) as exc:
+    except SizeGuardError as exc:
         sys.stderr.write(f"bounds exhausted: {exc}\n")
         return EXIT_BOUNDS
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 import weakref
 from typing import Iterable, Mapping
 
@@ -28,10 +27,6 @@ from .events import Counterexample, Event, check_event
 from .lasso import Lasso
 from .machine import MooreMachine
 from .semantics import eval_hyper
-
-
-class DegradedContingencyWarning(UserWarning):
-    """Some outputs cannot be used as contingencies on this machine."""
 
 
 def contingency_flag(output: str) -> str:
@@ -58,21 +53,12 @@ def controllable_outputs(machine: MooreMachine) -> tuple[tuple[str, ...], tuple[
     themselves rule a set out.  Among maximal qualifying sets the
     lexicographically least (by sorted names) is chosen, deterministically.
 
-    The set is computed once per machine; every call that finds outputs
-    excluded warns again.
+    The set is computed once per machine.
     """
     result = _CONTROLLABLE.get(machine)
     if result is None:
         result = _CONTROLLABLE.setdefault(machine, _largest_controllable(machine))
-    chosen, excluded = result
-    if excluded:
-        warnings.warn(
-            f"outputs {list(excluded)} excluded from contingency control "
-            f"(state space does not realize their overrides uniquely)",
-            DegradedContingencyWarning,
-            stacklevel=2,
-        )
-    return chosen, excluded
+    return result
 
 
 def _largest_controllable(machine: MooreMachine) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -338,13 +324,11 @@ class InterventionTable:
         self.formula = formula
         self.names = cex.names()
         self.automata: dict[str, CounterfactualAutomaton] = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedContingencyWarning)
-            for name, trace in cex.traces.items():
-                try:
-                    self.automata[name] = CounterfactualAutomaton(machine, trace)
-                except ValidationError as exc:
-                    raise ValidationError(f"trace {name!r}: {exc}") from None
+        for name, trace in cex.traces.items():
+            try:
+                self.automata[name] = CounterfactualAutomaton(machine, trace)
+            except ValidationError as exc:
+                raise ValidationError(f"trace {name!r}: {exc}") from None
         self._bits: dict[Event, int] = {}
         self._masks = dict.fromkeys(self.names, 0)
         self._lassos: list[Lasso] = []

@@ -19,7 +19,3 @@ class UnsupportedFragmentError(ValidationError):
 
 class SizeGuardError(RuntimeError):
     """Instance exceeds a configured desk-scale guard."""
-
-
-class BoundExhaustedError(RuntimeError):
-    """A bounded search ran out of budget before producing a definite answer."""

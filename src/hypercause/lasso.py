@@ -6,11 +6,6 @@ from math import gcd
 
 from .errors import ValidationError
 
-Letter = frozenset
-
-def letter(props=()) -> frozenset[str]:
-    return frozenset(props)
-
 
 class Lasso:
     """A word ``u . v^omega`` over letters that are sets of proposition names.

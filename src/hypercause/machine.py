@@ -12,8 +12,10 @@ File format (JSON, version 1):
     }
 
 Guards are Boolean expressions over input names with ``& | ! ( ) true
-false``.  At load time every state is checked to have exactly one true
-guard for every subset of inputs (deterministic and total).
+false``.  Loading parses each guard to its truth table over the subsets of
+the inputs (`boolexpr.guard_table`) and checks that every state has exactly
+one true guard for every subset (deterministic and total); `to_json` writes
+each state's guards back in DNF (`boolexpr.guard_text`).
 """
 
 from __future__ import annotations
@@ -95,30 +97,52 @@ class MooreMachine:
         initial: str,
         transitions: Iterable[tuple[str, str, str]],
     ) -> "MooreMachine":
-        """Build from (from_state, guard_text, to_state) triples."""
+        """Build from (from_state, guard_text, to_state) triples.
+
+        Each guard is parsed to its truth table over the input sets.  Per
+        state, one mask holds the input sets some guard covers and another
+        those covered twice, so gaps and overlaps show without evaluating a
+        guard per input set.
+        """
         inputs = tuple(inputs)
         if len(inputs) > MAX_INPUTS:
             raise SizeGuardError(f"more than {MAX_INPUTS} inputs")
+        input_sets = tuple(boolexpr.assignments(inputs))
+        covered = dict.fromkeys(labels, 0)
+        twice = dict.fromkeys(labels, 0)
         parsed = []
         for src, guard, dst in transitions:
-            expr = boolexpr.parse_guard(guard)
-            bad = expr.variables() - set(inputs)
+            table, bad = boolexpr.guard_table(guard, inputs)
             if bad:
                 raise ValidationError(
                     f"guard {guard!r} on {src!r} uses non-input names {sorted(bad)}"
                 )
-            parsed.append((src, expr, dst))
-        delta: dict[tuple[str, frozenset[str]], str] = {}
-        for assignment in boolexpr.assignments(inputs):
-            for src in labels:
-                hits = [dst for s, expr, dst in parsed if s == src and expr.evaluate(assignment)]
-                if len(hits) != 1:
-                    kind = "no" if not hits else "more than one"
-                    raise ValidationError(
-                        f"{kind} guard true in state {src!r} for input set "
-                        f"{{{', '.join(sorted(assignment)) or ''}}}"
-                    )
-                delta[(src, assignment)] = hits[0]
+            if src not in covered:
+                raise ValidationError(f"transition from unknown state {src!r}")
+            twice[src] |= covered[src] & table
+            covered[src] |= table
+            parsed.append((src, table, dst))
+        full = (1 << len(input_sets)) - 1
+        first = None  # the first failing (input set index, state), input-set-major
+        for src, mask in covered.items():
+            failing = (mask ^ full) | twice[src]
+            if failing:
+                i = (failing & -failing).bit_length() - 1  # lowest set bit
+                if first is None or i < first[0]:
+                    first = (i, src)
+        if first is not None:
+            i, src = first
+            kind = "no" if not covered[src] >> i & 1 else "more than one"
+            raise ValidationError(
+                f"{kind} guard true in state {src!r} for input set "
+                f"{{{', '.join(sorted(input_sets[i]))}}}"
+            )
+        delta = {
+            (src, input_set): dst
+            for src, table, dst in parsed
+            for i, input_set in enumerate(input_sets)
+            if table >> i & 1
+        }
         return cls(inputs, outputs, labels, initial, delta)
 
     def _validate_delta(self) -> None:
@@ -254,7 +278,7 @@ class MooreMachine:
                 by_target.setdefault(self.delta[(src, assignment)], []).append(assignment)
             for dst, sets in sorted(by_target.items()):
                 transitions.append(
-                    {"from": src, "guard": str(_dnf(self.inputs, sets)), "to": dst}
+                    {"from": src, "guard": boolexpr.guard_text(self.inputs, sets), "to": dst}
                 )
         return {
             "format": 1,
@@ -264,17 +288,6 @@ class MooreMachine:
             "initial": self.initial,
             "transitions": transitions,
         }
-
-
-def _dnf(inputs, input_sets) -> boolexpr.BoolExpr:
-    all_sets = list(boolexpr.assignments(inputs))
-    if len(input_sets) == len(all_sets):
-        return boolexpr.TRUE
-    terms = []
-    for s in input_sets:
-        lits = [boolexpr.Var(n) if n in s else boolexpr.Not(boolexpr.Var(n)) for n in inputs]
-        terms.append(boolexpr.conj(lits))
-    return boolexpr.disj(terms)
 
 
 def load_machine(source) -> MooreMachine:

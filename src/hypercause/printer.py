@@ -49,10 +49,6 @@ def infix(f: F.Formula) -> str:
     return render(f, 0)
 
 
-def infix_hyper(h: F.HyperFormula) -> str:
-    return f"forall {' '.join(h.variables)}. {infix(h.body)}"
-
-
 def sexpr(f: F.Formula, var_index: dict[str, int]) -> str:
     if isinstance(f, F.Atom):
         return f'(AP "{f.prop}" {var_index[f.var]})'

@@ -31,11 +31,10 @@ either no cause or not a minimal one.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 from . import formulas as F
-from .counterfactual import DegradedContingencyWarning, controllable_outputs, copy_states
+from .counterfactual import controllable_outputs, copy_states
 from .errors import ValidationError
 from .events import Counterexample, Event, sort_events
 from .machine import MooreMachine
@@ -68,9 +67,7 @@ def candidate_cause(
     flip or reset has moved the run to another state (see the module
     docstring for why the union is sound).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedContingencyWarning)
-        controllable = controllable_outputs(machine)[0]
+    controllable = controllable_outputs(machine)[0]
     relevant = functools.cache(machine.input_support)
 
     per_step: list[tuple[tuple[str, int], tuple[Event, ...]]] = []

@@ -21,10 +21,6 @@ from pathlib import Path
 import pytest
 
 from hypercause import formulas as F
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::hypercause.counterfactual.DegradedContingencyWarning"
-)
 from hypercause.alternating import accepts_lasso, annotated_events, ltl_to_alternating
 from hypercause.causality import all_minimal_causes, check_contingency_valid, verify_actual_cause
 from hypercause.counterfactual import build_counterfactual_automaton, intervene

@@ -1,6 +1,5 @@
 import itertools
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from hypercause.counterfactual import (
     CounterfactualAutomaton,
-    DegradedContingencyWarning,
     InterventionTable,
     build_counterfactual_automaton,
     controllable_outputs,
@@ -162,13 +160,12 @@ def test_degraded_contingencies_on_incomplete_labelling():
         initial="p",
         transitions=[("p", "a", "q"), ("p", "!a", "p"), ("q", "true", "p")],
     )
-    with pytest.warns(DegradedContingencyWarning):
-        chosen, excluded = controllable_outputs(m)
+    chosen, excluded = controllable_outputs(m)
     assert chosen == ("x",)
     assert excluded == ("y",)
-    with pytest.warns(DegradedContingencyWarning):
-        aut = CounterfactualAutomaton(m, m.run(Lasso([], [frozenset({"a"})])))
+    aut = CounterfactualAutomaton(m, m.run(Lasso([], [frozenset({"a"})])))
     assert "y" not in aut.controllable
+    assert aut.excluded_outputs == ("y",)
 
 
 def test_contingency_on_uncontrollable_output_rejected():
@@ -181,9 +178,9 @@ def test_contingency_on_uncontrollable_output_rejected():
     )
     trace = m.run(Lasso([frozenset({"a"})], [frozenset()]))
     cex = Counterexample({"t": trace})
-    with pytest.warns(DegradedContingencyWarning):
-        with pytest.raises(ValidationError, match="not contingency-controllable"):
-            intervene(m, cex, [], [Event("t", 1, "y", False)])
+    assert controllable_outputs(m)[1] == ("y",)
+    with pytest.raises(ValidationError, match="not contingency-controllable"):
+        intervene(m, cex, [], [Event("t", 1, "y", False)])
 
 
 def test_duplicate_labels_still_allow_plain_runs():
@@ -199,9 +196,9 @@ def test_duplicate_labels_still_allow_plain_runs():
             ("q", "true", "q"),
         ],
     )
-    with pytest.warns(DegradedContingencyWarning):
-        aut = CounterfactualAutomaton(m, m.run(Lasso([], [frozenset()])))
+    aut = CounterfactualAutomaton(m, m.run(Lasso([], [frozenset()])))
     assert aut.controllable == ()
+    assert aut.excluded_outputs == ("o",)
     word = intervention_word(aut, [], [])
     assert aut.run(word) == m.run(Lasso([], [frozenset()]))
 
@@ -217,12 +214,8 @@ def test_random_no_contingency_conservativity():
         w = random_input_word(rng, m.inputs)
         trace = m.run(w)
         cex = Counterexample({"t": trace})
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore", DegradedContingencyWarning)
-            aut = CounterfactualAutomaton(m, trace)
-            projected = aut.run(intervention_word(aut, [], []))
+        aut = CounterfactualAutomaton(m, trace)
+        projected = aut.run(intervention_word(aut, [], []))
         assert projected == trace
         checked += 1
 
@@ -249,9 +242,7 @@ def test_random_reachable_equals_letter_by_letter_closure():
     for _ in range(60):
         m = random_machine(rng, n_inputs=rng.randint(1, 2), n_states=rng.randint(2, 4))
         trace = m.run(random_input_word(rng, m.inputs))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedContingencyWarning)
-            aut = CounterfactualAutomaton(m, trace)
+        aut = CounterfactualAutomaton(m, trace)
         reachable = aut.reachable()
         assert len(set(reachable)) == len(reachable)
         assert set(reachable) == _letter_closure(aut)
@@ -300,7 +291,6 @@ def _table_case(seed: int):
     return rng, machine, formula, cex
 
 
-@pytest.mark.filterwarnings("ignore", category=DegradedContingencyWarning)
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_interned_evaluation_agrees_with_uninterned(seed):

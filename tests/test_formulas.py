@@ -5,7 +5,7 @@ import pytest
 from hypercause import formulas as F
 from hypercause.errors import ParseError, UnsupportedFragmentError, ValidationError
 from hypercause.parser import detect_syntax, parse_hyperltl
-from hypercause.printer import infix, infix_hyper, sexpr_hyper
+from hypercause.printer import infix, sexpr_hyper
 from hypercause.semantics import eval_ltl
 
 from genrand import random_lasso, random_ltl
@@ -85,10 +85,10 @@ def test_neq_is_negated_iff():
 
 def test_print_parse_roundtrip_fixture():
     h = parse_hyperltl(RUNNING_EXAMPLE_SEXPR)
-    again = parse_hyperltl(infix_hyper(h))
+    again = parse_hyperltl(str(h))
     # infix re-parse binds fresh names; bodies agree up to variable renaming
     assert len(again.variables) == 2
-    assert infix_hyper(again) == infix_hyper(h)
+    assert str(again) == str(h)
 
 
 def test_sexpr_print_roundtrip():
@@ -102,7 +102,7 @@ def test_print_parse_roundtrip_random():
     for _ in range(300):
         f = random_ltl(rng, ["p", "q", "r"], rng.randint(1, 4))
         h = F.HyperFormula(("0",), _index_atoms(f))
-        assert parse_hyperltl(infix_hyper(h)) == _rename_to(h, "0")
+        assert parse_hyperltl(str(h)) == _rename_to(h, "0")
 
 
 def _index_atoms(f):

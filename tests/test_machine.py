@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from hypercause.errors import ValidationError
+from hypercause.boolexpr import assignments
+from hypercause.errors import ParseError, ValidationError
 from hypercause.lasso import Lasso
 from hypercause.machine import MooreMachine, load_machine, load_traces, traces_to_json
 
 from conftest import leaky_machine, t1, t2
+from genrand import random_draw
 
 
 def inputs(*sets):
@@ -51,6 +53,74 @@ def test_nondeterministic_guards_rejected():
         )
 
 
+def test_transition_from_unknown_state_rejected():
+    with pytest.raises(ValidationError, match="unknown state 'typo'"):
+        MooreMachine.from_guards(
+            ["a"], ["o"], {"p": [], "q": ["o"]}, "p",
+            [("p", "true", "q"), ("q", "true", "p"), ("typo", "a", "p")],
+        )
+
+
+def _accepted(guard, inputs=("a", "b", "c")):
+    """Input sets on which `guard` holds, each written as its sorted names."""
+    m = MooreMachine.from_guards(
+        inputs, [], {"p": [], "y": []}, "p",
+        [("p", guard, "y"), ("p", f"!({guard})", "p"), ("y", "true", "y")],
+    )
+    return {"".join(sorted(a)) for a in assignments(inputs) if m.delta[("p", a)] == "y"}
+
+
+ALL = {"", "a", "b", "c", "ab", "ac", "bc", "abc"}
+
+GUARD_TABLE = [
+    ("a", {"a", "ab", "ac", "abc"}),
+    ("a | b & c", {"a", "ab", "ac", "abc", "bc"}),  # & binds tighter than |
+    ("b & c | a", {"a", "ab", "ac", "abc", "bc"}),
+    ("(a | b) & c", {"ac", "bc", "abc"}),
+    ("!a & b", {"b", "bc"}),  # ! binds tighter than &
+    ("!a | b", {"", "b", "c", "bc", "ab", "abc"}),  # ... and than |
+    ("!(a | b)", {"", "c"}),
+    ("!!a", {"a", "ab", "ac", "abc"}),
+    ("a&!b|!a&b", {"a", "ac", "b", "bc"}),
+    ("  ( ( c ) ) ", {"c", "ac", "bc", "abc"}),
+    ("true", ALL),
+    ("false", set()),
+    ("!true | false", set()),
+    ("a & true", {"a", "ab", "ac", "abc"}),
+    ("a & (b | !b)", {"a", "ab", "ac", "abc"}),
+]
+
+
+@pytest.mark.parametrize("guard, accepted", GUARD_TABLE)
+def test_guard_grammar(guard, accepted):
+    assert _accepted(guard) == accepted
+
+
+def test_guard_primed_names():
+    assert _accepted("a' & !a", ("a", "a'")) == {"a'"}
+    assert _accepted("a'", ("a", "a'")) == {"a'", "aa'"}
+
+
+@pytest.mark.parametrize("guard, message, offset", [
+    ("a &", "unexpected token ''", 3),
+    ("(a", "expected ), found ''", 2),
+    ("a $", "unexpected character '$'", 2),
+])
+def test_guard_syntax_errors_carry_offsets(guard, message, offset):
+    with pytest.raises(ParseError) as info:
+        _accepted(guard)
+    assert info.value.position == offset
+    assert str(info.value).startswith(message)
+
+
+def test_guard_non_input_names_rejected():
+    with pytest.raises(ValidationError) as info:
+        MooreMachine.from_guards(
+            ["a"], [], {"p": []}, "p", [("p", "a | zz & b", "p"), ("p", "!a", "p")]
+        )
+    assert str(info.value) == "guard 'a | zz & b' on 'p' uses non-input names ['b', 'zz']"
+
+
 def test_partial_guards_rejected():
     with pytest.raises(ValidationError, match="no guard"):
         MooreMachine.from_guards(
@@ -82,8 +152,6 @@ def random_machine(rng, n_inputs=2, n_states=4):
     outs = ["o0", "o1"]
     labels = {f"q{k}": rng.sample(outs, rng.randint(0, 2)) for k in range(n_states)}
     delta = {}
-    from hypercause.boolexpr import assignments
-
     for s in labels:
         for a in assignments(ins):
             delta[(s, a)] = f"q{rng.randrange(n_states)}"
@@ -129,6 +197,9 @@ def test_json_roundtrip(machine, tmp_path):
     assert again.inputs == machine.inputs
     assert again.labels == machine.labels
     assert again.delta == machine.delta
+    for seed in range(1, 51):
+        m, _ = random_draw(seed)
+        assert load_machine(m.to_json()).delta == m.delta, seed
 
 
 def test_traces_roundtrip(tmp_path):
