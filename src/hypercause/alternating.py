@@ -366,7 +366,9 @@ def replay(tree: RunTree, aut: AutExpr, trace: Lasso) -> bool:
     by_id = {id(e): e for e in elements(aut)}
 
     def walk(node: RunNode, path: tuple) -> bool:
-        e = by_id.get(node.element_id, EMPTY)
+        e = by_id.get(node.element_id)
+        if e is None:  # not an element of this automaton
+            return False
         key = (node.element_id, node.position)
         if node.kind == "loop":
             for idx, (k, elem) in enumerate(path):

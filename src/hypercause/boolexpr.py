@@ -28,6 +28,7 @@ def assignments(variables: Iterable[str]) -> Iterator[frozenset[str]]:
 
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | frozenset("0123456789'")
+CONSTANTS = ("true", "false")  # read as constants, so no input may have these names
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -47,7 +48,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             while j < len(text) and text[j] in _IDENT_CONT:
                 j += 1
             word = text[i:j]
-            kind = "const" if word in ("true", "false") else "ident"
+            kind = "const" if word in CONSTANTS else "ident"
             tokens.append((kind, word, i))
             i = j
             continue

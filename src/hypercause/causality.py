@@ -5,16 +5,17 @@ when flipping it (possibly under a contingency W of output events reset to
 their counterexample values) satisfies the property, and no proper subset
 already does.
 
-There is one enumeration of minimal causes (`_minimal_causes`): it tries
-subsets in ascending size, ties broken by the global event order, skips
-supersets of causes already found, and decides each subset with one
+There is one search.  It enumerates minimal causes (`_minimal_causes`)
+within the candidate set, which holds every minimal cause (see `satcore`):
+subsets in ascending size, ties broken by the global event order, up to the
+cause bound, skipping supersets of causes already found, each decided by one
 contingency search (`least_contingency`).  That search returns the
 order-least contingency: the empty one if the flip alone repairs the
 property, else the first set of resettable output events on the flipped
-traces, again by size and then event order.  `actual_cause` takes the first
-cause of the enumeration over the candidate set, `all_minimal_causes` takes
-every cause over all satisfied input events up to a bound.  All tests of
-one search share a `counterfactual.InterventionTable`.
+traces, again by size and then event order.  `actual_cause` stops at the
+first cause, `all_minimal_causes` takes every cause; both report
+`bounded-out` when the cause bound cut the search before it could decide.
+All tests of one search share a `counterfactual.InterventionTable`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from . import formulas as F
 from .counterfactual import InterventionTable
 from .events import Counterexample, Event, satisfies_events, sort_events
 from .machine import MooreMachine
-from .satcore import CandidateSet
-from .semantics import satisfied_input_events
+from .satcore import CandidateSet, candidate_cause
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class CauseEntry:
 
 @dataclass(frozen=True)
 class CauseReport:
-    candidate: CandidateSet | None
+    candidate: CandidateSet
     causes: tuple[CauseEntry, ...]
     status: str  # "found" | "no-actual-cause" | "bounded-out"
     stats: dict = field(default_factory=dict, compare=False)
@@ -127,40 +127,17 @@ def _minimal_causes(
                 yield cause, contingency
 
 
-def _entry(
-    search: CauseSearch, cause: tuple[Event, ...], contingency: tuple[Event, ...]
-) -> CauseEntry:
-    verified = verify_actual_cause(
-        search.machine, search.formula, search.cex, cause, search=search
-    )
-    return CauseEntry(cause, contingency, verified)
-
-
-def _stats(search: CauseSearch, started: float) -> dict:
-    return {
-        "subsets_checked": search.subsets_checked,
-        "time_ms": round((time.monotonic() - started) * 1000, 3),
-        "evaluations": search.table.evaluations,
-    }
-
-
 def actual_cause(
     machine: MooreMachine,
     formula: F.HyperFormula,
     cex: Counterexample,
-    candidate: CandidateSet,
+    candidate: CandidateSet | None = None,
+    bound: int | None = None,
     max_contingency_size: int | None = None,
 ) -> CauseReport:
-    """First subset-minimal actual cause within the candidate set: the
-    first item of `_minimal_causes`, up to the whole candidate set."""
-    started = time.monotonic()
-    search = CauseSearch(machine, formula, cex, max_contingency_size)
-    events = candidate.events
-    first = next(_minimal_causes(search, events, len(events)), None)
-    if first is None:
-        return CauseReport(candidate, (), "no-actual-cause", _stats(search, started))
-    entry = _entry(search, *first)
-    return CauseReport(candidate, (entry,), "found", _stats(search, started))
+    """The first subset-minimal actual cause of `_minimal_causes`: the
+    `all_minimal_causes` search, stopped at its first cause."""
+    return _search(machine, formula, cex, candidate, bound, max_contingency_size, True)
 
 
 def all_minimal_causes(
@@ -171,27 +148,50 @@ def all_minimal_causes(
     bound: int | None = None,
     max_contingency_size: int | None = None,
 ) -> CauseReport:
-    """Every subset-minimal actual cause up to `bound` events.
+    """Every subset-minimal actual cause within the candidate set, up to
+    `bound` events.
 
-    `_minimal_causes` runs over all input events satisfied by the
-    counterexample (the candidate set is reported alongside and orders
-    nothing here: a cause can reach outside the transition analysis when an
-    earlier flip reroutes the run).
+    Without a `candidate` the search computes one with `candidate_cause`.
+    The status is `bounded-out` when a cause above the bound may exist.
     """
+    return _search(machine, formula, cex, candidate, bound, max_contingency_size, False)
+
+
+def _search(
+    machine: MooreMachine,
+    formula: F.HyperFormula,
+    cex: Counterexample,
+    candidate: CandidateSet | None,
+    bound: int | None,
+    max_contingency_size: int | None,
+    first: bool,
+) -> CauseReport:
+    """The one cause search; `first` stops it at its first cause."""
     started = time.monotonic()
+    # the table validates the traces first, so that its errors name the trace
     search = CauseSearch(machine, formula, cex, max_contingency_size)
-    universe = satisfied_input_events(machine, cex)
-    limit = len(universe) if bound is None else min(bound, len(universe))
-    found = list(_minimal_causes(search, universe, limit))
-    complete = _covers_all_larger_subsets(universe, [c for c, _ in found], limit)
-    entries = tuple(_entry(search, c, w) for c, w in found)
-    if not complete:
-        status = "bounded-out"
-    elif found:
+    if candidate is None:
+        candidate = candidate_cause(machine, formula, cex)
+    events = candidate.events
+    limit = len(events) if bound is None else min(bound, len(events))
+    causes = _minimal_causes(search, events, limit)
+    found = list(itertools.islice(causes, 1) if first else causes)
+    if first and found:
         status = "found"
+    elif not _covers_all_larger_subsets(events, [c for c, _ in found], limit):
+        status = "bounded-out"
     else:
-        status = "no-actual-cause"
-    return CauseReport(candidate, entries, status, _stats(search, started))
+        status = "found" if found else "no-actual-cause"
+    entries = tuple(
+        CauseEntry(c, w, verify_actual_cause(machine, formula, cex, c, search=search))
+        for c, w in found
+    )
+    stats = {
+        "subsets_checked": search.subsets_checked,
+        "time_ms": round((time.monotonic() - started) * 1000, 3),
+        "evaluations": search.table.evaluations,
+    }
+    return CauseReport(candidate, entries, status, stats)
 
 
 def _covers_all_larger_subsets(

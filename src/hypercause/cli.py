@@ -61,8 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser("explain", help="compute actual causes")
     common(explain, counterexample_required=False)
     explain.add_argument("--all", action="store_true", help="enumerate all minimal causes")
-    explain.add_argument("--max-cause-size", type=int, default=None)
-    explain.add_argument("--max-contingency-size", type=int, default=None)
+    explain.add_argument("--max-cause-size", type=int, default=None,
+                         help="largest cause tried, in both modes; exit 3 "
+                         "when this bound cut the search")
+    explain.add_argument("--max-contingency-size", type=int, default=None,
+                         help="largest contingency tried per cause")
     explain.add_argument("--prefix-bound", type=int, default=4)
     explain.add_argument("--period-bound", type=int, default=3)
     explain.add_argument("--dump-aa", action="store_true",
@@ -165,18 +168,11 @@ def cmd_explain(args) -> int:
         accepted, tree = accepts_lasso(automaton, zipped.lasso)
         if accepted:
             sys.stdout.write(tree.dump() + "\n")
-    candidate = satcore.candidate_cause(machine, formula, cex)
-    if args.all:
-        report = causality.all_minimal_causes(
-            machine, formula, cex, candidate,
-            bound=args.max_cause_size,
-            max_contingency_size=args.max_contingency_size,
-        )
-    else:
-        report = causality.actual_cause(
-            machine, formula, cex, candidate,
-            max_contingency_size=args.max_contingency_size,
-        )
+    search = causality.all_minimal_causes if args.all else causality.actual_cause
+    report = search(
+        machine, formula, cex,
+        bound=args.max_cause_size, max_contingency_size=args.max_contingency_size,
+    )
     _emit(
         reports.report_to_json(report),
         args.format,

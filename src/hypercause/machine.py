@@ -41,6 +41,8 @@ def _check_name(name: str, what: str) -> None:
     allowed = _IDENT_CONT_OK | {"@"}
     if not name or name[0] not in _IDENT_OK or any(c not in allowed for c in name[1:]):
         raise ValidationError(f"invalid {what} name {name!r}")
+    if what == "input" and name in boolexpr.CONSTANTS:
+        raise ValidationError(f"input name {name!r} is a guard constant")
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,8 @@ class MooreMachine:
         inputs = tuple(inputs)
         if len(inputs) > MAX_INPUTS:
             raise SizeGuardError(f"more than {MAX_INPUTS} inputs")
+        for n in inputs:  # before the guards, which read `true` and `false` as constants
+            _check_name(n, "input")
         input_sets = tuple(boolexpr.assignments(inputs))
         covered = dict.fromkeys(labels, 0)
         twice = dict.fromkeys(labels, 0)
@@ -119,6 +123,8 @@ class MooreMachine:
                 )
             if src not in covered:
                 raise ValidationError(f"transition from unknown state {src!r}")
+            if dst not in covered:
+                raise ValidationError(f"transition from {src!r} targets unknown state {dst!r}")
             twice[src] |= covered[src] & table
             covered[src] |= table
             parsed.append((src, table, dst))

@@ -18,9 +18,8 @@ import itertools
 from . import formulas as F
 from .counterfactual import InterventionTable
 from .errors import SizeGuardError
-from .events import Counterexample, Event, sort_events
+from .events import Counterexample, Event, satisfied_events, sort_events
 from .machine import MooreMachine
-from .semantics import satisfied_input_events
 
 MAX_INPUT_EVENTS = 20
 MAX_OUTPUT_EVENTS = 20
@@ -34,7 +33,7 @@ def brute_force_causes(
     max_contingency_size: int | None = None,
 ) -> tuple[tuple[tuple[Event, ...], tuple[Event, ...]], ...]:
     """All subset-minimal causes with their least witnessing contingency."""
-    input_events = satisfied_input_events(machine, cex)
+    input_events = satisfied_events(cex, machine.inputs)
     if len(input_events) > MAX_INPUT_EVENTS:
         raise SizeGuardError(
             f"{len(input_events)} input events exceed the oracle guard ({MAX_INPUT_EVENTS})"

@@ -43,7 +43,7 @@ def candidate_to_json(candidate: CandidateSet) -> dict:
 def report_to_json(report: CauseReport, oracle: bool = False) -> dict:
     doc = {
         "format": 1,
-        "candidate": candidate_to_json(report.candidate) if report.candidate else None,
+        "candidate": candidate_to_json(report.candidate),
         "causes": [
             {
                 "events": [event_to_json(e) for e in entry.cause],
@@ -99,10 +99,8 @@ def render_traces(
 
 
 def render_report(report: CauseReport, cex: Counterexample, ansi: bool | None = None) -> str:
-    lines = [f"status: {report.status}"]
-    if report.candidate is not None:
-        listing = ", ".join(str(e) for e in report.candidate.events) or "(none)"
-        lines.append(f"candidate events: {listing}")
+    listing = ", ".join(str(e) for e in report.candidate.events) or "(none)"
+    lines = [f"status: {report.status}", f"candidate events: {listing}"]
     for i, entry in enumerate(report.causes, 1):
         cause_text = ", ".join(str(e) for e in entry.cause)
         lines.append(f"cause {i}: {cause_text}")

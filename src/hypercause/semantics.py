@@ -318,12 +318,6 @@ def falsifies(cex: Counterexample, formula: F.HyperFormula) -> bool:
     return not eval_hyper(cex, formula)
 
 
-def satisfied_input_events(machine, cex: Counterexample) -> tuple[Event, ...]:
-    from .events import satisfied_events
-
-    return satisfied_events(cex, machine.inputs)
-
-
 def formula_input_events(machine, formula: F.HyperFormula, cex: Counterexample) -> tuple[Event, ...]:
     """Satisfied input events whose proposition the body reads on their trace.
 

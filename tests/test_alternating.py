@@ -8,6 +8,8 @@ from hypercause.alternating import (
     AutConj,
     AutDisj,
     AutNode,
+    RunNode,
+    RunTree,
     accepts_lasso,
     annotated_events,
     dump_automaton,
@@ -167,6 +169,16 @@ def test_run_tree_soundness_random():
         assert replay(tree, aut, t)
         for key, positive, pos in tree.annotations:
             assert (key in t.at(pos)) == positive
+
+
+def test_replay_rejects_node_outside_the_automaton():
+    # G a rejects a word without a; a tree naming no element of the
+    # automaton must not pass for a run of it
+    aut = ltl_to_alternating(F.Always(A))
+    word = Lasso([], [frozenset()])
+    assert not accepts_lasso(aut, word)[0]
+    forged = RunTree(RunNode("step", 12345, 0, "bogus"), ())
+    assert not replay(forged, aut, word)
 
 
 def test_determinism():

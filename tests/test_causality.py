@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -14,10 +15,11 @@ from hypercause.causality import (
     least_contingency,
     verify_actual_cause,
 )
+from hypercause.cli import main
 from hypercause.errors import ValidationError
 from hypercause.events import Counterexample, Event
 from hypercause.lasso import Lasso
-from hypercause.machine import MooreMachine
+from hypercause.machine import MooreMachine, traces_to_json
 from hypercause.oracle import brute_force_causes
 from hypercause.parser import parse_hyperltl
 from hypercause.satcore import candidate_cause
@@ -206,6 +208,50 @@ def test_bounded_out_status():
     report = all_minimal_causes(machine, formula, cex, None, bound=1)
     assert report.status == "bounded-out"
     assert report.causes == ()
+
+
+def test_first_cause_search_honours_the_cause_bound():
+    # the only cause has two events, so a bound of one cuts the search
+    machine, formula, cex = rerouting_instance()
+    report = actual_cause(machine, formula, cex, bound=1)
+    assert report.status == "bounded-out"
+    assert report.causes == ()
+    assert actual_cause(machine, formula, cex, bound=2).status == "found"
+
+
+def test_explain_exits_3_when_the_cause_bound_cuts_the_search(tmp_path, capsys):
+    machine, formula, cex = rerouting_instance()
+    system = tmp_path / "m.json"
+    system.write_text(json.dumps(machine.to_json()))
+    traces = tmp_path / "t.json"
+    traces.write_text(json.dumps(traces_to_json(cex.traces)))
+    spec = tmp_path / "f.hltl"
+    spec.write_text(str(formula))
+    argv = ["explain", "--system", str(system), "--formula", str(spec),
+            "--counterexample", str(traces)]
+    assert main(argv + ["--max-cause-size", "1"]) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "bounded-out"
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["causes"]) == 1
+
+
+def _violated_draws(count):
+    seed = 0
+    while count:
+        seed += 1
+        instance = random_violated_instance(seed)
+        if instance is not None:
+            count -= 1
+            yield instance
+
+
+def test_first_cause_is_the_first_of_all_causes():
+    for machine, formula, cex in _violated_draws(40):
+        bounds = {"bound": 3, "max_contingency_size": 2}
+        first = actual_cause(machine, formula, cex, **bounds)
+        every = all_minimal_causes(machine, formula, cex, **bounds)
+        assert (first.status == "found") == bool(every.causes)
+        assert first.causes == every.causes[:1]
 
 
 def test_max_contingency_size_zero_disables_contingencies(machine, cex):

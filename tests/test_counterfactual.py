@@ -14,10 +14,10 @@ from hypercause.counterfactual import (
     intervention_word,
 )
 from hypercause.errors import ValidationError
-from hypercause.events import Counterexample, Event, satisfies_events
+from hypercause.events import Counterexample, Event, satisfied_events, satisfies_events
 from hypercause.lasso import Lasso
 from hypercause.machine import MooreMachine
-from hypercause.semantics import eval_hyper, satisfied_input_events
+from hypercause.semantics import eval_hyper
 
 from conftest import t1, t2
 from test_machine import random_input_word, random_machine
@@ -296,7 +296,7 @@ def _table_case(seed: int):
 def test_interned_evaluation_agrees_with_uninterned(seed):
     rng, machine, formula, cex = _table_case(seed)
     table = InterventionTable(machine, formula, cex)
-    inputs = satisfied_input_events(machine, cex)
+    inputs = satisfied_events(cex, machine.inputs)
     resets = [
         Event(name, pos, prop, prop in cex[name].at(pos))
         for name in cex.names()

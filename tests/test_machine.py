@@ -61,6 +61,28 @@ def test_transition_from_unknown_state_rejected():
         )
 
 
+def test_transition_to_unknown_state_rejected_even_if_never_taken():
+    with pytest.raises(ValidationError, match="targets unknown state 'nowhere'"):
+        MooreMachine.from_guards(
+            ["a"], [], {"p": []}, "p", [("p", "true", "p"), ("p", "false", "nowhere")]
+        )
+
+
+@pytest.mark.parametrize("name", ["true", "false"])
+def test_input_named_like_a_guard_constant_rejected(name):
+    # a guard reads the word as the constant, so no guard could test the input
+    with pytest.raises(ValidationError, match=f"input name '{name}'"):
+        MooreMachine.from_guards(
+            [name], [], {"p": [], "q": []}, "p",
+            [("p", "true", "q"), ("p", "!true", "p"), ("q", "true", "q")],
+        )
+    with pytest.raises(ValidationError, match=f"input name '{name}'"):
+        MooreMachine(
+            [name], [], {"p": []}, "p",
+            {("p", frozenset()): "p", ("p", frozenset({name})): "p"},
+        )
+
+
 def _accepted(guard, inputs=("a", "b", "c")):
     """Input sets on which `guard` holds, each written as its sorted names."""
     m = MooreMachine.from_guards(

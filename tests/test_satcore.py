@@ -1,9 +1,8 @@
 import warnings
 
 from hypercause import boolexpr
-from hypercause.events import Event, satisfies_events
+from hypercause.events import Event, satisfied_events, satisfies_events
 from hypercause.parser import parse_hyperltl
-from hypercause.semantics import satisfied_input_events
 from hypercause.satcore import candidate_cause
 
 from conftest import leaky_cex
@@ -82,7 +81,7 @@ def test_candidate_cause_adds_rerouted_inputs_running_example(machine, cex):
         Event("t2", 2, "hi", False),
     }
     assert [key for key, _ in cand.per_step] == [("t1", 0), ("t1", 1), ("t2", 0)]
-    assert set(cand.events) == set(satisfied_input_events(machine, cex))
+    assert set(cand.events) == set(satisfied_events(cex, machine.inputs))
     assert not set(cand.rerouted) & {e for _, step in cand.per_step for e in step}
 
 
