@@ -15,7 +15,12 @@ property, else the first set of resettable output events on the flipped
 traces, again by size and then event order.  `actual_cause` stops at the
 first cause, `all_minimal_causes` takes every cause; both report
 `bounded-out` when the cause bound cut the search before it could decide.
-All tests of one search share a `counterfactual.InterventionTable`.
+All tests of one search share a `counterfactual.InterventionTable`.  The
+contingency search works on the table's bit footprints: a cause's bits are
+computed once, the resettable events' bits once per set of flipped traces,
+and each contingency is the sum of a combination of those bits, so only a
+witness is turned back into events.  A report's `stats` give the subsets
+decided, the worlds evaluated and the counterfactual runs made.
 """
 
 from __future__ import annotations
@@ -65,11 +70,11 @@ class CauseSearch:
         self.automata = self.table.automata
         self.satisfies_after = self.table.satisfies_after
         self.subsets_checked = 0
-        self._resettable: dict[tuple[str, ...], tuple[Event, ...]] = {}
+        self._resettable: dict[tuple[str, ...], tuple[tuple[Event, ...], tuple[int, ...]]] = {}
 
-    def resettable_events(self, traces: Iterable[str]) -> tuple[Event, ...]:
-        """Satisfied output events the counterfactual automata can enact."""
-        traces = tuple(traces)
+    def resettable(self, traces: tuple[str, ...]) -> tuple[tuple[Event, ...], tuple[int, ...]]:
+        """Satisfied output events on `traces` the counterfactual automata
+        can enact, in event order, and each event's bit in the table."""
         if traces not in self._resettable:
             out = []
             for name in traces:
@@ -77,14 +82,9 @@ class CauseSearch:
                 for pos in range(len(trace)):
                     for prop in self.automata[name].controllable:
                         out.append(Event(name, pos, prop, prop in trace.at(pos)))
-            self._resettable[traces] = sort_events(out)
+            events = sort_events(out)
+            self._resettable[traces] = (events, tuple(self.table.bits([e]) for e in events))
         return self._resettable[traces]
-
-
-def _subsets(events: Sequence[Event], max_size: int | None):
-    limit = len(events) if max_size is None else min(max_size, len(events))
-    for size in range(limit + 1):
-        yield from itertools.combinations(events, size)
 
 
 def least_contingency(search: CauseSearch, cause: tuple[Event, ...]) -> tuple[Event, ...] | None:
@@ -92,15 +92,23 @@ def least_contingency(search: CauseSearch, cause: tuple[Event, ...]) -> tuple[Ev
 
     Canonical across implementations: ascending by size, then by event
     order, over all resettable output events on the flipped traces, up to
-    `search.max_contingency_size` events.
+    `search.max_contingency_size` events.  The sets are tried as bit
+    footprints (`InterventionTable.holds`); only the witness is turned back
+    into events.
     """
-    if search.satisfies_after(cause, ()):
+    table = search.table
+    cause_bits = table.bits(cause)
+    if table.holds(cause_bits, 0):
         return ()
-    touched = sorted({e.trace for e in cause})
-    universe = search.resettable_events(touched)
-    for combo in _subsets(universe, search.max_contingency_size):
-        if combo and search.satisfies_after(cause, combo):
-            return sort_events(combo)
+    universe, bits = search.resettable(tuple(sorted({e.trace for e in cause})))
+    limit = len(bits)
+    if search.max_contingency_size is not None:
+        limit = min(limit, search.max_contingency_size)
+    for size in range(1, limit + 1):
+        for combo in itertools.combinations(bits, size):
+            reset = sum(combo)
+            if table.holds(cause_bits, reset):
+                return tuple(e for e, bit in zip(universe, bits) if bit & reset)
     return None
 
 
@@ -190,6 +198,7 @@ def _search(
         "subsets_checked": search.subsets_checked,
         "time_ms": round((time.monotonic() - started) * 1000, 3),
         "evaluations": search.table.evaluations,
+        "runs": search.table.runs,
     }
     return CauseReport(candidate, entries, status, stats)
 

@@ -9,7 +9,9 @@ Subcommands:
     validate    check machine/trace/formula files for well-formedness
 
 Exit codes: 0 success with a result, 1 property holds / nothing to explain,
-2 usage or validation error, 3 search bounds exhausted.
+2 usage or validation error, 3 search bounds exhausted.  A bound below its
+least meaningful value (period 1, the others 0) is a usage error.  When
+stdout is closed early (``| head``), the command ends quietly with exit 1.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import causality, checker, oracle, reports, satcore
@@ -32,6 +35,25 @@ EXIT_RESULT = 0
 EXIT_NOTHING = 1
 EXIT_USAGE = 2
 EXIT_BOUNDS = 3
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+COUNT = _at_least(0)
+PERIOD = _at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,20 +76,20 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--system", required=True)
     check.add_argument("--formula", required=True)
     check.add_argument("--syntax", choices=["auto", "infix", "sexpr"], default="auto")
-    check.add_argument("--prefix-bound", type=int, default=4)
-    check.add_argument("--period-bound", type=int, default=3)
+    check.add_argument("--prefix-bound", type=COUNT, default=4)
+    check.add_argument("--period-bound", type=PERIOD, default=3)
     check.add_argument("--format", choices=["json", "text"], default="json")
 
     explain = sub.add_parser("explain", help="compute actual causes")
     common(explain, counterexample_required=False)
     explain.add_argument("--all", action="store_true", help="enumerate all minimal causes")
-    explain.add_argument("--max-cause-size", type=int, default=None,
+    explain.add_argument("--max-cause-size", type=COUNT, default=None,
                          help="largest cause tried, in both modes; exit 3 "
                          "when this bound cut the search")
-    explain.add_argument("--max-contingency-size", type=int, default=None,
+    explain.add_argument("--max-contingency-size", type=COUNT, default=None,
                          help="largest contingency tried per cause")
-    explain.add_argument("--prefix-bound", type=int, default=4)
-    explain.add_argument("--period-bound", type=int, default=3)
+    explain.add_argument("--prefix-bound", type=COUNT, default=4)
+    explain.add_argument("--period-bound", type=PERIOD, default=3)
     explain.add_argument("--dump-aa", action="store_true",
                          help="dump the violation automaton and its run tree")
 
@@ -76,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="brute-force ground truth")
     common(orc, counterexample_required=True)
-    orc.add_argument("--max-cause-size", type=int, default=None)
-    orc.add_argument("--max-contingency-size", type=int, default=None)
+    orc.add_argument("--max-cause-size", type=COUNT, default=None)
+    orc.add_argument("--max-contingency-size", type=COUNT, default=None)
 
     validate = sub.add_parser("validate", help="validate input files")
     validate.add_argument("--system", required=True)
@@ -259,7 +281,9 @@ def main(argv: list[str] | None = None) -> int:
         "validate": cmd_validate,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # inside the try, so that a closed pipe is caught here
+        return code
     except _NothingToExplain:
         sys.stderr.write("no violation found within bounds; nothing to explain\n")
         return EXIT_NOTHING
@@ -269,6 +293,12 @@ def main(argv: list[str] | None = None) -> int:
     except SizeGuardError as exc:
         sys.stderr.write(f"bounds exhausted: {exc}\n")
         return EXIT_BOUNDS
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_NOTHING
 
 
 if __name__ == "__main__":

@@ -11,6 +11,14 @@ inputs for contingency events.  Because outputs at a position are fixed by
 the state entered one step earlier, the auxiliary input for an event at
 position ``p`` is consumed on the transition into ``p`` (step ``p - 1``);
 events in the loop recur at every iteration of their offset.
+
+`InterventionTable` answers the counterfactual tests of one search.  It
+works on bit footprints (an int with one bit per event) and runs an
+automaton only for a footprint it has not met.  Adding a reset of output
+``o`` at position ``p`` to a known footprint reuses that footprint's run
+when the run already shows ``o`` at its source value on every step into
+copy ``p``: forcing an output to the value it has enters the state the run
+enters anyway, so the run is the same.
 """
 
 from __future__ import annotations
@@ -311,13 +319,27 @@ class InterventionTable:
 
     `satisfies_after(cause, contingency)` answers whether the property holds
     once `cause` is flipped and `contingency` reset.  The table builds one
-    counterfactual automaton per trace, which validates the trace, and gives
-    each event a bit the first time it sees it.  Per trace, the (cause bits,
-    reset bits) on that trace map to an interned trace id, equal runs sharing
-    one id.  A new footprint is run through `intervention_word`, which
-    rejects an invalid event; since a footprint that raised is never stored,
-    an invalid event raises on every call.  Verdicts are memoized on the
-    tuple of trace ids, and `evaluations` counts the calls to `eval_hyper`.
+    counterfactual automaton per trace, which validates the trace.  Events
+    are handled as bit footprints: `bits(events)` gives each event a bit the
+    first time it sees it, and `holds(cause_bits, reset_bits)` is the test
+    on ints, so a search that tries many contingencies for one cause pays
+    for event handling once.  Per trace, the (cause bits, reset bits) on
+    that trace map to an interned trace id, equal runs sharing one id;
+    verdicts are memoized on the tuple of trace ids, and `evaluations`
+    counts the calls to `eval_hyper`.
+
+    A new footprint is normally run through `intervention_word`, which
+    rejects an invalid event; since a footprint that raised is never
+    stored, an invalid event raises on every call.  `runs` counts these
+    runs.  One is skipped when the footprint is a stored one plus a valid
+    reset of output `o` at position `p` to its source value `v`, and the
+    stored run shows `o` at `v` on every step whose copy is `p`: the stored
+    run's id is reused.  That is sound because the forced state is chosen
+    by the label of the state the run enters anyway (`_forced_state`), so
+    forcing `o` to the value it already has enters the same state, and the
+    letters and the point of recurrence stay the same.  The check reads the
+    stored footprint's own run, not the interned lasso, whose unrolling may
+    come from another footprint.
     """
 
     def __init__(self, machine: MooreMachine, formula: F.HyperFormula, cex: Counterexample):
@@ -330,12 +352,17 @@ class InterventionTable:
             except ValidationError as exc:
                 raise ValidationError(f"trace {name!r}: {exc}") from None
         self._bits: dict[Event, int] = {}
+        self._events: list[Event] = []
         self._masks = dict.fromkeys(self.names, 0)
         self._lassos: list[Lasso] = []
         self._ids: dict[Lasso, int] = {}
-        self._runs = {name: {(0, 0): self._intern(cex[name])} for name in self.names}
+        # per trace: footprint -> (interned trace id, the footprint's own run)
+        self._runs = {
+            name: {(0, 0): (self._intern(cex[name]), cex[name])} for name in self.names
+        }
         self._verdicts: dict[tuple[int, ...], bool] = {}
         self.evaluations = 0
+        self.runs = 0
 
     def _intern(self, lasso: Lasso) -> int:
         tid = self._ids.get(lasso)
@@ -344,51 +371,78 @@ class InterventionTable:
             self._lassos.append(lasso)
         return tid
 
-    def _new_bit(self, event: Event) -> int:
-        if event.trace not in self._masks:
-            raise ValidationError(f"event {event} references unknown trace {event.trace!r}")
-        bit = self._bits[event] = 1 << len(self._bits)
-        self._masks[event.trace] |= bit
-        return bit
+    def bits(self, events: Iterable[Event]) -> int:
+        """Footprint of `events`: the union of their bits."""
+        footprint = 0
+        for e in events:
+            bit = self._bits.get(e)
+            if bit is None:
+                if e.trace not in self._masks:
+                    raise ValidationError(f"event {e} references unknown trace {e.trace!r}")
+                bit = self._bits[e] = 1 << len(self._events)
+                self._events.append(e)
+                self._masks[e.trace] |= bit
+            footprint |= bit
+        return footprint
 
-    def _trace_ids(self, cause: Iterable[Event], contingency: Iterable[Event]) -> tuple[int, ...]:
-        cause = tuple(cause)
-        contingency = tuple(contingency)
-        cause_bits = reset_bits = 0
-        for e in cause:
-            cause_bits |= self._bits.get(e) or self._new_bit(e)
-        for e in contingency:
-            reset_bits |= self._bits.get(e) or self._new_bit(e)
+    def _decode(self, footprint: int) -> list[Event]:
+        return [self._events[i] for i in range(footprint.bit_length()) if footprint >> i & 1]
+
+    def _run(self, name: str, cause_bits: int, reset_bits: int) -> tuple[int, Lasso]:
+        """(trace id, run) of trace `name` under one footprint on it."""
+        runs = self._runs[name]
+        aut = self.automata[name]
+        source = aut.source
+        rest = reset_bits
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            known = runs.get((cause_bits, reset_bits ^ bit))
+            if known is None:
+                continue
+            e = self._events[bit.bit_length() - 1]
+            p = e.position
+            if not (0 <= p < len(source) and e.prop in aut.controllable
+                    and (e.prop in source.at(p)) == e.positive):
+                break  # invalid: let intervention_word raise
+            run = known[1]
+            steps = (p,) if p < source.loop_start else range(p, len(run), len(source.period))
+            if all((e.prop in run.at(i)) == e.positive for i in steps):
+                return known
+        word = intervention_word(aut, self._decode(cause_bits), self._decode(reset_bits))
+        run = aut.run(word)
+        self.runs += 1
+        return self._intern(run), run
+
+    def _trace_ids(self, cause_bits: int, reset_bits: int) -> tuple[int, ...]:
         ids = []
         for name in self.names:
             mask = self._masks[name]
             key = (cause_bits & mask, reset_bits & mask)
             runs = self._runs[name]
-            tid = runs.get(key)
-            if tid is None:
-                aut = self.automata[name]
-                word = intervention_word(
-                    aut,
-                    [e for e in cause if e.trace == name],
-                    [e for e in contingency if e.trace == name],
-                )
-                tid = runs[key] = self._intern(aut.run(word))
-            ids.append(tid)
+            known = runs.get(key)
+            if known is None:
+                known = runs[key] = self._run(name, *key)
+            ids.append(known[0])
         return tuple(ids)
 
     def _world(self, ids: tuple[int, ...]) -> Counterexample:
         return Counterexample({name: self._lassos[i] for name, i in zip(self.names, ids)})
 
     def intervened(self, cause: Iterable[Event], contingency: Iterable[Event]) -> Counterexample:
-        return self._world(self._trace_ids(cause, contingency))
+        return self._world(self._trace_ids(self.bits(cause), self.bits(contingency)))
 
-    def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:
-        ids = self._trace_ids(cause, contingency)
+    def holds(self, cause_bits: int, reset_bits: int) -> bool:
+        """`satisfies_after` on footprints made by `bits`."""
+        ids = self._trace_ids(cause_bits, reset_bits)
         verdict = self._verdicts.get(ids)
         if verdict is None:
             verdict = self._verdicts[ids] = eval_hyper(self._world(ids), self.formula)
             self.evaluations += 1
         return verdict
+
+    def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:
+        return self.holds(self.bits(cause), self.bits(contingency))
 
 
 def intervene(

@@ -203,6 +203,15 @@ def test_each_distinct_world_evaluated_once(machine, cex, monkeypatch):
     assert len(worlds) == len(set(worlds)) == report.stats["evaluations"]
 
 
+def test_running_example_search_counters(machine, cex):
+    # a run is reused when an added reset leaves the trace unchanged;
+    # without that, the same search makes 137 counterfactual runs
+    report = all_minimal_causes(machine, OD, cex, bound=3, max_contingency_size=2)
+    assert report.stats["subsets_checked"] == 16
+    assert report.stats["evaluations"] == 24
+    assert report.stats["runs"] == 11
+
+
 def test_bounded_out_status():
     machine, formula, cex = rerouting_instance()
     report = all_minimal_causes(machine, formula, cex, None, bound=1)

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from hypercause.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "benchmarks"
 SYSTEM = str(BENCH / "running_example.machine.json")
 TRACES = str(BENCH / "running_example.traces.json")
 FORMULA = str(BENCH / "formulas" / "running_example.hltl")
@@ -205,3 +211,36 @@ def test_main_twice_carries_no_option_over(capsys, monkeypatch):
     assert parsed[1] == vars(cli.build_parser().parse_args(argv))
     assert len(json.loads(out_all)["causes"]) == 2
     assert len(json.loads(out_default)["causes"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--period-bound", "0"],
+    ["oracle", "--counterexample", TRACES, "--max-cause-size", "-1"],
+    ["explain", "--counterexample", TRACES, "--max-contingency-size", "-1"],
+])
+def test_bound_that_searches_nothing_is_a_usage_error(capsys, argv):
+    # the running example violates its formula and has two causes, so each
+    # of these bounds would answer wrongly instead of searching
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--system", SYSTEM, "--formula", FORMULA])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hypercause.cli", "explain", "--system", SYSTEM,
+             "--formula", FORMULA, "--counterexample", TRACES, "--all"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 1

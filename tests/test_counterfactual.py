@@ -17,6 +17,7 @@ from hypercause.errors import ValidationError
 from hypercause.events import Counterexample, Event, satisfied_events, satisfies_events
 from hypercause.lasso import Lasso
 from hypercause.machine import MooreMachine
+from hypercause.parser import parse_hyperltl
 from hypercause.semantics import eval_hyper
 
 from conftest import t1, t2
@@ -317,11 +318,23 @@ def test_interned_evaluation_agrees_with_uninterned(seed):
             [e for e in cause if e.trace == first] + [e for e in draw(inputs) if e.trace != first],
             [e for e in reset if e.trace == first] + [e for e in draw(resets) if e.trace != first],
         ))
+    # footprints that grow one reset at a time, as `least_contingency` tries
+    # them, so that runs are reused; the empty cause reuses every run
+    for cause in ([], draw(inputs), draw(inputs)):
+        chain = rng.sample(resets, min(4, len(resets)))
+        pairs += [(cause, chain[:k]) for k in range(len(chain) + 1)]
     for cause, reset in pairs + pairs[::-1]:
         world = intervene(machine, cex, cause, reset)
         assert table.intervened(cause, reset) == world
         assert table.satisfies_after(cause, reset) == eval_hyper(world, formula)
     assert table.evaluations == len({intervene(machine, cex, c, r) for c, r in pairs})
+    footprints = {
+        (name, frozenset(e for e in c if e.trace == name), frozenset(e for e in r if e.trace == name))
+        for c, r in pairs
+        for name in cex.names()
+    }
+    changed = len({f for f in footprints if f[1] or f[2]})
+    assert table.runs < changed if resets else table.runs <= changed
 
     name = cex.names()[-1]
     some = inputs[-1]
@@ -330,7 +343,18 @@ def test_interned_evaluation_agrees_with_uninterned(seed):
         Event(name, len(cex[name]) + rng.randint(0, 3), machine.inputs[0], True),
         Event("nowhere", 0, machine.inputs[0], True),
     ] + resets[:1]
+    # each bad reset is added to a memoized footprint, where a run could be
+    # reused if the reset were not checked first
     bad_resets = [Event(e.trace, e.position, e.prop, not e.positive) for e in resets[:1]]
+    bad_resets += [
+        Event(name, len(cex[name]) + rng.randint(0, 3), prop, True)
+        for prop in table.automata[name].controllable[:1]
+    ]
+    bad_resets += [
+        Event(name, 0, prop, prop in cex[name].at(0))
+        for prop in machine.outputs
+        if prop not in table.automata[name].controllable
+    ]
     cause, reset = pairs[0]
     bad_resets += inputs[:1]  # an input event, valid only as a cause
     for bad in bad_causes:
@@ -343,3 +367,43 @@ def test_interned_evaluation_agrees_with_uninterned(seed):
             with pytest.raises(ValidationError):
                 table.satisfies_after(cause, reset + [bad])
             table.satisfies_after(cause, reset)
+
+
+def test_invalid_reset_raises_though_the_rest_is_memoized():
+    # y is not controllable; every bad reset below is added to a footprint
+    # whose run the table holds and already shows the reset's value
+    m = MooreMachine.from_guards(
+        inputs=["a"],
+        outputs=["x", "y"],
+        labels={"p": [], "q": ["x"]},
+        initial="p",
+        transitions=[("p", "a", "q"), ("p", "!a", "p"), ("q", "true", "p")],
+    )
+    trace = m.run(Lasso([frozenset({"a"})], [frozenset()]))
+    cex = Counterexample({"t": trace})
+    table = InterventionTable(m, parse_hyperltl('Forall (G (AP "x" 0))'), cex)
+    valid = Event("t", 2, "x", "x" in trace.at(2))
+    table.satisfies_after([], [valid])
+    bad_resets = [
+        Event("t", len(trace), "x", True),  # out of range
+        Event("t", 1, "y", False),  # satisfied, but y is not controllable
+        Event("t", 1, "x", "x" not in trace.at(1)),  # flipped polarity
+    ]
+    for bad in bad_resets:
+        for base in ([], [valid]):
+            for _ in range(2):
+                with pytest.raises(ValidationError):
+                    table.satisfies_after([], base + [bad])
+    assert table.runs == 0  # the valid reset changes nothing: its run was reused
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_empty_intervention_is_identity_on_random_draws(seed):
+    # the table interns each source trace as the run of the empty footprint
+    _, machine, formula, cex = _table_case(seed)
+    table = InterventionTable(machine, formula, cex)
+    for name, aut in table.automata.items():
+        assert aut.run(intervention_word(aut, [], [])) == cex[name]
+    assert table.intervened([], []) == cex
+    assert intervene(machine, cex, [], []) == cex

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypercause.errors import ValidationError
 from hypercause.lasso import Lasso, lcm
@@ -56,3 +58,26 @@ def test_str_roundtrippable_shape():
 def test_lcm():
     assert lcm(2, 3) == 6
     assert lcm(4, 6) == 12
+
+
+letters = st.frozensets(st.sampled_from("abc"))
+lassos = st.builds(Lasso, st.lists(letters, max_size=4), st.lists(letters, min_size=1, max_size=4))
+
+
+@given(lassos)
+def test_canonical_is_idempotent(t):
+    c = t.canonical()
+    again = c.canonical()
+    assert (again.prefix, again.period) == (c.prefix, c.period)
+
+
+@given(lassos, st.integers(0, 5), st.integers(1, 3))
+def test_equal_words_hash_equal_across_rotations_and_unrollings(t, shift, times):
+    # move the loop start `shift` letters on, which rotates the period, and
+    # repeat the period `times` times: the same word in another form
+    start = t.loop_start + shift
+    u = Lasso([t.at(i) for i in range(start)],
+              [t.at(start + i) for i in range(len(t.period) * times)])
+    assert all(u.at(i) == t.at(i) for i in range(2 * (len(t) + len(u))))
+    assert u == t
+    assert hash(u) == hash(t)
