@@ -20,7 +20,16 @@ contingency search works on the table's bit footprints: a cause's bits are
 computed once, the resettable events' bits once per set of flipped traces,
 and each contingency is the sum of a combination of those bits, so only a
 witness is turned back into events.  A report's `stats` give the subsets
-decided, the worlds evaluated and the counterfactual runs made.
+decided, the worlds evaluated, the counterfactual runs made, and what
+decided the status (`decided_by`).
+
+`no-actual-cause` is decided in one of two ways.  When the candidate
+analysis's pre-check finds that no flip and no reset can satisfy the body
+(`CandidateSet.feasible` is False, see `satcore`), the search reports it at
+once, whatever the bounds, with `decided_by` "precheck" and no subset
+tried.  Otherwise it takes a search that covered every subset of the
+candidate set.  The pre-check is sound but not complete: a world it cannot
+rule out sends the instance to the search.
 """
 
 from __future__ import annotations
@@ -182,14 +191,18 @@ def _search(
         candidate = candidate_cause(machine, formula, cex)
     events = candidate.events
     limit = len(events) if bound is None else min(bound, len(events))
-    causes = _minimal_causes(search, events, limit)
-    found = list(itertools.islice(causes, 1) if first else causes)
-    if first and found:
-        status = "found"
-    elif not _covers_all_larger_subsets(events, [c for c, _ in found], limit):
-        status = "bounded-out"
+    found = []
+    if not candidate.feasible:
+        status = "no-actual-cause"
     else:
-        status = "found" if found else "no-actual-cause"
+        causes = _minimal_causes(search, events, limit)
+        found = list(itertools.islice(causes, 1) if first else causes)
+        if first and found:
+            status = "found"
+        elif not _covers_all_larger_subsets(events, [c for c, _ in found], limit):
+            status = "bounded-out"
+        else:
+            status = "found" if found else "no-actual-cause"
     entries = tuple(
         CauseEntry(c, w, verify_actual_cause(machine, formula, cex, c, search=search))
         for c, w in found
@@ -199,6 +212,7 @@ def _search(
         "time_ms": round((time.monotonic() - started) * 1000, 3),
         "evaluations": search.table.evaluations,
         "runs": search.table.runs,
+        "decided_by": "search" if candidate.feasible else "precheck",
     }
     return CauseReport(candidate, entries, status, stats)
 

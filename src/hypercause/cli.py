@@ -21,6 +21,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable
 
 from . import causality, checker, oracle, reports, satcore
 from .alternating import accepts_lasso, dump_automaton, ltl_to_alternating
@@ -140,12 +141,13 @@ class _NothingToExplain(Exception):
     pass
 
 
-def _emit(doc, fmt: str, text: str) -> None:
+def _emit(doc, fmt: str, text: Callable[[], str]) -> None:
+    """Write `doc` as JSON, or the text `text()` renders; only the chosen
+    format is built, and JSON goes out in one write."""
     if fmt == "json":
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text() + "\n")
 
 
 def cmd_check(args) -> int:
@@ -158,11 +160,11 @@ def cmd_check(args) -> int:
         _emit(
             {"format": 1, "result": "no-violation"},
             args.format,
-            "no violation found within bounds",
+            lambda: "no violation found within bounds",
         )
         return EXIT_NOTHING
     doc = traces_to_json(found.traces)
-    _emit(doc, args.format, reports.render_traces(found, ansi=False))
+    _emit(doc, args.format, lambda: reports.render_traces(found, ansi=False))
     return EXIT_RESULT
 
 
@@ -198,7 +200,7 @@ def cmd_explain(args) -> int:
     _emit(
         reports.report_to_json(report),
         args.format,
-        reports.render_report(report, cex, ansi=None if args.format == "text" else False),
+        lambda: reports.render_report(report, cex),
     )
     if report.status == "bounded-out":
         return EXIT_BOUNDS
@@ -211,13 +213,12 @@ def cmd_candidates(args) -> int:
     cex = _load_counterexample(args.counterexample)
     _require_violation(machine, formula, cex)
     candidate = satcore.candidate_cause(machine, formula, cex)
-    text_lines = [", ".join(str(e) for e in candidate.events) or "(none)"]
-    text_lines.append(reports.render_traces(cex, candidate.events, ansi=False))
-    _emit(
-        {"format": 1, "candidate": reports.candidate_to_json(candidate)},
-        args.format,
-        "\n".join(text_lines),
-    )
+
+    def text() -> str:
+        listing = ", ".join(str(e) for e in candidate.events) or "(none)"
+        return listing + "\n" + reports.render_traces(cex, candidate.events, ansi=False)
+
+    _emit({"format": 1, "candidate": reports.candidate_to_json(candidate)}, args.format, text)
     return EXIT_RESULT
 
 
@@ -241,7 +242,7 @@ def cmd_oracle(args) -> int:
     _emit(
         reports.report_to_json(report, oracle=True),
         args.format,
-        reports.render_report(report, cex, ansi=False),
+        lambda: reports.render_report(report, cex, ansi=False),
     )
     return EXIT_RESULT
 

@@ -26,6 +26,21 @@ own input letter, whatever else is flipped or reset, because no state the
 run can be in at that copy branches on it.  The formula does not read that
 letter, so flipping it never changes the verdict: a set containing it is
 either no cause or not a minimal one.
+
+Pre-check: the same per-copy states also bound every counterfactual world.
+Step ``i`` of any run the intervention function can make of a trace, under
+any flips and resets, is in copy ``c(i)`` (``i`` before the loop start,
+then ``loop_start + (i - loop_start) mod |period|``) and in a state of
+``copy_states[c(i)]``.  So at that step an output is surely present when
+every such state carries it and possibly present when some state does;
+inputs may take either value, and a proposition the machine lacks is
+absent.  Every world's word lies between these must and may words,
+literal by literal, and LTL is monotone in its literals, so when the
+three-valued evaluation of the body (`semantics.Program.may_hold`) says
+the body cannot hold, no world satisfies it and nothing is a cause:
+``CandidateSet.feasible`` is False and the cause search reports
+``no-actual-cause`` without trying a subset.  The check is sound but not
+complete: a "may" answer leaves the question to the search.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ from . import formulas as F
 from .counterfactual import controllable_outputs, copy_states
 from .errors import ValidationError
 from .events import Counterexample, Event, sort_events
+from .lasso import Lasso
 from .machine import MooreMachine
 from .semantics import formula_input_events
 
@@ -48,6 +64,8 @@ class CandidateSet:
     formula_support: tuple[Event, ...]
     # inputs relevant only on runs rerouted by flips or resets
     rerouted: tuple[Event, ...] = ()
+    # False when no flip and no reset can satisfy the body (module docstring)
+    feasible: bool = True
 
     def step_events(self, trace: str, step: int) -> tuple[Event, ...]:
         for key, events in self.per_step:
@@ -65,10 +83,14 @@ def candidate_cause(
     state whose successor ignores the inputs contributes nothing there.
     The rerouting part adds the inputs that matter only once an earlier
     flip or reset has moved the run to another state (see the module
-    docstring for why the union is sound).
+    docstring for why the union is sound).  The same per-copy states give
+    the pre-check's `feasible` flag.
     """
     controllable = controllable_outputs(machine)[0]
     relevant = functools.cache(machine.input_support)
+    inputs = frozenset(machine.inputs)
+    must: list[Lasso] = []
+    may: list[Lasso] = []
 
     per_step: list[tuple[tuple[str, int], tuple[Event, ...]]] = []
     events: list[Event] = []
@@ -81,6 +103,12 @@ def candidate_cause(
                 "use a representation aligned with the state recurrence"
             )
         reach = copy_states(machine, trace, controllable)
+        labels = [[machine.label(s) for s in states] for states in reach]
+        loop = trace.loop_start
+        sure = [frozenset.intersection(*ls) for ls in labels]
+        must.append(Lasso(sure[:loop], sure[loop:]))
+        maybe = [inputs.union(*ls) for ls in labels]
+        may.append(Lasso(maybe[:loop], maybe[loop:]))
         for n in range(len(trace)):
             here = trace.at(n)
             step_events = sort_events(
@@ -95,5 +123,6 @@ def candidate_cause(
     events.extend(support_events)
     events.extend(rerouted)
     return CandidateSet(
-        sort_events(events), tuple(per_step), support_events, sort_events(rerouted)
+        sort_events(events), tuple(per_step), support_events, sort_events(rerouted),
+        formula.program.may_hold(must, may),
     )

@@ -16,6 +16,10 @@ for position ``i``:
 * ``F`` and ``G`` are closed forms (from the loop on, every position sees
   the whole loop), ``U`` and ``R`` whole-row fixpoints.
 
+`Program.may_hold` runs the same program three-valued, on a must and a may
+row per subformula, over words known only between two bounds; the
+candidate analysis uses it to rule out every counterfactual world at once.
+
 Zipping is the reference the program is checked against: it merges the
 assignment into a single lasso whose letters carry ``prop@var`` keys, so the
 body reads like an ordinary LTL formula over those keys, and `truth_table`
@@ -200,8 +204,8 @@ class Program:
         self.code = code
         self.result = result
 
-    def holds(self, lassos: Sequence[Lasso]) -> bool:
-        """Truth of the body at position 0 of the joint unrolling of `lassos`."""
+    def _joint(self, lassos: Sequence[Lasso]) -> tuple[int, int]:
+        """(loop start, length) of the joint unrolling of `lassos`."""
         if len(lassos) != self.arity:
             raise ValidationError(
                 f"formula quantifies {self.arity} traces but the "
@@ -211,10 +215,9 @@ class Program:
         for t in lassos:
             loop = max(loop, len(t.prefix))
             period = lcm(period, len(t.period))
-        n = loop + period
-        full = (1 << n) - 1
-        last = n - 1
+        return loop, loop + period
 
+    def _atom_rows(self, lassos: Sequence[Lasso], n: int) -> list[int]:
         unrolled: dict[int, tuple[frozenset[str], ...]] = {}
         rows = []
         for index, prop in self.atoms:
@@ -228,6 +231,13 @@ class Program:
                 if prop in letter:
                     row |= 1 << pos
             rows.append(row)
+        return rows
+
+    def holds(self, lassos: Sequence[Lasso]) -> bool:
+        """Truth of the body at position 0 of the joint unrolling of `lassos`."""
+        loop, n = self._joint(lassos)
+        full = (1 << n) - 1
+        rows = self._atom_rows(lassos, n)
         for op, x, y in self.code:
             if op == _AND:
                 row = rows[x] & rows[y]
@@ -239,35 +249,74 @@ class Program:
                 row = (full ^ rows[x]) | rows[y]
             elif op == _IFF:
                 row = full ^ rows[x] ^ rows[y]
-            elif op == _NEXT:
-                a = rows[x]
-                row = (a >> 1) | ((a >> loop & 1) << last)
-            elif op == _EVENTUALLY:
-                row = _eventually(rows[x], loop, full)
-            elif op == _ALWAYS:
-                row = full ^ _eventually(full ^ rows[x], loop, full)
-            elif op == _UNTIL:
-                # least fixpoint of  b | (a & X cur), from the first iterate b
-                a, b = rows[x], rows[y]
-                row = b
-                while True:
-                    step = b | (a & ((row >> 1) | ((row >> loop & 1) << last)))
-                    if step == row:
-                        break
-                    row = step
-            elif op == _RELEASE:
-                # greatest fixpoint of  b & (a | X cur), from the first iterate b
-                a, b = rows[x], rows[y]
-                row = b
-                while True:
-                    step = b & (a | ((row >> 1) | ((row >> loop & 1) << last)))
-                    if step == row:
-                        break
-                    row = step
-            else:  # _CONST
+            elif op == _CONST:
                 row = full if x else 0
+            else:
+                row = _temporal(op, rows[x], rows[y], loop, full)
             rows.append(row)
         return bool(rows[self.result] & 1)
+
+    def may_hold(self, must: Sequence[Lasso], may: Sequence[Lasso]) -> bool:
+        """Can the body hold on some assignment whose words lie between `must`
+        and `may`?
+
+        Trace ``i``'s word must contain every letter of ``must[i]`` and only
+        letters of ``may[i]``, position by position; both have that trace's
+        shape.  Each subformula gets a must row (true on every such
+        assignment) and a may row (true on some): ``&`` and ``|`` act on each
+        row, ``!`` swaps the rows and complements them, and the temporal
+        operators, being monotone, act on each row unchanged.  False means
+        no such assignment satisfies the body; True decides nothing.
+        """
+        loop, n = self._joint(must)
+        full = (1 << n) - 1
+        lo = self._atom_rows(must, n)
+        hi = self._atom_rows(may, n)
+        for op, x, y in self.code:
+            if op == _AND:
+                low, high = lo[x] & lo[y], hi[x] & hi[y]
+            elif op == _OR:
+                low, high = lo[x] | lo[y], hi[x] | hi[y]
+            elif op == _NOT:
+                low, high = full ^ hi[x], full ^ lo[x]
+            elif op == _IMPLIES:
+                low, high = (full ^ hi[x]) | lo[y], (full ^ lo[x]) | hi[y]
+            elif op == _IFF:
+                low = (lo[x] & lo[y]) | (full ^ (hi[x] | hi[y]))
+                high = (hi[x] & hi[y]) | (full ^ (lo[x] | lo[y]))
+            elif op == _CONST:
+                low = high = full if x else 0
+            else:
+                low = _temporal(op, lo[x], lo[y], loop, full)
+                high = _temporal(op, hi[x], hi[y], loop, full)
+            lo.append(low)
+            hi.append(high)
+        return bool(hi[self.result] & 1)
+
+
+def _temporal(op: int, a: int, b: int, loop: int, full: int) -> int:
+    """Row of a temporal operator on argument rows `a` (and `b`)."""
+    last = full.bit_length() - 1
+    if op == _NEXT:
+        return (a >> 1) | ((a >> loop & 1) << last)
+    if op == _EVENTUALLY:
+        return _eventually(a, loop, full)
+    if op == _ALWAYS:
+        return full ^ _eventually(full ^ a, loop, full)
+    row = b
+    if op == _UNTIL:
+        # least fixpoint of  b | (a & X cur), from the first iterate b
+        while True:
+            step = b | (a & ((row >> 1) | ((row >> loop & 1) << last)))
+            if step == row:
+                return row
+            row = step
+    # _RELEASE: greatest fixpoint of  b & (a | X cur), from the first iterate b
+    while True:
+        step = b & (a | ((row >> 1) | ((row >> loop & 1) << last)))
+        if step == row:
+            return row
+        row = step
 
 
 def _eventually(row: int, loop: int, full: int) -> int:

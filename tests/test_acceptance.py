@@ -171,6 +171,17 @@ def test_criterion_5a_overapproximation(suite_results):
         )
 
 
+def test_precheck_decides_only_cause_free_instances(suite_results):
+    with _verdict("pre-check (instances it decides have no oracle cause)"):
+        decided = []
+        for seed, machine, formula, cex, candidate, report, pairs in suite_results:
+            if not candidate.feasible:
+                assert pairs == (), f"seed {seed}: the pre-check ruled out {pairs}"
+                assert report.status == "no-actual-cause", f"seed {seed}"
+                decided.append(seed)
+        assert decided
+
+
 def test_criterion_5b_algorithm_equals_oracle(suite_results):
     with _verdict("criterion 5b (all minimal causes equal brute force)"):
         for seed, machine, formula, cex, candidate, report, pairs in suite_results:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -116,6 +117,23 @@ def test_no_actual_cause_when_effect_is_universal():
     report = all_minimal_causes(machine, formula, cex, candidate)
     assert report.status == "no-actual-cause"
     assert report.causes == ()
+    # bad is surely present from position 1 on, whatever is flipped or reset
+    assert not candidate.feasible
+    assert report.stats["decided_by"] == "precheck"
+    assert report.stats["subsets_checked"] == 0
+
+
+def test_draw_701_decided_without_a_cause_bound():
+    # forall 0. o0[0] U o0[0] reads o0 at position 0, which the initial
+    # state fixes; an unbounded subset search over its 12 input events
+    # and 18 resettable output events does not finish
+    machine, formula, cex = random_violated_instance(701)
+    assert str(formula.body) == "o0[0] U o0[0]"
+    started = time.monotonic()
+    report = actual_cause(machine, formula, cex)
+    assert time.monotonic() - started < 1.0
+    assert report.status == "no-actual-cause"
+    assert report.stats["decided_by"] == "precheck"
 
 
 def rerouting_instance():
@@ -217,6 +235,9 @@ def test_bounded_out_status():
     report = all_minimal_causes(machine, formula, cex, None, bound=1)
     assert report.status == "bounded-out"
     assert report.causes == ()
+    # the pre-check cannot rule out the two-event cause, so the search ran
+    assert report.candidate.feasible
+    assert report.stats["decided_by"] == "search"
 
 
 def test_first_cause_search_honours_the_cause_bound():

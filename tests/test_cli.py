@@ -244,3 +244,37 @@ def test_closed_stdout_ends_quietly():
         os.close(write_end)
     assert done.stderr == b""
     assert done.returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "--counterexample", TRACES, "--all"],
+    ["oracle", "--counterexample", TRACES],
+    ["check", "--prefix-bound", "3", "--period-bound", "2"],
+])
+def test_json_output_renders_no_text(capsys, monkeypatch, argv):
+    from hypercause import reports
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("text rendered for JSON output")
+
+    monkeypatch.setattr(reports, "render_report", refuse)
+    monkeypatch.setattr(reports, "render_traces", refuse)
+    code, out, _ = run_cli(capsys, *argv, "--system", SYSTEM, "--formula", FORMULA,
+                           "--format", "json")
+    assert code == 0
+    assert out.endswith("}\n")
+    assert json.loads(out)["format"] == 1
+
+
+def test_explain_text_format(capsys):
+    code, out, _ = run_cli(
+        capsys, "explain", "--system", SYSTEM, "--formula", FORMULA,
+        "--counterexample", TRACES, "--format", "text",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "status: found"
+    assert lines[2] == "cause 1: <!hi,0,t1>"
+    assert "t1: {!hi[*]} {lo} ({ho lo})^w" in lines  # captured stdout is not a terminal
+    assert lines[-1].startswith("stats: subsets_checked=")
+    assert "decided_by=search" in lines[-1]

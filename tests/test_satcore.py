@@ -1,11 +1,22 @@
+import functools
 import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hypercause import boolexpr
-from hypercause.events import Event, satisfied_events, satisfies_events
+from hypercause.causality import actual_cause
+from hypercause.counterfactual import controllable_outputs, intervene
+from hypercause.events import Counterexample, Event, satisfied_events, satisfies_events
+from hypercause.lasso import Lasso
+from hypercause.machine import MooreMachine
+from hypercause.oracle import brute_force_causes
 from hypercause.parser import parse_hyperltl
 from hypercause.satcore import candidate_cause
+from hypercause.semantics import eval_hyper
 
 from conftest import leaky_cex
+from genrand import random_violated_instance
 
 OD = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
 
@@ -111,3 +122,94 @@ def test_candidate_cause_reports_no_degraded_warning():
     assert not caught
     assert controllable_outputs(m) == ((), ("o",))
     assert Event("t", 0, "a", True) in cand.events
+
+
+def _two_state_machine(outputs_of_q1=("o",), duplicate=False):
+    """q0 (no output) goes to q1 on input a and stays on !a; q1 moves on to
+    q2, which carries the same label when `duplicate`, else back to q0."""
+    labels = {"q0": [], "q1": list(outputs_of_q1)}
+    transitions = [("q0", "a", "q1"), ("q0", "!a", "q0")]
+    if duplicate:
+        labels["q2"] = list(outputs_of_q1)
+        transitions += [("q1", "true", "q2"), ("q2", "true", "q2")]
+    else:
+        transitions.append(("q1", "true", "q0"))
+    return MooreMachine.from_guards(["a"], sorted(outputs_of_q1), labels, "q0", transitions)
+
+
+def _decided(machine, text, trace):
+    formula = parse_hyperltl(text)
+    cex = Counterexample({"t": trace})
+    report = actual_cause(machine, formula, cex)
+    assert report.candidate.feasible == (report.stats["decided_by"] == "search")
+    oracle_causes = tuple(c for c, _ in brute_force_causes(machine, formula, cex))
+    assert tuple(entry.cause for entry in report.causes) == oracle_causes[:1]
+    return report
+
+
+def test_precheck_reads_missing_propositions_as_false():
+    m = _two_state_machine()
+    idle = Lasso([frozenset()], [frozenset()])
+    # zz is no proposition of the machine, so !zz holds on every world, and
+    # the body needs o at position 0, which the initial state fixes
+    report = _decided(m, "forall t. !zz[t] -> o[t]", idle)
+    assert report.status == "no-actual-cause"
+    assert report.stats["decided_by"] == "precheck"
+    assert report.stats["subsets_checked"] == 0
+    # read as possibly true, zz would have left the disjunction open
+    assert _decided(m, "forall t. zz[t] | o[t]", idle).stats["decided_by"] == "precheck"
+
+
+def test_precheck_on_an_output_at_position_zero():
+    m = _two_state_machine()
+    # with a prefix, copy 0 holds only the initial state, so o[t] at
+    # position 0 is surely false
+    report = _decided(m, "forall t. o[t]", Lasso([frozenset()], [frozenset()]))
+    assert (report.status, report.stats["decided_by"]) == ("no-actual-cause", "precheck")
+    # with loop start 0, copy 0 is re-entered from the loop, where a flip
+    # may have led to q1: the pre-check cannot rule o out, the search can
+    report = _decided(m, "forall t. o[t]", Lasso([], [frozenset()]))
+    assert (report.status, report.stats["decided_by"]) == ("no-actual-cause", "search")
+    assert report.stats["subsets_checked"] > 0
+
+
+def test_precheck_keeps_uncontrollable_outputs_a_flip_reaches():
+    # q1 and q2 share a label, so no reset can force u: it is excluded from
+    # contingencies, yet flipping a still reaches it
+    m = _two_state_machine(("u",), duplicate=True)
+    assert controllable_outputs(m) == ((), ("u",))
+    report = _decided(m, "forall t. F u[t]", Lasso([frozenset()], [frozenset()]))
+    assert report.candidate.feasible
+    assert report.status == "found"
+    assert report.causes[0].cause == (Event("t", 0, "a", False),)
+
+
+# acceptance-corpus draws (tests/genrand.py) the pre-check decides
+PRECHECKED_DRAWS = (7, 12, 15, 26, 27, 28, 74, 77, 80, 83, 87, 97, 114, 115)
+
+
+@functools.cache
+def _draw(seed):
+    return random_violated_instance(seed)
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.sampled_from(PRECHECKED_DRAWS), st.integers(1, 120)), st.randoms())
+def test_precheck_rules_out_every_world(seed, rng):
+    instance = _draw(seed)
+    if instance is None:
+        return
+    machine, formula, cex = instance
+    if candidate_cause(machine, formula, cex).feasible:
+        assert seed not in PRECHECKED_DRAWS
+        return
+    inputs = satisfied_events(cex, machine.inputs)
+    outputs = satisfied_events(cex, controllable_outputs(machine)[0])
+    for _ in range(20):
+        flips = rng.sample(inputs, rng.randint(0, len(inputs)))
+        resets = rng.sample(outputs, rng.randint(0, len(outputs)))
+        assert not eval_hyper(intervene(machine, cex, flips, resets), formula)
+    if len(inputs) + len(outputs) <= 10:  # keeps the unbounded oracle small
+        assert brute_force_causes(machine, formula, cex) == ()
+    else:
+        assert brute_force_causes(machine, formula, cex, 3, 2) == ()

@@ -243,3 +243,29 @@ def test_program_compiled_once_per_formula(monkeypatch):
 def test_eval_hyper_rejects_wrong_trace_count():
     with pytest.raises(ValidationError, match="quantifies 2 traces"):
         eval_hyper(Counterexample({"t1": leaky_cex()["t1"]}), OD)
+
+
+def _reshaped(trace: Lasso, letters) -> Lasso:
+    letters = list(letters)
+    return Lasso(letters[: trace.loop_start], letters[trace.loop_start :])
+
+
+@settings(max_examples=300)
+@given(assigned_formulas(), st.data())
+def test_three_valued_evaluation_bounds_every_word_between(case, data):
+    # on exact words the three-valued answer is the two-valued one, and a
+    # word that satisfies the body keeps every widening of it possible
+    formula, cex = case
+    program = formula.program
+    words = cex.lassos()
+    assert program.may_hold(words, words) == program.holds(words)
+    must, may = [], []
+    for word in words:
+        letters = word.prefix + word.period
+        dropped = data.draw(st.lists(LETTERS, min_size=len(letters), max_size=len(letters)))
+        added = data.draw(st.lists(LETTERS, min_size=len(letters), max_size=len(letters)))
+        must.append(_reshaped(word, (a - d for a, d in zip(letters, dropped))))
+        may.append(_reshaped(word, (a | d for a, d in zip(letters, added))))
+    if program.holds(words):
+        assert program.may_hold(must, may)
+
