@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import formulas as F
 from .counterfactual import InterventionTable
-from .events import Counterexample, Event, satisfies_events, sort_events
+from .events import Counterexample, Event, events_of_trace, satisfies_events, sort_events
 from .machine import MooreMachine
 from .satcore import CandidateSet, candidate_cause
 
@@ -85,13 +85,10 @@ class CauseSearch:
         """Satisfied output events on `traces` the counterfactual automata
         can enact, in event order, and each event's bit in the table."""
         if traces not in self._resettable:
-            out = []
-            for name in traces:
-                trace = self.cex[name]
-                for pos in range(len(trace)):
-                    for prop in self.automata[name].controllable:
-                        out.append(Event(name, pos, prop, prop in trace.at(pos)))
-            events = sort_events(out)
+            events = sort_events(
+                e for name in traces
+                for e in events_of_trace(name, self.cex[name], self.automata[name].controllable)
+            )
             self._resettable[traces] = (events, tuple(self.table.bits([e]) for e in events))
         return self._resettable[traces]
 
@@ -241,37 +238,29 @@ def verify_actual_cause(
     formula: F.HyperFormula,
     cex: Counterexample,
     cause: Iterable[Event],
-    max_contingency_size: int | None = None,
     search: CauseSearch | None = None,
 ) -> bool:
     """First-principles check of the three cause conditions.
 
-    Satisfaction is checked directly; the counterfactual condition tries
-    every non-empty subset of the cause against every contingency subset;
-    minimality requires every proper subset to fail the counterfactual
-    condition.  A given `search` brings its own contingency bound.
+    Satisfaction is checked directly.  The counterfactual condition asks
+    that flipping some non-empty part of the cause, under some contingency,
+    satisfy the property, and minimality that no proper subset meet that
+    condition.  Together they hold exactly when the cause itself passes the
+    contingency search and none of its non-empty proper subsets does, so
+    each of those sets is decided once.  A given `search` brings its own
+    contingency bound.
     """
     cause = sort_events(cause)
-    if not cause:
+    if not cause or not satisfies_events(cex, cause):
         return False
-    if not satisfies_events(cex, cause):
+    search = search or CauseSearch(machine, formula, cex)
+    if least_contingency(search, cause) is None:
         return False
-    search = search or CauseSearch(machine, formula, cex, max_contingency_size)
-
-    def cf(events: tuple[Event, ...]) -> bool:
-        return any(
-            least_contingency(search, sub) is not None
-            for size in range(1, len(events) + 1)
-            for sub in itertools.combinations(events, size)
-        )
-
-    if not cf(cause):
-        return False
-    for size in range(1, len(cause)):
-        for proper in itertools.combinations(cause, size):
-            if cf(proper):
-                return False
-    return True
+    return all(
+        least_contingency(search, proper) is None
+        for size in range(1, len(cause))
+        for proper in itertools.combinations(cause, size)
+    )
 
 
 def check_contingency_valid(

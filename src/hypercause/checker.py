@@ -16,7 +16,6 @@ import itertools
 from typing import Iterator
 
 from . import formulas as F
-from .boolexpr import assignments
 from .errors import SizeGuardError
 from .events import Counterexample
 from .lasso import Lasso
@@ -37,7 +36,7 @@ def _shapes(prefix_bound: int, period_bound: int) -> Iterator[tuple[int, int]]:
 
 def _input_words(machine: MooreMachine, prefix_bound: int, period_bound: int) -> Iterator[Lasso]:
     """All input lassos within the bounds, smallest shapes first."""
-    letters = sorted(assignments(machine.inputs), key=lambda s: (len(s), sorted(s)))
+    letters = sorted(machine.input_sets, key=lambda s: (len(s), sorted(s)))
     for prefix_len, period_len in _shapes(prefix_bound, period_bound):
         for combo in itertools.product(letters, repeat=prefix_len + period_len):
             yield Lasso(combo[:prefix_len], combo[prefix_len:])

@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, counterexample_required):
         p.add_argument("--system", required=True, help="machine JSON file")
         p.add_argument("--formula", required=True, help="formula file")
-        p.add_argument("--syntax", choices=["auto", "infix", "sexpr"], default="auto")
         p.add_argument("--counterexample", required=counterexample_required,
                        help="trace JSON file")
         p.add_argument("--format", choices=["json", "text"], default="json")
@@ -76,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="bounded counterexample search")
     check.add_argument("--system", required=True)
     check.add_argument("--formula", required=True)
-    check.add_argument("--syntax", choices=["auto", "infix", "sexpr"], default="auto")
     check.add_argument("--prefix-bound", type=COUNT, default=4)
     check.add_argument("--period-bound", type=PERIOD, default=3)
     check.add_argument("--format", choices=["json", "text"], default="json")
@@ -105,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="validate input files")
     validate.add_argument("--system", required=True)
     validate.add_argument("--formula", default=None)
-    validate.add_argument("--syntax", choices=["auto", "infix", "sexpr"], default="auto")
     validate.add_argument("--counterexample", default=None)
     return parser
 
@@ -116,16 +113,14 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _load_formula(path: str, syntax: str) -> HyperFormula:
+def _load_formula(path: str) -> HyperFormula:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_hyperltl(fh.read(), syntax)
+        return parse_hyperltl(fh.read())
 
 
-def _load_counterexample(path: str) -> Counterexample:
-    return Counterexample(load_traces(path))
-
-
-def _require_violation(machine, formula, cex) -> None:
+def _load_counterexample(path: str, machine) -> Counterexample:
+    """The traces in `path`, each checked to be a trace of `machine`."""
+    cex = Counterexample(load_traces(path))
     for name, trace in cex.traces.items():
         diag = machine.validate_trace(trace)
         if not diag:
@@ -133,6 +128,10 @@ def _require_violation(machine, formula, cex) -> None:
                 f"trace {name!r} is not a trace of the system: "
                 f"{diag.message} (position {diag.position})"
             )
+    return cex
+
+
+def _require_violation(formula, cex) -> None:
     if not falsifies(cex, formula):
         raise _NothingToExplain()
 
@@ -152,7 +151,7 @@ def _emit(doc, fmt: str, text: Callable[[], str]) -> None:
 
 def cmd_check(args) -> int:
     machine = load_machine(args.system)
-    formula = _load_formula(args.formula, args.syntax)
+    formula = _load_formula(args.formula)
     found = checker.find_counterexample(
         machine, formula, args.prefix_bound, args.period_bound
     )
@@ -170,8 +169,8 @@ def cmd_check(args) -> int:
 
 def _obtain_counterexample(args, machine, formula) -> Counterexample:
     if args.counterexample:
-        cex = _load_counterexample(args.counterexample)
-        _require_violation(machine, formula, cex)
+        cex = _load_counterexample(args.counterexample, machine)
+        _require_violation(formula, cex)
         return cex
     found = checker.find_counterexample(
         machine, formula, args.prefix_bound, args.period_bound
@@ -183,7 +182,7 @@ def _obtain_counterexample(args, machine, formula) -> Counterexample:
 
 def cmd_explain(args) -> int:
     machine = load_machine(args.system)
-    formula = _load_formula(args.formula, args.syntax)
+    formula = _load_formula(args.formula)
     cex = _obtain_counterexample(args, machine, formula)
     if args.dump_aa:
         body, zipped = zip_hyper(formula, cex)
@@ -209,9 +208,9 @@ def cmd_explain(args) -> int:
 
 def cmd_candidates(args) -> int:
     machine = load_machine(args.system)
-    formula = _load_formula(args.formula, args.syntax)
-    cex = _load_counterexample(args.counterexample)
-    _require_violation(machine, formula, cex)
+    formula = _load_formula(args.formula)
+    cex = _load_counterexample(args.counterexample, machine)
+    _require_violation(formula, cex)
     candidate = satcore.candidate_cause(machine, formula, cex)
 
     def text() -> str:
@@ -224,9 +223,9 @@ def cmd_candidates(args) -> int:
 
 def cmd_oracle(args) -> int:
     machine = load_machine(args.system)
-    formula = _load_formula(args.formula, args.syntax)
-    cex = _load_counterexample(args.counterexample)
-    _require_violation(machine, formula, cex)
+    formula = _load_formula(args.formula)
+    cex = _load_counterexample(args.counterexample, machine)
+    _require_violation(formula, cex)
     candidate = satcore.candidate_cause(machine, formula, cex)
     pairs = oracle.brute_force_causes(
         machine, formula, cex,
@@ -252,16 +251,10 @@ def cmd_validate(args) -> int:
     messages = [f"system: {len(machine.states())} states, ok"]
     formula = None
     if args.formula:
-        formula = _load_formula(args.formula, args.syntax)
+        formula = _load_formula(args.formula)
         messages.append(f"formula: {len(formula.variables)} quantifier(s), ok")
     if args.counterexample:
-        cex = _load_counterexample(args.counterexample)
-        for name, trace in cex.traces.items():
-            diag = machine.validate_trace(trace)
-            if not diag:
-                raise ValidationError(
-                    f"trace {name!r}: {diag.message} (position {diag.position})"
-                )
+        cex = _load_counterexample(args.counterexample, machine)
         messages.append(f"traces: {', '.join(cex.names())}, ok")
         if formula is not None:
             if falsifies(cex, formula):

@@ -29,11 +29,10 @@ import weakref
 from typing import Iterable, Mapping
 
 from . import formulas as F
-from .boolexpr import assignments as boolexpr_assignments
 from .errors import ValidationError
-from .events import Counterexample, Event, check_event
+from .events import Counterexample, Event
 from .lasso import Lasso
-from .machine import MooreMachine
+from .machine import MooreMachine, walk
 from .semantics import eval_hyper
 
 
@@ -72,7 +71,6 @@ def controllable_outputs(machine: MooreMachine) -> tuple[tuple[str, ...], tuple[
 def _largest_controllable(machine: MooreMachine) -> tuple[tuple[str, ...], tuple[str, ...]]:
     outputs = sorted(machine.outputs)
     by_label = _states_by_label(machine)
-    input_sets = tuple(boolexpr_assignments(machine.inputs))
 
     def valid(candidate: tuple[str, ...]) -> bool:
         overrides = [frozenset(c) for k in range(len(candidate) + 1)
@@ -81,7 +79,7 @@ def _largest_controllable(machine: MooreMachine) -> tuple[tuple[str, ...], tuple
         frontier = list(seen)
         while frontier:
             s = frontier.pop()
-            for a in input_sets:
+            for a in machine.input_sets:
                 succ = machine.delta[(s, a)]
                 label = machine.label(succ)
                 targets = [succ]
@@ -154,12 +152,11 @@ def copy_states(
     outputs = frozenset(machine.outputs)
     controllable = frozenset(controllable)
     by_label = _states_by_label(machine)
-    input_sets = tuple(boolexpr_assignments(machine.inputs))
 
     @functools.cache
     def targets(state: str, source_outputs: frozenset[str]) -> frozenset[str]:
         found = set()
-        for succ in {machine.delta[(state, a)] for a in input_sets}:
+        for succ in {machine.delta[(state, a)] for a in machine.input_sets}:
             found.add(succ)
             differing = sorted((machine.label(succ) ^ source_outputs) & controllable)
             for k in range(1, len(differing) + 1):
@@ -200,10 +197,7 @@ class CounterfactualAutomaton:
         self.excluded_outputs = excluded
         self._flags = {contingency_flag(o): o for o in controllable}
         self._by_label = _states_by_label(machine)
-
-    @property
-    def initial(self) -> tuple[str, int]:
-        return (self.machine.initial, 0)
+        self.initial = (machine.initial, 0)
 
     def input_alphabet(self) -> tuple[str, ...]:
         return tuple(self.machine.inputs) + tuple(sorted(self._flags))
@@ -220,31 +214,14 @@ class CounterfactualAutomaton:
         forced = _forced_state(self.machine, self._by_label, base_succ, flagged, source_outputs)
         return (forced, k_next)
 
-    def label(self, state: tuple[str, int]) -> frozenset[str]:
-        return self.machine.label(state[0])
-
     def run(self, input_word: Lasso) -> Lasso:
         """Trace over the base alphabet, normalized at state+input recurrence."""
-        allowed = set(self.machine.inputs) | set(self._flags)
-        extra = input_word.alphabet() - allowed
+        inputs = frozenset(self.machine.inputs)
+        extra = input_word.alphabet() - inputs - set(self._flags)
         if extra:
             raise ValidationError(f"input word uses unknown propositions {sorted(extra)}")
-        letters: list[frozenset[str]] = []
-        state = self.initial
-        seen: dict[tuple[tuple[str, int], int], int] = {}
-        step = 0
-        while True:
-            phase = step - input_word.loop_start
-            if phase >= 0:
-                key = (state, phase % len(input_word.period))
-                if key in seen:
-                    start = seen[key]
-                    return Lasso(letters[:start], letters[start:])
-                seen[key] = step
-            ins = input_word.at(step)
-            letters.append((ins & frozenset(self.machine.inputs)) | self.label(state))
-            state = self.step(state, ins)
-            step += 1
+        labels = self.machine.labels
+        return walk(input_word, self.initial, self.step, lambda s: labels[s[0]], inputs)[1]
 
     def reachable(self) -> tuple[tuple[str, int], ...]:
         per_copy = copy_states(self.machine, self.source, self.controllable)
@@ -455,7 +432,8 @@ def intervene(
     cause = tuple(cause)
     contingency = tuple(contingency)
     for e in cause + contingency:
-        check_event(cex, e)
+        if e.trace not in cex:
+            raise ValidationError(f"event {e} references unknown trace {e.trace!r}")
     result: dict[str, Lasso] = {}
     for name, trace in cex.traces.items():
         mine_cause = [e for e in cause if e.trace == name]

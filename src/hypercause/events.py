@@ -75,17 +75,6 @@ class Counterexample:
         return f"<Counterexample {inner}>"
 
 
-def check_event(cex: Counterexample, event: Event) -> None:
-    if event.trace not in cex:
-        raise ValidationError(f"event {event} references unknown trace {event.trace!r}")
-    trace = cex[event.trace]
-    if not 0 <= event.position < len(trace):
-        raise ValidationError(
-            f"event {event} position out of range for trace {event.trace!r} "
-            f"(finite representation has {len(trace)} positions)"
-        )
-
-
 def satisfies_events(cex: Counterexample, events: Iterable[Event]) -> bool:
     """True iff every event names a trace of `cex` and its literal holds there."""
     for e in events:

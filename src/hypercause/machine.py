@@ -20,10 +20,11 @@ each state's guards back in DNF (`boolexpr.guard_text`).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import boolexpr
 from .errors import SizeGuardError, ValidationError
@@ -43,6 +44,45 @@ def _check_name(name: str, what: str) -> None:
         raise ValidationError(f"invalid {what} name {name!r}")
     if what == "input" and name in boolexpr.CONSTANTS:
         raise ValidationError(f"input name {name!r} is a guard constant")
+
+
+@functools.cache
+def _input_sets(inputs: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    """`boolexpr.assignments(inputs)`, enumerated once per input tuple."""
+    return tuple(boolexpr.assignments(inputs))
+
+
+def walk(
+    word: Lasso, initial, step: Callable, label: Callable, inputs: frozenset[str]
+) -> tuple[list, Lasso]:
+    """Run a deterministic stepper from `initial` along `word`.
+
+    `step(state, letter)` is the successor and `label(state)` the outputs of
+    a state.  Letter ``i`` of the output trace is the `inputs` of word
+    letter ``i`` plus the label of the state at ``i``.  The walk stops at
+    the first position whose pair (state, offset into the word's period)
+    already occurred from the word's loop start on; the earlier occurrence
+    is the trace's loop start.  Returns the states at positions ``0..n``,
+    where ``n`` is the trace's length (the last state is the one the
+    loop-back step enters), and the trace.
+    """
+    states = [initial]
+    letters: list[frozenset[str]] = []
+    seen: dict = {}
+    state = initial
+    while True:
+        i = len(letters)
+        phase = i - word.loop_start
+        if phase >= 0:
+            key = (state, phase % len(word.period))
+            if key in seen:
+                start = seen[key]
+                return states, Lasso(letters[:start], letters[start:])
+            seen[key] = i
+        ins = word.at(i)
+        letters.append((ins & inputs) | label(state))
+        state = step(state, ins)
+        states.append(state)
 
 
 @dataclass(frozen=True)
@@ -86,6 +126,8 @@ class MooreMachine:
             raise ValidationError(f"initial state {initial!r} is not a state")
         self.initial = initial
         self.delta = dict(delta)
+        # every input set, in the order of the bits of a guard's truth table
+        self.input_sets = _input_sets(self.inputs)
         self._validate_delta()
 
     # -- construction ------------------------------------------------------
@@ -111,7 +153,7 @@ class MooreMachine:
             raise SizeGuardError(f"more than {MAX_INPUTS} inputs")
         for n in inputs:  # before the guards, which read `true` and `false` as constants
             _check_name(n, "input")
-        input_sets = tuple(boolexpr.assignments(inputs))
+        input_sets = _input_sets(inputs)
         covered = dict.fromkeys(labels, 0)
         twice = dict.fromkeys(labels, 0)
         parsed = []
@@ -152,7 +194,7 @@ class MooreMachine:
         return cls(inputs, outputs, labels, initial, delta)
 
     def _validate_delta(self) -> None:
-        for assignment in boolexpr.assignments(self.inputs):
+        for assignment in self.input_sets:
             for s in self.labels:
                 key = (s, assignment)
                 if key not in self.delta:
@@ -188,7 +230,7 @@ class MooreMachine:
         frontier = [self.initial]
         while frontier:
             s = frontier.pop()
-            for assignment in boolexpr.assignments(self.inputs):
+            for assignment in self.input_sets:
                 t = self.delta[(s, assignment)]
                 if t not in seen:
                     seen.append(t)
@@ -199,7 +241,7 @@ class MooreMachine:
         """Inputs on which the successor of `state` depends."""
         relevant = set()
         for name in self.inputs:
-            for assignment in boolexpr.assignments(self.inputs):
+            for assignment in self.input_sets:
                 if self.delta[(state, assignment)] != self.delta[(state, assignment ^ {name})]:
                     relevant.add(name)
                     break
@@ -209,70 +251,49 @@ class MooreMachine:
 
     def run(self, input_word: Lasso) -> Lasso:
         """Trace produced by feeding `input_word`; least lasso at state+input recurrence."""
-        extra = input_word.alphabet() - set(self.inputs)
+        inputs = frozenset(self.inputs)
+        extra = input_word.alphabet() - inputs
         if extra:
             raise ValidationError(f"input word uses non-input propositions {sorted(extra)}")
-        letters: list[frozenset[str]] = []
-        state = self.initial
-        seen: dict[tuple[str, int], int] = {}
-        step = 0
-        while True:
-            phase = step - input_word.loop_start
-            if phase >= 0:
-                key = (state, phase % len(input_word.period))
-                if key in seen:
-                    start = seen[key]
-                    return Lasso(letters[:start], letters[start:])
-                seen[key] = step
-            ins = input_word.at(step)
-            letters.append(ins | self.labels[state])
-            state = self.successor(state, ins)
-            step += 1
+        return walk(input_word, self.initial, self.successor, self.labels.__getitem__, inputs)[1]
+
+    def _check_trace(self, trace: Lasso) -> tuple[list[str], TraceDiagnostic]:
+        """States of the run on the inputs of `trace`, and the first position
+        where the trace leaves the run."""
+        inputs, outputs = frozenset(self.inputs), frozenset(self.outputs)
+        word = Lasso([a & inputs for a in trace.prefix], [a & inputs for a in trace.period])
+        states, _ = walk(word, self.initial, self.successor, self.labels.__getitem__, inputs)
+        for i, state in enumerate(states[:-1]):
+            here = trace.at(i)
+            if not here <= inputs | outputs:
+                unknown = sorted(here - inputs - outputs)
+                return states, TraceDiagnostic(False, i, f"unknown propositions {unknown}")
+            if here & outputs != self.labels[state]:
+                return states, TraceDiagnostic(
+                    False,
+                    i,
+                    f"outputs {sorted(here & outputs)} do not match state "
+                    f"{state!r} label {sorted(self.labels[state])}",
+                )
+        return states, TraceDiagnostic(True)
 
     def validate_trace(self, trace: Lasso) -> TraceDiagnostic:
         """Accepts iff `trace` is a trace of this machine; reports first bad position."""
-        ap = set(self.inputs) | set(self.outputs)
-        state = self.initial
-        seen: set[tuple[str, int]] = set()
-        step = 0
-        while True:
-            here = trace.at(step)
-            if not here <= ap:
-                return TraceDiagnostic(False, step, f"unknown propositions {sorted(here - ap)}")
-            if here & set(self.outputs) != self.labels[state]:
-                return TraceDiagnostic(
-                    False,
-                    step,
-                    f"outputs {sorted(here & set(self.outputs))} do not match state "
-                    f"{state!r} label {sorted(self.labels[state])}",
-                )
-            phase = step - trace.loop_start
-            if phase >= 0:
-                key = (state, phase % len(trace.period))
-                if key in seen:
-                    return TraceDiagnostic(True)
-                seen.add(key)
-            state = self.successor(state, here & set(self.inputs))
-            step += 1
+        return self._check_trace(trace)[1]
 
     def state_sequence(self, trace: Lasso) -> tuple[str, ...]:
         """States at positions 0..|u|+|v| of a valid trace.
 
         The last entry is the state after the loop-back step; callers that
         analyse per-step transitions need it to coincide with the state at
-        the loop start (state-recurrent representation).
+        the loop start (state-recurrent representation).  The run reaches
+        that position, since no (state, period offset) pair can repeat
+        before it.
         """
-        diag = self.validate_trace(trace)
+        states, diag = self._check_trace(trace)
         if not diag:
             raise ValidationError(f"not a trace of the machine: {diag.message} @ {diag.position}")
-        states = [self.initial]
-        for n in range(len(trace)):
-            states.append(self.successor(states[-1], trace.at(n) & set(self.inputs)))
-        return tuple(states)
-
-    def is_state_recurrent(self, trace: Lasso) -> bool:
-        states = self.state_sequence(trace)
-        return states[len(trace)] == states[trace.loop_start]
+        return tuple(states[: len(trace) + 1])
 
     # -- serialization -----------------------------------------------------
 
@@ -280,7 +301,7 @@ class MooreMachine:
         transitions = []
         for src in self.labels:
             by_target: dict[str, list[frozenset[str]]] = {}
-            for assignment in boolexpr.assignments(self.inputs):
+            for assignment in self.input_sets:
                 by_target.setdefault(self.delta[(src, assignment)], []).append(assignment)
             for dst, sets in sorted(by_target.items()):
                 transitions.append(

@@ -18,7 +18,7 @@ import itertools
 from . import formulas as F
 from .counterfactual import InterventionTable
 from .errors import SizeGuardError
-from .events import Counterexample, Event, satisfied_events, sort_events
+from .events import Counterexample, Event, events_of_trace, satisfied_events, sort_events
 from .machine import MooreMachine
 
 MAX_INPUT_EVENTS = 20
@@ -40,12 +40,10 @@ def brute_force_causes(
         )
     table = InterventionTable(machine, formula, cex)
 
-    resettable: list[Event] = []
-    for name, trace in cex.traces.items():
-        for pos in range(len(trace)):
-            for prop in table.automata[name].controllable:
-                resettable.append(Event(name, pos, prop, prop in trace.at(pos)))
-    resettable = list(sort_events(resettable))
+    resettable = sort_events(
+        e for name, trace in cex.traces.items()
+        for e in events_of_trace(name, trace, table.automata[name].controllable)
+    )
     if len(resettable) > MAX_OUTPUT_EVENTS:
         raise SizeGuardError(
             f"{len(resettable)} output events exceed the oracle guard ({MAX_OUTPUT_EVENTS})"

@@ -289,12 +289,12 @@ def detect_syntax(text: str) -> str:
     return "infix"
 
 
-def parse_hyperltl(text: str, syntax: str = "auto") -> F.HyperFormula:
-    """Parse a quantified formula in either syntax (auto-detected by default)."""
-    if syntax == "auto":
-        syntax = detect_syntax(text)
-    if syntax == "sexpr":
+def parse_hyperltl(text: str) -> F.HyperFormula:
+    """Parse a quantified formula in the syntax `detect_syntax` finds.
+
+    Only that syntax can parse the text: an infix formula starts with
+    ``forall``, an s-expression with ``Forall``, ``Exists`` or ``(``.
+    """
+    if detect_syntax(text) == "sexpr":
         return _parse_sexpr(text)
-    if syntax == "infix":
-        return _parse_infix(text)
-    raise ValueError(f"unknown syntax {syntax!r}")
+    return _parse_infix(text)

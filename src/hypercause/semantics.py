@@ -35,7 +35,7 @@ from typing import Sequence
 
 from . import formulas as F
 from .errors import ValidationError
-from .events import Counterexample, Event, sort_events
+from .events import Counterexample, Event, events_of_trace, sort_events
 from .lasso import Lasso, lcm
 
 
@@ -374,14 +374,10 @@ def formula_input_events(machine, formula: F.HyperFormula, cex: Counterexample) 
     of the property directly without ever being necessary for a transition.
     """
     binding = dict(zip(formula.variables, cex.names()))
-    mentioned: set[tuple[str, str]] = set()
+    read: dict[str, set[str]] = {name: set() for name in cex.names()}
     for atom in F.atoms(formula.body):
         if atom.prop in machine.inputs:
-            mentioned.add((binding[atom.var], atom.prop))
-    out = []
-    for name, trace in cex.traces.items():
-        for pos in range(len(trace)):
-            for prop in machine.inputs:
-                if (name, prop) in mentioned:
-                    out.append(Event(name, pos, prop, prop in trace.at(pos)))
-    return sort_events(out)
+            read[binding[atom.var]].add(atom.prop)
+    return sort_events(
+        e for name, trace in cex.traces.items() for e in events_of_trace(name, trace, read[name])
+    )

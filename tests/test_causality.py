@@ -18,7 +18,13 @@ from hypercause.causality import (
 )
 from hypercause.cli import main
 from hypercause.errors import ValidationError
-from hypercause.events import Counterexample, Event
+from hypercause.events import (
+    Counterexample,
+    Event,
+    satisfied_events,
+    satisfies_events,
+    sort_events,
+)
 from hypercause.lasso import Lasso
 from hypercause.machine import MooreMachine, traces_to_json
 from hypercause.oracle import brute_force_causes
@@ -282,6 +288,51 @@ def test_first_cause_is_the_first_of_all_causes():
         every = all_minimal_causes(machine, formula, cex, **bounds)
         assert (first.status == "found") == bool(every.causes)
         assert first.causes == every.causes[:1]
+
+
+def reference_verify_actual_cause(machine, formula, cex, cause, search):
+    """`verify_actual_cause` with the nested counterfactual condition: `cf`
+    of a set asks whether some non-empty subset of it passes the contingency
+    search, so every subset of every proper subset is decided again."""
+    cause = sort_events(cause)
+    if not cause:
+        return False
+    if not satisfies_events(cex, cause):
+        return False
+
+    def cf(events):
+        return any(
+            least_contingency(search, sub) is not None
+            for size in range(1, len(events) + 1)
+            for sub in itertools.combinations(events, size)
+        )
+
+    if not cf(cause):
+        return False
+    for size in range(1, len(cause)):
+        for proper in itertools.combinations(cause, size):
+            if cf(proper):
+                return False
+    return True
+
+
+def test_verification_agrees_with_nested_reference():
+    rng = random.Random(5)
+    verdicts = []
+    for machine, formula, cex in _violated_draws(40):
+        search = CauseSearch(machine, formula, cex, max_contingency_size=2)
+        report = all_minimal_causes(machine, formula, cex, bound=3, max_contingency_size=2)
+        inputs = satisfied_events(cex, machine.inputs)
+        sets = [entry.cause for entry in report.causes]
+        # supersets of causes, and sets drawn from every input event, most
+        # of which contain a non-cause
+        sets += [c + (rng.choice(inputs),) for c in sets]
+        sets += [rng.sample(inputs, rng.randint(1, min(3, len(inputs)))) for _ in range(4)]
+        for events in sets:
+            verdict = verify_actual_cause(machine, formula, cex, events, search=search)
+            assert verdict == reference_verify_actual_cause(machine, formula, cex, events, search)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_max_contingency_size_zero_disables_contingencies(machine, cex):

@@ -174,7 +174,7 @@ def test_infix_syntax_selector(tmp_path, capsys):
     formula.write_text("forall p1 p2. G (lo[p1] <-> lo[p2])\n")
     code, out, _ = run_cli(
         capsys, "explain", "--system", SYSTEM, "--formula", str(formula),
-        "--syntax", "infix", "--counterexample", TRACES, "--all",
+        "--counterexample", TRACES, "--all",
     )
     assert code == 0
     assert len(json.loads(out)["causes"]) == 2

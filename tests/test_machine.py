@@ -1,14 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercause.boolexpr import assignments
+from hypercause.counterfactual import CounterfactualAutomaton, intervention_word
 from hypercause.errors import ParseError, ValidationError
+from hypercause.events import Counterexample, satisfied_events
 from hypercause.lasso import Lasso
-from hypercause.machine import MooreMachine, load_machine, load_traces, traces_to_json
+from hypercause.machine import (
+    MooreMachine,
+    TraceDiagnostic,
+    load_machine,
+    load_traces,
+    traces_to_json,
+)
 
 from conftest import leaky_machine, t1, t2
-from genrand import random_draw
+from genrand import random_draw, random_lasso
 
 
 def inputs(*sets):
@@ -201,8 +211,9 @@ def test_run_total_reproducible_and_validates():
 def test_state_sequence_and_recurrence(machine):
     states = machine.state_sequence(t1())
     assert states == ("s0", "s2", "s3", "s3")
-    assert machine.is_state_recurrent(t1())
-    assert machine.is_state_recurrent(t2())
+    for trace in (t1(), t2()):
+        states = machine.state_sequence(trace)
+        assert states[len(trace)] == states[trace.loop_start]
 
 
 def test_input_support(machine):
@@ -240,3 +251,156 @@ def test_load_machine_reports_bad_guard(tmp_path):
     path.write_text(__import__("json").dumps(doc))
     with pytest.raises(ValidationError):
         load_machine(path)
+
+
+# -- reference walks ----------------------------------------------------------
+# The four lasso walks as separate loops, one per job, as they were before
+# `machine.walk` replaced them.
+
+
+def reference_run(m, input_word):
+    extra = input_word.alphabet() - set(m.inputs)
+    if extra:
+        raise ValidationError(f"input word uses non-input propositions {sorted(extra)}")
+    letters = []
+    state = m.initial
+    seen = {}
+    step = 0
+    while True:
+        phase = step - input_word.loop_start
+        if phase >= 0:
+            key = (state, phase % len(input_word.period))
+            if key in seen:
+                start = seen[key]
+                return Lasso(letters[:start], letters[start:])
+            seen[key] = step
+        ins = input_word.at(step)
+        letters.append(ins | m.labels[state])
+        state = m.successor(state, ins)
+        step += 1
+
+
+def reference_validate_trace(m, trace):
+    ap = set(m.inputs) | set(m.outputs)
+    state = m.initial
+    seen = set()
+    step = 0
+    while True:
+        here = trace.at(step)
+        if not here <= ap:
+            return TraceDiagnostic(False, step, f"unknown propositions {sorted(here - ap)}")
+        if here & set(m.outputs) != m.labels[state]:
+            return TraceDiagnostic(
+                False,
+                step,
+                f"outputs {sorted(here & set(m.outputs))} do not match state "
+                f"{state!r} label {sorted(m.labels[state])}",
+            )
+        phase = step - trace.loop_start
+        if phase >= 0:
+            key = (state, phase % len(trace.period))
+            if key in seen:
+                return TraceDiagnostic(True)
+            seen.add(key)
+        state = m.successor(state, here & set(m.inputs))
+        step += 1
+
+
+def reference_state_sequence(m, trace):
+    diag = reference_validate_trace(m, trace)
+    if not diag:
+        raise ValidationError(f"not a trace of the machine: {diag.message} @ {diag.position}")
+    states = [m.initial]
+    for n in range(len(trace)):
+        states.append(m.successor(states[-1], trace.at(n) & set(m.inputs)))
+    return tuple(states)
+
+
+def reference_counterfactual_run(aut, input_word):
+    extra = input_word.alphabet() - set(aut.input_alphabet())
+    if extra:
+        raise ValidationError(f"input word uses unknown propositions {sorted(extra)}")
+    letters = []
+    state = (aut.machine.initial, 0)
+    seen = {}
+    step = 0
+    while True:
+        phase = step - input_word.loop_start
+        if phase >= 0:
+            key = (state, phase % len(input_word.period))
+            if key in seen:
+                start = seen[key]
+                return Lasso(letters[:start], letters[start:])
+            seen[key] = step
+        ins = input_word.at(step)
+        letters.append((ins & frozenset(aut.machine.inputs)) | aut.machine.labels[state[0]])
+        state = aut.step(state, ins)
+        step += 1
+
+
+def _outcome(f, *args):
+    """What `f(*args)` gives: its value (a lasso as its representation), or
+    the type and text of what it raises."""
+    try:
+        value = f(*args)
+    except ValidationError as exc:
+        return ("raises", str(exc))
+    if isinstance(value, Lasso):
+        return (value.prefix, value.period)
+    return value
+
+
+def _variants(rng, m, trace):
+    """`trace`, other representations of it, and traces that leave the run
+    at one position."""
+    u, v = list(trace.prefix), list(trace.period)
+    j = rng.randrange(len(v))
+    yield trace
+    yield trace.canonical()  # may not close on machine states
+    yield Lasso(u + v[:j], v[j:] + v[:j])
+    yield Lasso(u, v + v)
+    letters = u + v
+    for flip in (rng.choice(m.outputs), rng.choice(m.inputs), "zz"):
+        changed = list(letters)
+        i = rng.randrange(len(changed))
+        changed[i] = changed[i] ^ {flip}
+        yield Lasso(changed[: len(u)], changed[len(u):])
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=10**6))
+def test_walk_agrees_with_reference_loops(seed):
+    rng = random.Random(seed)
+    m, _ = random_draw(seed)
+    word = random_lasso(rng, m.inputs)
+    assert _outcome(m.run, word) == _outcome(reference_run, m, word)
+    bad_word = Lasso(word.prefix, word.period[:-1] + (word.period[-1] | {"zz"},))
+    assert _outcome(m.run, bad_word) == _outcome(reference_run, m, bad_word)
+    trace = m.run(word)
+    for variant in _variants(rng, m, trace):
+        assert m.validate_trace(variant) == reference_validate_trace(m, variant)
+        assert _outcome(m.state_sequence, variant) == _outcome(
+            reference_state_sequence, m, variant
+        )
+    aut = CounterfactualAutomaton(m, trace)
+    cex = Counterexample({"t": trace})
+    inputs = satisfied_events(cex, m.inputs)
+    outputs = satisfied_events(cex, aut.controllable)
+    for _ in range(5):
+        cause = [e for e in inputs if rng.random() < 0.3]
+        resets = [e for e in outputs if rng.random() < 0.3]
+        iw = intervention_word(aut, cause, resets)
+        assert _outcome(aut.run, iw) == _outcome(reference_counterfactual_run, aut, iw)
+
+
+def test_walk_on_a_representation_that_does_not_close():
+    # two states with one label: the trace ({})^w runs p q p q ..., so its
+    # one-letter period does not close on machine states
+    m = MooreMachine(["a"], ["o"], {"p": [], "q": []}, "p",
+                     {(s, x): {"p": "q", "q": "p"}[s] for s in "pq" for x in assignments(["a"])})
+    trace = Lasso([], [frozenset()])
+    assert m.validate_trace(trace) == reference_validate_trace(m, trace)
+    states = m.state_sequence(trace)
+    assert states == reference_state_sequence(m, trace) == ("p", "q")
+    assert states[len(trace)] != states[trace.loop_start]
+    assert _outcome(m.run, trace) == _outcome(reference_run, m, trace)

@@ -237,7 +237,7 @@ def test_program_compiled_once_per_formula(monkeypatch):
     assert compiled == [formula]
     # the program lives on the formula instance, not in a shared table
     assert formula.program is formula.program
-    assert parse_hyperltl(str(formula), "infix").program is not formula.program
+    assert parse_hyperltl(str(formula)).program is not formula.program
 
 
 def test_eval_hyper_rejects_wrong_trace_count():
