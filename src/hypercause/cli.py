@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--prefix-bound", type=COUNT, default=4)
     explain.add_argument("--period-bound", type=PERIOD, default=3)
     explain.add_argument("--dump-aa", action="store_true",
-                         help="dump the violation automaton and its run tree")
+                         help="dump the violation automaton and its run tree to stderr")
 
     candidates = sub.add_parser("candidates", help="candidate cause events")
     common(candidates, counterexample_required=True)
@@ -187,10 +187,10 @@ def cmd_explain(args) -> int:
     if args.dump_aa:
         body, zipped = zip_hyper(formula, cex)
         automaton = ltl_to_alternating(negate_to_nnf(body))
-        sys.stdout.write(dump_automaton(automaton) + "\n")
+        sys.stderr.write(dump_automaton(automaton) + "\n")
         accepted, tree = accepts_lasso(automaton, zipped.lasso)
         if accepted:
-            sys.stdout.write(tree.dump() + "\n")
+            sys.stderr.write(tree.dump() + "\n")
     search = causality.all_minimal_causes if args.all else causality.actual_cause
     report = search(
         machine, formula, cex,

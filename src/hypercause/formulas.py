@@ -96,6 +96,28 @@ class Release(Formula):
 TRUE = Const(True)
 FALSE = Const(False)
 
+UNARY = (Not, Next, Eventually, Always)
+BINARY = (And, Or, Implies, Iff, Until, Release)
+
+# Infix syntax.  Binary operators: symbol, precedence (higher binds tighter)
+# and whether the operator groups to the right; unary operators bind tighter
+# than every binary one.
+INFIX_BINARY = {
+    Iff: ("<->", 1, False),
+    Implies: ("->", 2, True),
+    Or: ("|", 3, False),
+    And: ("&", 4, False),
+    Until: ("U", 5, True),
+    Release: ("R", 5, True),
+}
+INFIX_UNARY = {Not: "!", Next: "X", Eventually: "F", Always: "G"}
+
+# Canonical s-expression heads; ``(Neq a b)`` stands for ``Not(Iff(a, b))``.
+SEXPR_HEADS = {
+    Not: "Not", And: "And", Or: "Or", Implies: "Implies", Iff: "Eq",
+    Next: "X", Eventually: "F", Always: "G", Until: "Until", Release: "Release",
+}
+
 
 @dataclass(frozen=True)
 class HyperFormula:
@@ -126,23 +148,28 @@ class HyperFormula:
         return compile_body(self)
 
 
-def atoms(f: Formula) -> set[Atom]:
-    out: set[Atom] = set()
+def children(f: Formula) -> tuple[Formula, ...]:
+    """Direct subformulas of `f`, left to right."""
+    if isinstance(f, UNARY):
+        return (f.arg,)
+    if isinstance(f, BINARY):
+        return (f.left, f.right)
+    if isinstance(f, (Atom, Const)):
+        return ()
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def atoms(f: Formula) -> list[Atom]:
+    """Distinct atoms of `f`, left to right."""
+    out: dict[Atom, None] = {}
     stack = [f]
     while stack:
         node = stack.pop()
         if isinstance(node, Atom):
-            out.add(node)
-        elif isinstance(node, Const):
-            pass
-        elif isinstance(node, (Not, Next, Eventually, Always)):
-            stack.append(node.arg)
-        elif isinstance(node, (And, Or, Implies, Iff, Until, Release)):
-            stack.append(node.left)
-            stack.append(node.right)
+            out[node] = None
         else:
-            raise TypeError(f"not a formula node: {node!r}")
-    return out
+            stack.extend(reversed(children(node)))
+    return list(out)
 
 
 def subformulas(f: Formula) -> list[Formula]:
@@ -152,92 +179,51 @@ def subformulas(f: Formula) -> list[Formula]:
     def walk(node: Formula):
         if node in seen:
             return
-        if isinstance(node, (Not, Next, Eventually, Always)):
-            walk(node.arg)
-        elif isinstance(node, (And, Or, Implies, Iff, Until, Release)):
-            walk(node.left)
-            walk(node.right)
+        for child in children(node):
+            walk(child)
         seen[node] = None
 
     walk(f)
     return list(seen)
 
 
-def size(f: Formula) -> int:
-    return len(subformulas(f))
+# what each operator becomes under a negation pushed through it
+_DUAL = {And: Or, Or: And, Eventually: Always, Always: Eventually,
+         Until: Release, Release: Until, Next: Next}
+
+
+def _nnf(f: Formula, positive: bool) -> Formula:
+    """Negation normal form of `f`, or of its negation when not `positive`."""
+    if isinstance(f, Atom):
+        return f if positive else Not(f)
+    if isinstance(f, Const):
+        return f if positive else Const(not f.value)
+    if isinstance(f, Not):
+        return _nnf(f.arg, not positive)
+    if isinstance(f, Implies):
+        f = Or(Not(f.left), f.right)  # a -> b is !a | b
+    elif isinstance(f, Iff):
+        return Or(
+            And(_nnf(f.left, True), _nnf(f.right, positive)),
+            And(_nnf(f.left, False), _nnf(f.right, not positive)),
+        )
+    args = [_nnf(child, positive) for child in children(f)]
+    return (type(f) if positive else _DUAL[type(f)])(*args)
 
 
 def nnf(f: Formula) -> Formula:
     """Equivalent formula with negation on atoms only and no derived Booleans."""
-    if isinstance(f, Atom) or isinstance(f, Const):
-        return f
-    if isinstance(f, Not):
-        return negate_to_nnf(f.arg)
-    if isinstance(f, And):
-        return And(nnf(f.left), nnf(f.right))
-    if isinstance(f, Or):
-        return Or(nnf(f.left), nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(negate_to_nnf(f.left), nnf(f.right))
-    if isinstance(f, Iff):
-        return Or(
-            And(nnf(f.left), nnf(f.right)),
-            And(negate_to_nnf(f.left), negate_to_nnf(f.right)),
-        )
-    if isinstance(f, Next):
-        return Next(nnf(f.arg))
-    if isinstance(f, Eventually):
-        return Eventually(nnf(f.arg))
-    if isinstance(f, Always):
-        return Always(nnf(f.arg))
-    if isinstance(f, Until):
-        return Until(nnf(f.left), nnf(f.right))
-    if isinstance(f, Release):
-        return Release(nnf(f.left), nnf(f.right))
-    raise TypeError(f"not a formula node: {f!r}")
+    return _nnf(f, True)
 
 
 def negate_to_nnf(f: Formula) -> Formula:
     """Negation normal form of the negation, via the U/R and F/G dualities."""
-    if isinstance(f, Atom):
-        return Not(f)
-    if isinstance(f, Const):
-        return Const(not f.value)
-    if isinstance(f, Not):
-        return nnf(f.arg)
-    if isinstance(f, And):
-        return Or(negate_to_nnf(f.left), negate_to_nnf(f.right))
-    if isinstance(f, Or):
-        return And(negate_to_nnf(f.left), negate_to_nnf(f.right))
-    if isinstance(f, Implies):
-        return And(nnf(f.left), negate_to_nnf(f.right))
-    if isinstance(f, Iff):
-        return Or(
-            And(nnf(f.left), negate_to_nnf(f.right)),
-            And(negate_to_nnf(f.left), nnf(f.right)),
-        )
-    if isinstance(f, Next):
-        return Next(negate_to_nnf(f.arg))
-    if isinstance(f, Eventually):
-        return Always(negate_to_nnf(f.arg))
-    if isinstance(f, Always):
-        return Eventually(negate_to_nnf(f.arg))
-    if isinstance(f, Until):
-        return Release(negate_to_nnf(f.left), negate_to_nnf(f.right))
-    if isinstance(f, Release):
-        return Until(negate_to_nnf(f.left), negate_to_nnf(f.right))
-    raise TypeError(f"not a formula node: {f!r}")
+    return _nnf(f, False)
 
 
 def is_nnf(f: Formula) -> bool:
-    if isinstance(f, (Atom, Const)):
-        return True
     if isinstance(f, Not):
         return isinstance(f.arg, Atom)
-    if isinstance(f, (Next, Eventually, Always)):
-        return is_nnf(f.arg)
-    if isinstance(f, (And, Or, Until, Release)):
-        return is_nnf(f.left) and is_nnf(f.right)
     if isinstance(f, (Implies, Iff)):
         return False
-    raise TypeError(f"not a formula node: {f!r}")
+    return all(is_nnf(child) for child in children(f))

@@ -107,6 +107,7 @@ class MooreMachine:
         delta: Mapping[tuple[str, frozenset[str]], str],
     ):
         self.inputs = tuple(inputs)
+        self._input_set = frozenset(self.inputs)
         self.outputs = tuple(outputs)
         for n in self.inputs:
             _check_name(n, "input")
@@ -216,7 +217,7 @@ class MooreMachine:
         return self.labels[state]
 
     def successor(self, state: str, input_set: Iterable[str]) -> str:
-        key = (state, frozenset(input_set) & frozenset(self.inputs))
+        key = (state, frozenset(input_set) & self._input_set)
         try:
             return self.delta[key]
         except KeyError:

@@ -83,8 +83,12 @@ class _Tokens:
 
 # -- infix ------------------------------------------------------------------
 
-_UNARY_WORDS = {"X": F.Next, "F": F.Eventually, "G": F.Always}
-_RESERVED = {"forall", "exists", "true", "false", "X", "F", "G", "U", "R"}
+# operator token text -> formula class (and precedence, right associativity)
+_BINARY = {sym: (cls, prec, right) for cls, (sym, prec, right) in F.INFIX_BINARY.items()}
+_BINARY.update({"&&": _BINARY["&"], "||": _BINARY["|"]})
+_UNARY = {sym: cls for cls, sym in F.INFIX_UNARY.items()}
+# words that cannot name a trace variable (the symbols are never word tokens)
+_RESERVED = {"forall", "exists", "true", "false", *_BINARY, *_UNARY}
 
 
 def _parse_infix(text: str) -> F.HyperFormula:
@@ -106,61 +110,26 @@ def _parse_infix(text: str) -> F.HyperFormula:
         variables.extend(group)
     if not variables:
         raise UnsupportedFragmentError("formula must start with a universal quantifier prefix")
-    body = _infix_iff(toks)
+    body = _infix_binary(toks)
     toks.expect("end", "end of formula")
     return F.HyperFormula(tuple(variables), body)
 
 
-def _infix_iff(toks: _Tokens) -> F.Formula:
-    left = _infix_implies(toks)
-    while toks.peek().kind == "iff":
-        toks.next()
-        left = F.Iff(left, _infix_implies(toks))
-    return left
-
-
-def _infix_implies(toks: _Tokens) -> F.Formula:
-    left = _infix_or(toks)
-    if toks.peek().kind == "implies":
-        toks.next()
-        return F.Implies(left, _infix_implies(toks))
-    return left
-
-
-def _infix_or(toks: _Tokens) -> F.Formula:
-    left = _infix_and(toks)
-    while toks.peek().kind == "or":
-        toks.next()
-        left = F.Or(left, _infix_and(toks))
-    return left
-
-
-def _infix_and(toks: _Tokens) -> F.Formula:
-    left = _infix_until(toks)
-    while toks.peek().kind == "and":
-        toks.next()
-        left = F.And(left, _infix_until(toks))
-    return left
-
-
-def _infix_until(toks: _Tokens) -> F.Formula:
+def _infix_binary(toks: _Tokens, min_prec: int = 0) -> F.Formula:
+    """Precedence climbing over binary operators of precedence `min_prec` or more."""
     left = _infix_unary(toks)
-    tok = toks.peek()
-    if tok.kind == "word" and tok.text in ("U", "R"):
+    while (op := _BINARY.get(toks.peek().text)) and op[1] >= min_prec:
+        cls, prec, right_assoc = op
         toks.next()
-        right = _infix_until(toks)
-        return F.Until(left, right) if tok.text == "U" else F.Release(left, right)
+        left = cls(left, _infix_binary(toks, prec if right_assoc else prec + 1))
     return left
 
 
 def _infix_unary(toks: _Tokens) -> F.Formula:
     tok = toks.peek()
-    if tok.kind == "not":
+    if tok.text in _UNARY:
         toks.next()
-        return F.Not(_infix_unary(toks))
-    if tok.kind == "word" and tok.text in _UNARY_WORDS:
-        toks.next()
-        return _UNARY_WORDS[tok.text](_infix_unary(toks))
+        return _UNARY[tok.text](_infix_unary(toks))
     return _infix_primary(toks)
 
 
@@ -168,7 +137,7 @@ def _infix_primary(toks: _Tokens) -> F.Formula:
     tok = toks.peek()
     if tok.kind == "lpar":
         toks.next()
-        inner = _infix_iff(toks)
+        inner = _infix_binary(toks)
         toks.expect("rpar", "')'")
         return inner
     if tok.kind == "word":
@@ -193,11 +162,11 @@ def _infix_primary(toks: _Tokens) -> F.Formula:
 
 # -- s-expression -----------------------------------------------------------
 
-_SEXPR_UNARY = {"Not": F.Not, "Neg": F.Not, "X": F.Next, "Next": F.Next,
-                "F": F.Eventually, "Finally": F.Eventually, "Eventually": F.Eventually,
-                "G": F.Always, "Globally": F.Always}
-_SEXPR_BINARY = {"And": F.And, "Or": F.Or, "Implies": F.Implies, "Eq": F.Iff,
-                 "U": F.Until, "Until": F.Until, "R": F.Release, "Release": F.Release}
+# canonical heads plus aliases; ``Neq`` reads as ``Eq`` under a negation
+_SEXPR_HEADS = {head: cls for cls, head in F.SEXPR_HEADS.items()}
+_SEXPR_HEADS.update({"Neg": F.Not, "Next": F.Next, "Finally": F.Eventually,
+                     "Eventually": F.Eventually, "Globally": F.Always,
+                     "U": F.Until, "R": F.Release, "Neq": F.Iff})
 
 
 def _parse_sexpr(text: str) -> F.HyperFormula:
@@ -251,20 +220,11 @@ def _parse_sexpr(text: str) -> F.HyperFormula:
             idx = int(toks.expect("number", "trace index").text)
             toks.expect("rpar", "')'")
             return F.Atom(prop, str(idx))
-        if name in _SEXPR_UNARY:
-            arg = parse_body()
+        if name in _SEXPR_HEADS:
+            cls = _SEXPR_HEADS[name]
+            args = [parse_body() for _ in range(1 if issubclass(cls, F.UNARY) else 2)]
             toks.expect("rpar", "')'")
-            return _SEXPR_UNARY[name](arg)
-        if name in _SEXPR_BINARY:
-            left = parse_body()
-            right = parse_body()
-            toks.expect("rpar", "')'")
-            return _SEXPR_BINARY[name](left, right)
-        if name == "Neq":
-            left = parse_body()
-            right = parse_body()
-            toks.expect("rpar", "')'")
-            return F.Not(F.Iff(left, right))
+            return F.Not(cls(*args)) if name == "Neq" else cls(*args)
         if name in ("Forall", "Exists"):
             raise ParseError("quantifiers are only allowed as the formula prefix", tok.pos)
         raise ParseError(f"unknown operator {name!r}", tok.pos)

@@ -340,7 +340,7 @@ def compile_body(formula: F.HyperFormula) -> Program:
             raise TypeError(f"not a formula node: {sub!r}")
         if op == _CONST:
             code.append((op, int(sub.value), 0))
-        elif isinstance(sub, (F.Not, F.Next, F.Eventually, F.Always)):
+        elif isinstance(sub, F.UNARY):
             code.append((op, slot[sub.arg], 0))
         else:
             code.append((op, slot[sub.left], slot[sub.right]))

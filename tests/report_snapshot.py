@@ -3,8 +3,10 @@
 For each of the 500 instances of the acceptance corpus
 (`genrand.random_violated_instance`, the draws `tests/test_acceptance.py`
 uses), the script writes the machine, formula and counterexample to files
-and runs ``explain``, ``explain --all`` and ``oracle`` through
-`hypercause.cli.main` at cause bound 3 and contingency bound 2.  It prints
+and runs ``check`` at prefix bound 2 and period bound 2 (the bounds the
+corpus was drawn at), ``candidates``, and ``explain``, ``explain --all`` and
+``oracle`` at cause bound 3 and contingency bound 2, all through
+`hypercause.cli.main`.  It prints
 one JSON line per instance and operation: the seed, the operation, the exit
 code, stderr, and the report with its ``stats`` removed (they count work,
 which a refactor may change).  A refactor that keeps the outputs gives
@@ -16,7 +18,7 @@ byte-identical output:
 
 ``PYTHONHASHSEED=0`` fixes set iteration order, which can change the
 search's order of work.  The script is not a pytest module; it takes
-about half a minute on a 2-vCPU host.
+about a minute on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from hypercause.machine import traces_to_json  # noqa: E402
 SUITE_SIZE = 500
 BOUNDS = ["--max-cause-size", "3", "--max-contingency-size", "2"]
 OPERATIONS = {
+    "check": ["check", "--prefix-bound", "2", "--period-bound", "2"],
+    "candidates": ["candidates"],
     "explain": ["explain", *BOUNDS],
     "explain --all": ["explain", "--all", *BOUNDS],
     "oracle": ["oracle", *BOUNDS],
@@ -66,7 +70,9 @@ def main() -> None:
             Path(files["counterexample"]).write_text(json.dumps(traces_to_json(cex.traces)))
             paths = [f"--{name}={path}" for name, path in files.items()]
             for op, argv in OPERATIONS.items():
-                code, out, err = _run([argv[0], *paths, *argv[1:]])
+                # check searches for its own counterexample
+                used = paths[:2] if op == "check" else paths
+                code, out, err = _run([argv[0], *used, *argv[1:]])
                 report = json.loads(out) if out else None
                 if report is not None:
                     report.pop("stats", None)

@@ -152,12 +152,16 @@ def test_oracle_matches_explain_all(capsys):
 
 
 def test_dump_aa(capsys):
-    code, out, _ = run_cli(
-        capsys, "explain", "--system", SYSTEM, "--formula", FORMULA,
-        "--counterexample", TRACES, "--dump-aa",
-    )
+    argv = ["explain", "--system", SYSTEM, "--formula", FORMULA, "--counterexample", TRACES]
+    code, out, err = run_cli(capsys, *argv, "--dump-aa")
     assert code == 0
-    assert "node[" in out and "@0" in out
+    assert "node[" in err and "@0" in err
+    plain_code, plain_out, _ = run_cli(capsys, *argv)
+    assert plain_code == code
+    report, plain = json.loads(out), json.loads(plain_out)
+    report.pop("stats")
+    plain.pop("stats")
+    assert report == plain
 
 
 def test_usage_error_on_missing_file(capsys):
