@@ -163,43 +163,23 @@ def _sccs(aut: AutExpr) -> list[list[AutExpr]]:
     on_stack: set[int] = set()
     stack: list[AutExpr] = []
     out: list[list[AutExpr]] = []
-    counter = [0]
 
     def visit(v: AutExpr):
-        work = [(v, iter(_successors(v)))]
-        index[id(v)] = low[id(v)] = counter[0]
-        counter[0] += 1
+        index[id(v)] = low[id(v)] = len(index)
         stack.append(v)
         on_stack.add(id(v))
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if id(w) not in index:
-                    index[id(w)] = low[id(w)] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(id(w))
-                    work.append((w, iter(_successors(w))))
-                    advanced = True
-                    break
-                if id(w) in on_stack:
-                    low[id(node)] = min(low[id(node)], index[id(w)])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[id(parent)] = min(low[id(parent)], low[id(node)])
-            if low[id(node)] == index[id(node)]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(id(w))
-                    comp.append(w)
-                    if w is node:
-                        break
-                out.append(comp)
+        for w in _successors(v):
+            if id(w) not in index:
+                visit(w)
+                low[id(v)] = min(low[id(v)], low[id(w)])
+            elif id(w) in on_stack:
+                low[id(v)] = min(low[id(v)], index[id(w)])
+        if low[id(v)] == index[id(v)]:
+            comp = [stack.pop()]
+            while comp[-1] is not v:
+                comp.append(stack.pop())
+            on_stack.difference_update(map(id, comp))
+            out.append(comp)
 
     visit(aut)
     return out
@@ -214,9 +194,7 @@ def _values(aut: AutExpr, trace: Lasso) -> dict[tuple[int, int], bool]:
     rejecting ones start false (least fixpoint).
     """
     n = len(trace)
-    loop_start = trace.loop_start
-    succ = [i + 1 for i in range(n)]
-    succ[n - 1] = loop_start
+    succ = trace.successors()
     letters = [trace.at(i) for i in range(n)]
     value: dict[tuple[int, int], bool] = {}
 
@@ -296,10 +274,7 @@ class RunTree:
 def accepts_lasso(aut: AutExpr, trace: Lasso) -> tuple[bool, RunTree | None]:
     """Büchi acceptance on the lasso, with a canonical accepting run tree."""
     value = _values(aut, trace)
-    n = len(trace)
-    loop_start = trace.loop_start
-    succ = [i + 1 for i in range(n)]
-    succ[n - 1] = loop_start
+    succ = trace.successors()
     if not _value_of(aut, 0, value):
         return False, None
 
@@ -354,21 +329,20 @@ def _value_of(e: AutExpr, p: int, value) -> bool:
 def replay(tree: RunTree, aut: AutExpr, trace: Lasso) -> bool:
     """Re-derive acceptance by walking the stored branch choices.
 
-    Checks that every literal read holds on the trace, that step targets
-    advance positions correctly, and that every back-edge closes a cycle
-    through this branch that contains an accepting node (the Büchi
-    condition on the finite unrolling).
+    Checks that the tree starts at `aut` itself at position 0, that each
+    node's children are the successors of its element (a step's target at
+    the next position, both conjuncts, or one disjunct) at the positions a
+    run reads them, that every literal read holds on the trace, and that
+    every back-edge closes a cycle through this branch that contains an
+    accepting node (the Büchi condition on the finite unrolling).
     """
-    n = len(trace)
-    loop_start = trace.loop_start
-    succ = [i + 1 for i in range(n)]
-    succ[n - 1] = loop_start
+    if tree.root.element_id != id(aut) or tree.root.position != 0:
+        return False
+    succ = trace.successors()
     by_id = {id(e): e for e in elements(aut)}
 
     def walk(node: RunNode, path: tuple) -> bool:
-        e = by_id.get(node.element_id)
-        if e is None:  # not an element of this automaton
-            return False
+        e = by_id[node.element_id]  # the root is `aut`, and children are checked below
         key = (node.element_id, node.position)
         if node.kind == "loop":
             for idx, (k, elem) in enumerate(path):
@@ -377,23 +351,20 @@ def replay(tree: RunTree, aut: AutExpr, trace: Lasso) -> bool:
                     return any(isinstance(x, AutNode) and x.accepting for x in closed)
             return False
         path = path + ((key, e),)
-        if isinstance(e, AutEmpty):
-            return True
+        p = node.position
+        # the (element id, position) lists that may follow `e` in a run
         if isinstance(e, AutNode):
-            if not _holds(e.state_formula, trace.at(node.position)):
+            if not _holds(e.state_formula, trace.at(p)):
                 return False
-            if e.next is EMPTY:
-                return not node.children
-            return (
-                len(node.children) == 1
-                and node.children[0].position == succ[node.position]
-                and walk(node.children[0], path)
-            )
-        if isinstance(e, AutConj):
-            return len(node.children) == 2 and all(walk(c, path) for c in node.children)
-        if isinstance(e, AutDisj):
-            return len(node.children) == 1 and walk(node.children[0], path)
-        return False
+            allowed = [[]] if e.next is EMPTY else [[(id(e.next), succ[p])]]
+        elif isinstance(e, AutConj):
+            allowed = [[(id(e.left), p), (id(e.right), p)]]
+        elif isinstance(e, AutDisj):
+            allowed = [[(id(e.left), p)], [(id(e.right), p)]]
+        else:
+            allowed = [[]]
+        children = [(c.element_id, c.position) for c in node.children]
+        return children in allowed and all(walk(c, path) for c in node.children)
 
     return walk(tree.root, ())
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import formulas as F
 from .errors import ValidationError
@@ -38,11 +38,6 @@ from .semantics import eval_hyper
 
 def contingency_flag(output: str) -> str:
     return f"{output}^C"
-
-
-def _override(label: frozenset[str], controlled: Iterable[str], values: frozenset[str]):
-    controlled = frozenset(controlled)
-    return (label - controlled) | (values & controlled)
 
 
 #: controllable_outputs result per machine; machines are not changed after
@@ -70,9 +65,9 @@ def controllable_outputs(machine: MooreMachine) -> tuple[tuple[str, ...], tuple[
 
 def _largest_controllable(machine: MooreMachine) -> tuple[tuple[str, ...], tuple[str, ...]]:
     outputs = sorted(machine.outputs)
-    by_label = _states_by_label(machine)
 
     def valid(candidate: tuple[str, ...]) -> bool:
+        flagged = frozenset(candidate)
         overrides = [frozenset(c) for k in range(len(candidate) + 1)
                      for c in itertools.combinations(candidate, k)]
         seen = set(machine.reachable_states())
@@ -81,20 +76,13 @@ def _largest_controllable(machine: MooreMachine) -> tuple[tuple[str, ...], tuple
             s = frontier.pop()
             for a in machine.input_sets:
                 succ = machine.delta[(s, a)]
-                label = machine.label(succ)
-                targets = [succ]
-                for chosen in overrides:
-                    forced = _override(label, candidate, chosen)
-                    if forced == label:
-                        continue
-                    named = by_label.get(forced, ())
-                    if len(named) != 1:
-                        return False
-                    targets.append(named[0])
-                for t in targets:
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
+                try:
+                    targets = {_forced_state(machine, succ, flagged, o) for o in overrides}
+                except ValidationError:
+                    return False
+                for t in targets - seen:
+                    seen.add(t)
+                    frontier.append(t)
         return True
 
     maximal: list[tuple[str, ...]] = []
@@ -108,32 +96,21 @@ def _largest_controllable(machine: MooreMachine) -> tuple[tuple[str, ...], tuple
     return chosen, tuple(o for o in outputs if o not in chosen)
 
 
-def _states_by_label(machine: MooreMachine) -> dict[frozenset[str], list[str]]:
-    by_label: dict[frozenset[str], list[str]] = {}
-    for s in machine.states():
-        by_label.setdefault(machine.label(s), []).append(s)
-    return by_label
-
-
 def _forced_state(
-    machine: MooreMachine,
-    by_label: Mapping[frozenset[str], list[str]],
-    succ: str,
-    flagged: frozenset[str],
-    source_outputs: frozenset[str],
+    machine: MooreMachine, succ: str, flagged: frozenset[str], source_outputs: frozenset[str]
 ) -> str:
     """State entered when the outputs in `flagged` are forced to their source
     values on the way into `succ` (the unique state with the forced label)."""
-    label = machine.label(succ)
-    forced = _override(label, flagged, source_outputs)
+    label = machine.labels[succ]
+    forced = (label - flagged) | (source_outputs & flagged)
     if forced == label:
         return succ
-    candidates = by_label.get(forced, ())
-    if len(candidates) != 1:
+    state = machine.state_labelled(forced)
+    if state is None:
         raise ValidationError(
             f"no unique state labelled {sorted(forced)} for contingency override"
         )
-    return candidates[0]
+    return state
 
 
 def copy_states(
@@ -151,7 +128,6 @@ def copy_states(
     """
     outputs = frozenset(machine.outputs)
     controllable = frozenset(controllable)
-    by_label = _states_by_label(machine)
 
     @functools.cache
     def targets(state: str, source_outputs: frozenset[str]) -> frozenset[str]:
@@ -161,12 +137,10 @@ def copy_states(
             differing = sorted((machine.label(succ) ^ source_outputs) & controllable)
             for k in range(1, len(differing) + 1):
                 for flagged in itertools.combinations(differing, k):
-                    found.add(_forced_state(
-                        machine, by_label, succ, frozenset(flagged), source_outputs
-                    ))
+                    found.add(_forced_state(machine, succ, frozenset(flagged), source_outputs))
         return frozenset(found)
 
-    following = list(range(1, len(source))) + [source.loop_start]
+    following = source.successors()
     reach: list[set[str]] = [set() for _ in range(len(source))]
     reach[0].add(machine.initial)
     frontier = [(machine.initial, 0)]
@@ -196,7 +170,7 @@ class CounterfactualAutomaton:
         self.controllable = controllable
         self.excluded_outputs = excluded
         self._flags = {contingency_flag(o): o for o in controllable}
-        self._by_label = _states_by_label(machine)
+        self._successors = source.successors()
         self.initial = (machine.initial, 0)
 
     def input_alphabet(self) -> tuple[str, ...]:
@@ -205,14 +179,13 @@ class CounterfactualAutomaton:
     def step(self, state: tuple[str, int], input_set: Iterable[str]) -> tuple[str, int]:
         s, k = state
         input_set = frozenset(input_set)
-        k_next = self.loop_to if k == self.last_copy else k + 1
+        k_next = self._successors[k]
         base_succ = self.machine.successor(s, input_set)
         flagged = frozenset(self._flags[f] for f in input_set if f in self._flags)
         if not flagged:
             return (base_succ, k_next)
         source_outputs = self.source.at(k_next) & frozenset(self.machine.outputs)
-        forced = _forced_state(self.machine, self._by_label, base_succ, flagged, source_outputs)
-        return (forced, k_next)
+        return (_forced_state(self.machine, base_succ, flagged, source_outputs), k_next)
 
     def run(self, input_word: Lasso) -> Lasso:
         """Trace over the base alphabet, normalized at state+input recurrence."""
@@ -248,13 +221,10 @@ def intervention_word(
     source = automaton.source
     cause = tuple(cause)
     contingency = tuple(contingency)
-    n_pos = len(source)
-    loop_start = source.loop_start
-    word = [set(source.at(k) & frozenset(machine.inputs)) for k in range(n_pos)]
+    word = [set(source.at(k) & frozenset(machine.inputs)) for k in range(len(source))]
 
     for e in cause + contingency:
-        if not 0 <= e.position < n_pos:
-            raise ValidationError(f"event {e} position out of range (trace has {n_pos} positions)")
+        _check_position(source, e)
 
     for e in cause:
         if e.prop not in machine.inputs:
@@ -267,28 +237,32 @@ def intervention_word(
             word[e.position].add(e.prop)
 
     for e in contingency:
-        if e.prop not in machine.outputs:
-            raise ValidationError(f"contingency event {e} is not over an output")
-        if (e.prop in source.at(e.position)) != e.positive:
-            raise ValidationError(f"contingency event {e} is not satisfied by the trace")
-        if e.prop not in automaton.controllable:
-            raise ValidationError(
-                f"output {e.prop!r} is not contingency-controllable on this machine"
-            )
-        flag = contingency_flag(e.prop)
-        p = e.position
-        if p == 0 and loop_start > 0:
-            continue  # position 0 outputs are fixed by the initial state
-        if p < loop_start:
-            word[p - 1].add(flag)
-        else:
-            # the unique period step whose successor has p's loop offset
-            offset = (p - 1 - loop_start) % len(source.period)
-            word[loop_start + offset].add(flag)
-            if p == loop_start and loop_start > 0:
-                word[loop_start - 1].add(flag)
+        _check_reset(automaton, e)
+        for k, entered in enumerate(automaton._successors):
+            if entered == e.position:
+                word[k].add(contingency_flag(e.prop))
 
-    return Lasso(word[:loop_start], word[loop_start:])
+    return Lasso(word[:source.loop_start], word[source.loop_start:])
+
+
+def _check_position(source: Lasso, e: Event) -> None:
+    if not 0 <= e.position < len(source):
+        raise ValidationError(
+            f"event {e} position out of range (trace has {len(source)} positions)"
+        )
+
+
+def _check_reset(automaton: CounterfactualAutomaton, e: Event) -> None:
+    """Raise unless `e` is a contingency event that `automaton` can reset."""
+    _check_position(automaton.source, e)
+    if e.prop not in automaton.machine.outputs:
+        raise ValidationError(f"contingency event {e} is not over an output")
+    if (e.prop in automaton.source.at(e.position)) != e.positive:
+        raise ValidationError(f"contingency event {e} is not satisfied by the trace")
+    if e.prop not in automaton.controllable:
+        raise ValidationError(
+            f"output {e.prop!r} is not contingency-controllable on this machine"
+        )
 
 
 class InterventionTable:
@@ -308,8 +282,9 @@ class InterventionTable:
     A new footprint is normally run through `intervention_word`, which
     rejects an invalid event; since a footprint that raised is never
     stored, an invalid event raises on every call.  `runs` counts these
-    runs.  One is skipped when the footprint is a stored one plus a valid
-    reset of output `o` at position `p` to its source value `v`, and the
+    runs.  One is skipped when the footprint is a stored one plus a reset
+    of output `o` at position `p` to its source value `v` that passes
+    `_check_reset` (which raises otherwise), and the
     stored run shows `o` at `v` on every step whose copy is `p`: the stored
     run's id is reused.  That is sound because the forced state is chosen
     by the label of the state the run enters anyway (`_forced_state`), so
@@ -378,10 +353,8 @@ class InterventionTable:
             if known is None:
                 continue
             e = self._events[bit.bit_length() - 1]
+            _check_reset(aut, e)
             p = e.position
-            if not (0 <= p < len(source) and e.prop in aut.controllable
-                    and (e.prop in source.at(p)) == e.positive):
-                break  # invalid: let intervention_word raise
             run = known[1]
             steps = (p,) if p < source.loop_start else range(p, len(run), len(source.period))
             if all((e.prop in run.at(i)) == e.positive for i in steps):

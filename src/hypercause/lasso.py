@@ -46,6 +46,11 @@ class Lasso:
 
     __getitem__ = at
 
+    def successors(self) -> tuple[int, ...]:
+        """Position after each position of the finite representation: the
+        next one, and the loop start after the last."""
+        return (*range(1, len(self)), self.loop_start)
+
     def alphabet(self) -> frozenset[str]:
         out: set[str] = set()
         for s in self.prefix + self.period:

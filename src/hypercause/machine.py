@@ -125,6 +125,10 @@ class MooreMachine:
                 raise ValidationError(f"state {s!r} label {sorted(l)} not a subset of outputs")
         if initial not in self.labels:
             raise ValidationError(f"initial state {initial!r} is not a state")
+        # the state carrying each label, or None when several states carry it
+        self._by_label: dict[frozenset[str], str | None] = {}
+        for s, l in self.labels.items():
+            self._by_label[l] = None if l in self._by_label else s
         self.initial = initial
         self.delta = dict(delta)
         # every input set, in the order of the bits of a guard's truth table
@@ -215,6 +219,10 @@ class MooreMachine:
 
     def label(self, state: str) -> frozenset[str]:
         return self.labels[state]
+
+    def state_labelled(self, label: frozenset[str]) -> str | None:
+        """The only state labelled `label`; None when no state or several do."""
+        return self._by_label.get(label)
 
     def successor(self, state: str, input_set: Iterable[str]) -> str:
         key = (state, frozenset(input_set) & self._input_set)
@@ -318,15 +326,19 @@ class MooreMachine:
         }
 
 
-def load_machine(source) -> MooreMachine:
-    """Load a machine from a JSON file path, file object, or parsed dict."""
+def _read_json(source):
+    """The parsed JSON of a file path or file object; any other value as is."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        data = source
+            return json.load(fh)
+    if hasattr(source, "read"):
+        return json.load(source)
+    return source
+
+
+def load_machine(source) -> MooreMachine:
+    """Load a machine from a JSON file path, file object, or parsed dict."""
+    data = _read_json(source)
     if not isinstance(data, dict):
         raise ValidationError("machine file must contain a JSON object")
     if data.get("format", 1) != 1:
@@ -343,13 +355,7 @@ def load_machine(source) -> MooreMachine:
 
 def load_traces(source) -> dict[str, Lasso]:
     """Load named lassos from a JSON trace file."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        data = source
+    data = _read_json(source)
     if not isinstance(data, dict) or "traces" not in data:
         raise ValidationError("trace file must be a JSON object with a 'traces' field")
     if data.get("format", 1) != 1:

@@ -31,7 +31,7 @@ _TOKEN = re.compile(
       | (?P<not>!)
       | (?P<string>"[^"]*")
       | (?P<number>\d+)
-      | (?P<word>[A-Za-z_][A-Za-z_0-9']*)
+      | (?P<word>[A-Za-z_][A-Za-z_0-9'@]*)
     )""",
     re.VERBOSE,
 )
@@ -74,6 +74,11 @@ class _Tokens:
         self.i += 1
         return tok
 
+    def names_atom(self) -> bool:
+        """Whether the next token is a word directly followed by '[', which
+        names a proposition whatever the word (``X[p]``, ``true[p]``)."""
+        return self.peek().kind == "word" and self.items[self.i + 1].kind == "lbrack"
+
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind:
@@ -87,14 +92,15 @@ class _Tokens:
 _BINARY = {sym: (cls, prec, right) for cls, (sym, prec, right) in F.INFIX_BINARY.items()}
 _BINARY.update({"&&": _BINARY["&"], "||": _BINARY["|"]})
 _UNARY = {sym: cls for cls, sym in F.INFIX_UNARY.items()}
-# words that cannot name a trace variable (the symbols are never word tokens)
+# words that cannot name a trace variable (the symbols are never word
+# tokens); nor can a word with '@', which zipped keys ``prop@var`` split at
 _RESERVED = {"forall", "exists", "true", "false", *_BINARY, *_UNARY}
 
 
 def _parse_infix(text: str) -> F.HyperFormula:
     toks = _Tokens(text)
     variables: list[str] = []
-    while toks.peek().kind == "word" and toks.peek().text in ("forall", "exists"):
+    while toks.peek().text in ("forall", "exists") and not toks.names_atom():
         head = toks.next()
         if head.text == "exists":
             raise UnsupportedFragmentError(
@@ -102,7 +108,8 @@ def _parse_infix(text: str) -> F.HyperFormula:
             )
         group = []
         while (toks.peek().kind == "number"
-               or (toks.peek().kind == "word" and toks.peek().text not in _RESERVED)):
+               or (toks.peek().kind == "word" and toks.peek().text not in _RESERVED
+                   and "@" not in toks.peek().text)):
             group.append(toks.next().text)
         if not group:
             raise ParseError("expected at least one trace variable after 'forall'", toks.peek().pos)
@@ -127,7 +134,7 @@ def _infix_binary(toks: _Tokens, min_prec: int = 0) -> F.Formula:
 
 def _infix_unary(toks: _Tokens) -> F.Formula:
     tok = toks.peek()
-    if tok.text in _UNARY:
+    if tok.text in _UNARY and not toks.names_atom():
         toks.next()
         return _UNARY[tok.text](_infix_unary(toks))
     return _infix_primary(toks)
@@ -141,13 +148,10 @@ def _infix_primary(toks: _Tokens) -> F.Formula:
         toks.expect("rpar", "')'")
         return inner
     if tok.kind == "word":
-        if tok.text == "true":
+        if tok.text in ("true", "false") and not toks.names_atom():
             toks.next()
-            return F.TRUE
-        if tok.text == "false":
-            toks.next()
-            return F.FALSE
-        if tok.text in ("forall", "exists"):
+            return F.TRUE if tok.text == "true" else F.FALSE
+        if tok.text in ("forall", "exists") and not toks.names_atom():
             raise ParseError("quantifiers are only allowed as the formula prefix", tok.pos)
         name = toks.next().text
         toks.expect("lbrack", "'[' after proposition name")

@@ -6,7 +6,9 @@ uses), the script writes the machine, formula and counterexample to files
 and runs ``check`` at prefix bound 2 and period bound 2 (the bounds the
 corpus was drawn at), ``candidates``, and ``explain``, ``explain --all`` and
 ``oracle`` at cause bound 3 and contingency bound 2, all through
-`hypercause.cli.main`.  It prints
+`hypercause.cli.main`.  ``explain`` runs with ``--dump-aa``, so the
+alternating automaton of the negated body and its accepting run tree are in
+its stderr.  It prints
 one JSON line per instance and operation: the seed, the operation, the exit
 code, stderr, and the report with its ``stats`` removed (they count work,
 which a refactor may change).  A refactor that keeps the outputs gives
@@ -41,7 +43,7 @@ BOUNDS = ["--max-cause-size", "3", "--max-contingency-size", "2"]
 OPERATIONS = {
     "check": ["check", "--prefix-bound", "2", "--period-bound", "2"],
     "candidates": ["candidates"],
-    "explain": ["explain", *BOUNDS],
+    "explain": ["explain", "--dump-aa", *BOUNDS],
     "explain --all": ["explain", "--all", *BOUNDS],
     "oracle": ["oracle", *BOUNDS],
 }

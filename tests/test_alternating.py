@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercause import formulas as F
 from hypercause.alternating import (
@@ -10,6 +12,8 @@ from hypercause.alternating import (
     AutNode,
     RunNode,
     RunTree,
+    _sccs,
+    _successors,
     accepts_lasso,
     annotated_events,
     dump_automaton,
@@ -179,6 +183,24 @@ def test_replay_rejects_node_outside_the_automaton():
     assert not accepts_lasso(aut, word)[0]
     forged = RunTree(RunNode("step", 12345, 0, "bogus"), ())
     assert not replay(forged, aut, word)
+    # elements of the automaton, but not its root at position 0
+    assert not replay(RunTree(RunNode("step", id(EMPTY), 0, "eps"), ()), aut, word)
+    aut = ltl_to_alternating(F.And(A, B))
+    word = L([["a"]], [[]])
+    assert not accepts_lasso(aut, word)[0]
+    assert not replay(RunTree(RunNode("literal", id(aut.left), 0, "a"), ()), aut, word)
+    aut = ltl_to_alternating(A)
+    word = L([[]], [["a"]])
+    assert not accepts_lasso(aut, word)[0]
+    assert not replay(RunTree(RunNode("literal", id(aut), 1, "a"), ()), aut, word)
+    # children that are not the conjuncts, or not at the conjunction's position
+    aut = ltl_to_alternating(F.And(A, B))
+    word = L([["a"], ["b"]], [[]])
+    assert not accepts_lasso(aut, word)[0]
+    a_leaf = RunNode("literal", id(aut.left), 0, "a")
+    b_late = RunNode("literal", id(aut.right), 1, "b")
+    for children in ((a_leaf, a_leaf), (a_leaf, b_late)):
+        assert not replay(RunTree(RunNode("conj", id(aut), 0, "and", children), ()), aut, word)
 
 
 def test_determinism():
@@ -198,3 +220,53 @@ def test_dump_formats():
     ok, tree = accepts_lasso(aut, L([], [["a"]]))
     assert ok
     assert "@0" in tree.dump()
+
+
+def _ref_sccs(aut):
+    """The former iterative Tarjan with an explicit work stack, kept as the
+    reference for the recursive one."""
+    index, low, on_stack, stack, out, counter = {}, {}, set(), [], [], [0]
+    work = [(aut, iter(_successors(aut)))]
+    index[id(aut)] = low[id(aut)] = counter[0]
+    counter[0] += 1
+    stack.append(aut)
+    on_stack.add(id(aut))
+    while work:
+        node, it = work[-1]
+        advanced = False
+        for w in it:
+            if id(w) not in index:
+                index[id(w)] = low[id(w)] = counter[0]
+                counter[0] += 1
+                stack.append(w)
+                on_stack.add(id(w))
+                work.append((w, iter(_successors(w))))
+                advanced = True
+                break
+            if id(w) in on_stack:
+                low[id(node)] = min(low[id(node)], index[id(w)])
+        if advanced:
+            continue
+        work.pop()
+        if work:
+            parent = work[-1][0]
+            low[id(parent)] = min(low[id(parent)], low[id(node)])
+        if low[id(node)] == index[id(node)]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(id(w))
+                comp.append(w)
+                if w is node:
+                    break
+            out.append(comp)
+    return out
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False), st.integers(0, 6))
+def test_components_agree_with_reference(rng, depth):
+    aut = ltl_to_alternating(F.nnf(random_ltl(rng, ["a", "b", "c"], depth)))
+    components = [frozenset(map(id, c)) for c in _sccs(aut)]
+    assert components == [frozenset(map(id, c)) for c in _ref_sccs(aut)]
+    assert frozenset().union(*components) == {id(e) for e in elements(aut)} - {id(EMPTY)}

@@ -407,3 +407,155 @@ def test_empty_intervention_is_identity_on_random_draws(seed):
         assert aut.run(intervention_word(aut, [], [])) == cex[name]
     assert table.intervened([], []) == cex
     assert intervene(machine, cex, [], []) == cex
+
+
+# The functions below are the former implementations, kept as references:
+# flag placement by cases on the position, and the override lookup through
+# a label index rebuilt per call.
+
+
+def _ref_intervention_word(automaton, cause, contingency):
+    machine = automaton.machine
+    source = automaton.source
+    cause = tuple(cause)
+    contingency = tuple(contingency)
+    n_pos = len(source)
+    loop_start = source.loop_start
+    word = [set(source.at(k) & frozenset(machine.inputs)) for k in range(n_pos)]
+    for e in cause + contingency:
+        if not 0 <= e.position < n_pos:
+            raise ValidationError(f"event {e} position out of range (trace has {n_pos} positions)")
+    for e in cause:
+        if e.prop not in machine.inputs:
+            raise ValidationError(f"cause event {e} is not over an input")
+        if (e.prop in source.at(e.position)) != e.positive:
+            raise ValidationError(f"cause event {e} is not satisfied by the trace")
+        if e.positive:
+            word[e.position].discard(e.prop)
+        else:
+            word[e.position].add(e.prop)
+    for e in contingency:
+        if e.prop not in machine.outputs:
+            raise ValidationError(f"contingency event {e} is not over an output")
+        if (e.prop in source.at(e.position)) != e.positive:
+            raise ValidationError(f"contingency event {e} is not satisfied by the trace")
+        if e.prop not in automaton.controllable:
+            raise ValidationError(
+                f"output {e.prop!r} is not contingency-controllable on this machine"
+            )
+        flag = f"{e.prop}^C"
+        p = e.position
+        if p == 0 and loop_start > 0:
+            continue
+        if p < loop_start:
+            word[p - 1].add(flag)
+        else:
+            offset = (p - 1 - loop_start) % len(source.period)
+            word[loop_start + offset].add(flag)
+            if p == loop_start and loop_start > 0:
+                word[loop_start - 1].add(flag)
+    return Lasso(word[:loop_start], word[loop_start:])
+
+
+def _ref_override(label, controlled, values):
+    controlled = frozenset(controlled)
+    return (label - controlled) | (values & controlled)
+
+
+def _ref_states_by_label(machine):
+    by_label = {}
+    for s in machine.states():
+        by_label.setdefault(machine.label(s), []).append(s)
+    return by_label
+
+
+def _ref_largest_controllable(machine):
+    outputs = sorted(machine.outputs)
+    by_label = _ref_states_by_label(machine)
+
+    def valid(candidate):
+        overrides = [frozenset(c) for k in range(len(candidate) + 1)
+                     for c in itertools.combinations(candidate, k)]
+        seen = set(machine.reachable_states())
+        frontier = list(seen)
+        while frontier:
+            s = frontier.pop()
+            for a in machine.input_sets:
+                succ = machine.delta[(s, a)]
+                label = machine.label(succ)
+                targets = [succ]
+                for chosen in overrides:
+                    forced = _ref_override(label, candidate, chosen)
+                    if forced == label:
+                        continue
+                    named = by_label.get(forced, ())
+                    if len(named) != 1:
+                        return False
+                    targets.append(named[0])
+                for t in targets:
+                    if t not in seen:
+                        seen.add(t)
+                        frontier.append(t)
+        return True
+
+    maximal = []
+    for size in range(len(outputs), -1, -1):
+        for combo in itertools.combinations(outputs, size):
+            if any(set(combo) <= set(m) for m in maximal):
+                continue
+            if valid(combo):
+                maximal.append(combo)
+    chosen = min(maximal) if maximal else ()
+    return chosen, tuple(o for o in outputs if o not in chosen)
+
+
+def _machine_case(seed: int):
+    """A random machine (labels shared by several states in about half the
+    draws) and the run of a random input word on it."""
+    from genrand import random_lasso, random_machine as random_labelled_machine
+
+    rng = random.Random(seed)
+    machine = random_labelled_machine(
+        rng, rng.randint(1, 2), rng.randint(1, 3), unique_labels=rng.random() < 0.5
+    )
+    return rng, machine, machine.run(random_lasso(rng, machine.inputs))
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_controllable_outputs_agree_with_reference(seed):
+    _, machine, _ = _machine_case(seed)
+    assert controllable_outputs(machine) == _ref_largest_controllable(machine)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_intervention_word_agrees_with_reference(seed):
+    from test_machine import _outcome
+
+    rng, machine, trace = _machine_case(seed)
+    # the same period entered from the loop state: a trace with loop start 0
+    loop_state = machine.state_sequence(trace)[trace.loop_start]
+    from_loop = MooreMachine(machine.inputs, machine.outputs, machine.labels, loop_state,
+                             machine.delta)
+    for m, t in ((machine, trace), (from_loop, Lasso([], trace.period))):
+        aut = CounterfactualAutomaton(m, t)
+        props = m.inputs + m.outputs
+        # every single event, at every position and one past the end, with
+        # the trace's polarity and against it
+        singles = [Event("t", p, prop, positive)
+                   for p in range(len(t) + 1) for prop in props for positive in (True, False)]
+        for e in singles:
+            for cause, reset in (([e], []), ([], [e])):
+                assert _outcome(intervention_word, aut, cause, reset) == _outcome(
+                    _ref_intervention_word, aut, cause, reset
+                ), (e, cause)
+        valid = [e for e in singles
+                 if e.position < len(t) and (e.prop in t.at(e.position)) == e.positive]
+        for _ in range(10):
+            events = rng.sample(valid, rng.randint(0, min(4, len(valid))))
+            cause = [e for e in events if e.prop in m.inputs]
+            reset = [e for e in events if e.prop in m.outputs]
+            assert _outcome(intervention_word, aut, cause, reset) == _outcome(
+                _ref_intervention_word, aut, cause, reset
+            )

@@ -620,7 +620,6 @@ INFIX_EDGE_INPUTS = [
     "forall p. (a[p]",
     "forall p. a[p] b[p]",
     "forall p. a[p] & & b[p]",
-    "forall p. X[p]",
     "forall U. a[U]",
     "forall p. a[p] & forall q. b[q]",
     "forall p. a",
@@ -666,3 +665,23 @@ def test_edge_inputs_agree_with_reference():
                               (SEXPR_EDGE_INPUTS, _ref_parse_sexpr)):
         for text in inputs:
             assert _parse_outcome(parse_hyperltl, text) == _parse_outcome(reference, text), text
+
+
+def test_word_before_bracket_names_a_proposition():
+    # the reference reads X as an operator here and fails at '['
+    assert parse_hyperltl("forall p. X[p]") == F.HyperFormula(("p",), F.Atom("X", "p"))
+    with pytest.raises(ParseError, match="expected at least one trace variable"):
+        parse_hyperltl("forall a@b. x[a@b]")
+
+
+# every name a machine may give an output, operators and keywords included
+KEYWORD_NAMES = ["F", "G", "X", "U", "R", "true", "false", "forall", "exists", "a@b", "a'"]
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False), st.integers(0, 6))
+def test_printed_formula_parses_back_whatever_the_names(rng, depth):
+    body = _index_atoms(random_ltl(rng, KEYWORD_NAMES, depth), lambda: rng.choice("01"))
+    h = F.HyperFormula(("0", "1"), body)
+    assert parse_hyperltl(str(h)) == h
+    assert parse_hyperltl(sexpr_hyper(h)) == h

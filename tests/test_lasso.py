@@ -55,6 +55,13 @@ def test_str_roundtrippable_shape():
     assert str(t) == "{} {lo} ({ho,lo})^w"
 
 
+def test_successors_step_forward_and_loop_back():
+    assert L([[], ["a"]], [["b"], []]).successors() == (1, 2, 3, 2)
+    assert L([["a"]], [[]]).successors() == (1, 1)
+    assert L([], [["a"]]).successors() == (0,)
+    assert L([], [["a"], []]).successors() == (1, 0)
+
+
 def test_lcm():
     assert lcm(2, 3) == 6
     assert lcm(4, 6) == 12
