@@ -15,13 +15,15 @@ property, else the first set of resettable output events on the flipped
 traces, again by size and then event order.  `actual_cause` stops at the
 first cause, `all_minimal_causes` takes every cause; both report
 `bounded-out` when the cause bound cut the search before it could decide.
-All tests of one search share a `counterfactual.InterventionTable`.  The
-contingency search works on the table's bit footprints: a cause's bits are
-computed once, the resettable events' bits once per set of flipped traces,
-and each contingency is the sum of a combination of those bits, so only a
-witness is turned back into events.  A report's `stats` give the subsets
-decided, the worlds evaluated, the counterfactual runs made, and what
-decided the status (`decided_by`).
+All tests of one search share a `counterfactual.InterventionTable`, the
+instance's search context: the candidate analysis reads its automata, and
+it holds the contingency bound.  The contingency search works on the
+table's bit footprints: a cause's bits are computed once, the resettable
+events' bits once per set of flipped traces, and each contingency is the
+sum of a combination of those bits, so only a witness is turned back into
+events.  A report's `stats` give the subsets decided, the worlds
+evaluated, the counterfactual runs made, and what decided the status
+(`decided_by`).
 
 `no-actual-cause` is decided in one of two ways.  When the candidate
 analysis's pre-check finds that no flip and no reset can satisfy the body
@@ -41,9 +43,9 @@ from typing import Iterable, Iterator, Sequence
 
 from . import formulas as F
 from .counterfactual import InterventionTable
-from .events import Counterexample, Event, events_of_trace, satisfies_events, sort_events
+from .events import Counterexample, Event, satisfies_events, sort_events
 from .machine import MooreMachine
-from .satcore import CandidateSet, candidate_cause
+from .satcore import CandidateSet, candidate_set
 
 
 @dataclass(frozen=True)
@@ -61,55 +63,22 @@ class CauseReport:
     stats: dict = field(default_factory=dict, compare=False)
 
 
-class CauseSearch:
-    """Shared state for one (machine, formula, counterexample) instance."""
-
-    def __init__(
-        self,
-        machine: MooreMachine,
-        formula: F.HyperFormula,
-        cex: Counterexample,
-        max_contingency_size: int | None = None,
-    ):
-        self.machine = machine
-        self.formula = formula
-        self.cex = cex
-        self.max_contingency_size = max_contingency_size
-        self.table = InterventionTable(machine, formula, cex)
-        self.automata = self.table.automata
-        self.satisfies_after = self.table.satisfies_after
-        self.subsets_checked = 0
-        self._resettable: dict[tuple[str, ...], tuple[tuple[Event, ...], tuple[int, ...]]] = {}
-
-    def resettable(self, traces: tuple[str, ...]) -> tuple[tuple[Event, ...], tuple[int, ...]]:
-        """Satisfied output events on `traces` the counterfactual automata
-        can enact, in event order, and each event's bit in the table."""
-        if traces not in self._resettable:
-            events = sort_events(
-                e for name in traces
-                for e in events_of_trace(name, self.cex[name], self.automata[name].controllable)
-            )
-            self._resettable[traces] = (events, tuple(self.table.bits([e]) for e in events))
-        return self._resettable[traces]
-
-
-def least_contingency(search: CauseSearch, cause: tuple[Event, ...]) -> tuple[Event, ...] | None:
+def least_contingency(
+    table: InterventionTable, cause: tuple[Event, ...]
+) -> tuple[Event, ...] | None:
     """Order-least valid contingency for a cause that passes the check.
 
     Canonical across implementations: ascending by size, then by event
     order, over all resettable output events on the flipped traces, up to
-    `search.max_contingency_size` events.  The sets are tried as bit
+    `table.max_contingency_size` events.  The sets are tried as bit
     footprints (`InterventionTable.holds`); only the witness is turned back
     into events.
     """
-    table = search.table
     cause_bits = table.bits(cause)
     if table.holds(cause_bits, 0):
         return ()
-    universe, bits = search.resettable(tuple(sorted({e.trace for e in cause})))
-    limit = len(bits)
-    if search.max_contingency_size is not None:
-        limit = min(limit, search.max_contingency_size)
+    universe, bits = table.resettable(tuple(sorted({e.trace for e in cause})))
+    limit = len(bits) if table.max_contingency_size is None else table.max_contingency_size
     for size in range(1, limit + 1):
         for combo in itertools.combinations(bits, size):
             reset = sum(combo)
@@ -119,26 +88,24 @@ def least_contingency(search: CauseSearch, cause: tuple[Event, ...]) -> tuple[Ev
 
 
 def _minimal_causes(
-    search: CauseSearch, events: Sequence[Event], limit: int
-) -> Iterator[tuple[tuple[Event, ...], tuple[Event, ...]]]:
-    """(cause, witness) for each minimal cause within `events` of at most
-    `limit` events, in (size, event order).
+    table: InterventionTable, events: Sequence[Event], limit: int
+) -> Iterator[tuple[tuple[Event, ...], tuple[Event, ...] | None]]:
+    """(subset, witness) for each subset of `events` of at most `limit`
+    events that the search decides, in (size, event order).
 
-    Subsets that contain a cause already yielded are skipped; every other
-    subset is decided by `least_contingency` and counted in
-    `search.subsets_checked`.
+    Subsets that contain a cause already found are skipped; every other
+    subset is decided by `least_contingency`, whose witness is None when
+    the subset is no cause.
     """
     found: list[tuple[Event, ...]] = []
     for size in range(1, limit + 1):
         for combo in itertools.combinations(events, size):
             if any(set(c) <= set(combo) for c in found):
                 continue
-            search.subsets_checked += 1
-            contingency = least_contingency(search, combo)
+            contingency = least_contingency(table, combo)
             if contingency is not None:
-                cause = sort_events(combo)
-                found.append(cause)
-                yield cause, contingency
+                found.append(combo)
+            yield combo, contingency
 
 
 def actual_cause(
@@ -165,7 +132,8 @@ def all_minimal_causes(
     """Every subset-minimal actual cause within the candidate set, up to
     `bound` events.
 
-    Without a `candidate` the search computes one with `candidate_cause`.
+    Without a `candidate` the search computes one from its own table's
+    automata (`satcore.candidate_set`, as `candidate_cause` does).
     The status is `bounded-out` when a cause above the bound may exist.
     """
     return _search(machine, formula, cex, candidate, bound, max_contingency_size, False)
@@ -183,17 +151,22 @@ def _search(
     """The one cause search; `first` stops it at its first cause."""
     started = time.monotonic()
     # the table validates the traces first, so that its errors name the trace
-    search = CauseSearch(machine, formula, cex, max_contingency_size)
+    table = InterventionTable(machine, formula, cex, max_contingency_size)
     if candidate is None:
-        candidate = candidate_cause(machine, formula, cex)
+        candidate = candidate_set(formula, table.automata)
     events = candidate.events
     limit = len(events) if bound is None else min(bound, len(events))
     found = []
+    subsets_checked = 0
     if not candidate.feasible:
         status = "no-actual-cause"
     else:
-        causes = _minimal_causes(search, events, limit)
-        found = list(itertools.islice(causes, 1) if first else causes)
+        for combo, contingency in _minimal_causes(table, events, limit):
+            subsets_checked += 1
+            if contingency is not None:
+                found.append((sort_events(combo), contingency))
+                if first:
+                    break
         if first and found:
             status = "found"
         elif not _covers_all_larger_subsets(events, [c for c, _ in found], limit):
@@ -201,14 +174,14 @@ def _search(
         else:
             status = "found" if found else "no-actual-cause"
     entries = tuple(
-        CauseEntry(c, w, verify_actual_cause(machine, formula, cex, c, search=search))
+        CauseEntry(c, w, verify_actual_cause(machine, formula, cex, c, table=table))
         for c, w in found
     )
     stats = {
-        "subsets_checked": search.subsets_checked,
+        "subsets_checked": subsets_checked,
         "time_ms": round((time.monotonic() - started) * 1000, 3),
-        "evaluations": search.table.evaluations,
-        "runs": search.table.runs,
+        "evaluations": table.evaluations,
+        "runs": table.runs,
         "decided_by": "search" if candidate.feasible else "precheck",
     }
     return CauseReport(candidate, entries, status, stats)
@@ -238,7 +211,7 @@ def verify_actual_cause(
     formula: F.HyperFormula,
     cex: Counterexample,
     cause: Iterable[Event],
-    search: CauseSearch | None = None,
+    table: InterventionTable | None = None,
 ) -> bool:
     """First-principles check of the three cause conditions.
 
@@ -247,17 +220,17 @@ def verify_actual_cause(
     satisfy the property, and minimality that no proper subset meet that
     condition.  Together they hold exactly when the cause itself passes the
     contingency search and none of its non-empty proper subsets does, so
-    each of those sets is decided once.  A given `search` brings its own
+    each of those sets is decided once.  A given `table` brings its own
     contingency bound.
     """
     cause = sort_events(cause)
     if not cause or not satisfies_events(cex, cause):
         return False
-    search = search or CauseSearch(machine, formula, cex)
-    if least_contingency(search, cause) is None:
+    table = table or InterventionTable(machine, formula, cex)
+    if least_contingency(table, cause) is None:
         return False
     return all(
-        least_contingency(search, proper) is None
+        least_contingency(table, proper) is None
         for size in range(1, len(cause))
         for proper in itertools.combinations(cause, size)
     )
@@ -275,5 +248,4 @@ def check_contingency_valid(
     contingency = sort_events(contingency)
     if not satisfies_events(cex, cause) or not satisfies_events(cex, contingency):
         return False
-    search = CauseSearch(machine, formula, cex)
-    return search.satisfies_after(cause, contingency)
+    return InterventionTable(machine, formula, cex).satisfies_after(cause, contingency)

@@ -28,7 +28,7 @@ from .alternating import accepts_lasso, dump_automaton, ltl_to_alternating
 from .errors import SizeGuardError, ValidationError
 from .events import Counterexample
 from .formulas import HyperFormula, negate_to_nnf
-from .machine import load_machine, load_traces, traces_to_json
+from .machine import MooreMachine, load_machine, load_traces, traces_to_json
 from .parser import parse_hyperltl
 from .semantics import falsifies, zip_hyper
 
@@ -131,11 +131,6 @@ def _load_counterexample(path: str, machine) -> Counterexample:
     return cex
 
 
-def _require_violation(formula, cex) -> None:
-    if not falsifies(cex, formula):
-        raise _NothingToExplain()
-
-
 class _NothingToExplain(Exception):
     pass
 
@@ -167,23 +162,23 @@ def cmd_check(args) -> int:
     return EXIT_RESULT
 
 
-def _obtain_counterexample(args, machine, formula) -> Counterexample:
+def _load_instance(args) -> tuple[MooreMachine, HyperFormula, Counterexample]:
+    """Machine, formula, and the given counterexample or the checker's, which
+    must violate the formula."""
+    machine = load_machine(args.system)
+    formula = _load_formula(args.formula)
     if args.counterexample:
         cex = _load_counterexample(args.counterexample, machine)
-        _require_violation(formula, cex)
-        return cex
-    found = checker.find_counterexample(
-        machine, formula, args.prefix_bound, args.period_bound
-    )
+        found = cex if falsifies(cex, formula) else None
+    else:
+        found = checker.find_counterexample(machine, formula, args.prefix_bound, args.period_bound)
     if found is None:
         raise _NothingToExplain()
-    return found
+    return machine, formula, found
 
 
 def cmd_explain(args) -> int:
-    machine = load_machine(args.system)
-    formula = _load_formula(args.formula)
-    cex = _obtain_counterexample(args, machine, formula)
+    machine, formula, cex = _load_instance(args)
     if args.dump_aa:
         body, zipped = zip_hyper(formula, cex)
         automaton = ltl_to_alternating(negate_to_nnf(body))
@@ -207,10 +202,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    machine = load_machine(args.system)
-    formula = _load_formula(args.formula)
-    cex = _load_counterexample(args.counterexample, machine)
-    _require_violation(formula, cex)
+    machine, formula, cex = _load_instance(args)
     candidate = satcore.candidate_cause(machine, formula, cex)
 
     def text() -> str:
@@ -222,10 +214,7 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    machine = load_machine(args.system)
-    formula = _load_formula(args.formula)
-    cex = _load_counterexample(args.counterexample, machine)
-    _require_violation(formula, cex)
+    machine, formula, cex = _load_instance(args)
     candidate = satcore.candidate_cause(machine, formula, cex)
     pairs = oracle.brute_force_causes(
         machine, formula, cex,

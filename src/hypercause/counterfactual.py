@@ -12,13 +12,14 @@ the state entered one step earlier, the auxiliary input for an event at
 position ``p`` is consumed on the transition into ``p`` (step ``p - 1``);
 events in the loop recur at every iteration of their offset.
 
-`InterventionTable` answers the counterfactual tests of one search.  It
-works on bit footprints (an int with one bit per event) and runs an
-automaton only for a footprint it has not met.  Adding a reset of output
-``o`` at position ``p`` to a known footprint reuses that footprint's run
-when the run already shows ``o`` at its source value on every step into
-copy ``p``: forcing an output to the value it has enters the state the run
-enters anyway, so the run is the same.
+`InterventionTable` is the search context of one instance: its automata,
+its contingency bound, and the counterfactual tests.  It works on bit
+footprints (an int with one bit per event) and runs an automaton only for
+a footprint it has not met.  Adding a reset of output ``o`` at position
+``p`` to a known footprint reuses that footprint's run when the run
+already shows ``o`` at its source value on every step into copy ``p``:
+forcing an output to the value it has enters the state the run enters
+anyway, so the run is the same.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterable
 
 from . import formulas as F
 from .errors import ValidationError
-from .events import Counterexample, Event
+from .events import Counterexample, Event, events_of_trace, sort_events
 from .lasso import Lasso
 from .machine import MooreMachine, walk
 from .semantics import eval_hyper
@@ -113,55 +114,14 @@ def _forced_state(
     return state
 
 
-def copy_states(
-    machine: MooreMachine, source: Lasso, controllable: Iterable[str]
-) -> tuple[frozenset[str], ...]:
-    """Machine states the counterfactual automaton of `source` can occupy at
-    each copy, under any input word and any auxiliary inputs.
-
-    Equal to the copies of `CounterfactualAutomaton.reachable`, computed on
-    the base machine: a step from a state takes every successor under some
-    input set and forces it with every set of controllable outputs, so the
-    automaton's alphabet is never enumerated letter by letter.  Forcing an
-    output that already has its source value changes nothing, so only sets
-    of differing outputs are tried.
-    """
-    outputs = frozenset(machine.outputs)
-    controllable = frozenset(controllable)
-
-    @functools.cache
-    def targets(state: str, source_outputs: frozenset[str]) -> frozenset[str]:
-        found = set()
-        for succ in {machine.delta[(state, a)] for a in machine.input_sets}:
-            found.add(succ)
-            differing = sorted((machine.label(succ) ^ source_outputs) & controllable)
-            for k in range(1, len(differing) + 1):
-                for flagged in itertools.combinations(differing, k):
-                    found.add(_forced_state(machine, succ, frozenset(flagged), source_outputs))
-        return frozenset(found)
-
-    following = source.successors()
-    reach: list[set[str]] = [set() for _ in range(len(source))]
-    reach[0].add(machine.initial)
-    frontier = [(machine.initial, 0)]
-    while frontier:
-        s, k = frontier.pop()
-        k_next = following[k]
-        for t in targets(s, source.at(k_next) & outputs) - reach[k_next]:
-            reach[k_next].add(t)
-            frontier.append((t, k_next))
-    return tuple(frozenset(states) for states in reach)
-
-
 class CounterfactualAutomaton:
-    """Chain-of-copies machine for one source trace (states are (state, copy))."""
+    """Chain-of-copies machine for one source trace (states are (state, copy)).
+
+    `states` is the source's own run (`MooreMachine.state_sequence`, which
+    rejects a source that is not a run of the machine)."""
 
     def __init__(self, machine: MooreMachine, source: Lasso):
-        diag = machine.validate_trace(source)
-        if not diag:
-            raise ValidationError(
-                f"source is not a trace of the machine: {diag.message} @ {diag.position}"
-            )
+        self.states = machine.state_sequence(source)
         self.machine = machine
         self.source = source
         self.last_copy = len(source) - 1
@@ -196,9 +156,46 @@ class CounterfactualAutomaton:
         labels = self.machine.labels
         return walk(input_word, self.initial, self.step, lambda s: labels[s[0]], inputs)[1]
 
+    def copy_states(self) -> tuple[frozenset[str], ...]:
+        """Machine states the automaton can occupy at each copy, under any
+        input word and any auxiliary inputs.
+
+        The copies of `reachable`, computed on the base machine: a step from
+        a state takes every successor under some input set and forces it
+        with every set of controllable outputs, so the automaton's alphabet
+        is never enumerated letter by letter.  Forcing an output that
+        already has its source value changes nothing, so only sets of
+        differing outputs are tried.
+        """
+        machine, source = self.machine, self.source
+        outputs = frozenset(machine.outputs)
+        controllable = frozenset(self.controllable)
+
+        @functools.cache
+        def targets(state: str, source_outputs: frozenset[str]) -> frozenset[str]:
+            found = set()
+            for succ in {machine.delta[(state, a)] for a in machine.input_sets}:
+                found.add(succ)
+                differing = sorted((machine.label(succ) ^ source_outputs) & controllable)
+                for k in range(1, len(differing) + 1):
+                    for flagged in itertools.combinations(differing, k):
+                        flagged = frozenset(flagged)
+                        found.add(_forced_state(machine, succ, flagged, source_outputs))
+            return frozenset(found)
+
+        reach: list[set[str]] = [set() for _ in range(len(source))]
+        reach[0].add(machine.initial)
+        frontier = [(machine.initial, 0)]
+        while frontier:
+            s, k = frontier.pop()
+            k_next = self._successors[k]
+            for t in targets(s, source.at(k_next) & outputs) - reach[k_next]:
+                reach[k_next].add(t)
+                frontier.append((t, k_next))
+        return tuple(frozenset(states) for states in reach)
+
     def reachable(self) -> tuple[tuple[str, int], ...]:
-        per_copy = copy_states(self.machine, self.source, self.controllable)
-        return tuple((s, k) for k, states in enumerate(per_copy) for s in sorted(states))
+        return tuple((s, k) for k, states in enumerate(self.copy_states()) for s in sorted(states))
 
 
 def build_counterfactual_automaton(machine: MooreMachine, trace: Lasso) -> CounterfactualAutomaton:
@@ -266,11 +263,14 @@ def _check_reset(automaton: CounterfactualAutomaton, e: Event) -> None:
 
 
 class InterventionTable:
-    """Memoized counterfactual tests for one (machine, formula, counterexample).
+    """Search context for one (machine, formula, counterexample).
+
+    The table builds one counterfactual automaton per trace, which validates
+    the trace and which the candidate analysis reads too.  The search tries
+    contingencies of at most `max_contingency_size` events of `resettable`.
 
     `satisfies_after(cause, contingency)` answers whether the property holds
-    once `cause` is flipped and `contingency` reset.  The table builds one
-    counterfactual automaton per trace, which validates the trace.  Events
+    once `cause` is flipped and `contingency` reset.  Events
     are handled as bit footprints: `bits(events)` gives each event a bit the
     first time it sees it, and `holds(cause_bits, reset_bits)` is the test
     on ints, so a search that tries many contingencies for one cause pays
@@ -294,8 +294,15 @@ class InterventionTable:
     come from another footprint.
     """
 
-    def __init__(self, machine: MooreMachine, formula: F.HyperFormula, cex: Counterexample):
+    def __init__(
+        self,
+        machine: MooreMachine,
+        formula: F.HyperFormula,
+        cex: Counterexample,
+        max_contingency_size: int | None = None,
+    ):
         self.formula = formula
+        self.max_contingency_size = max_contingency_size
         self.names = cex.names()
         self.automata: dict[str, CounterfactualAutomaton] = {}
         for name, trace in cex.traces.items():
@@ -313,6 +320,7 @@ class InterventionTable:
             name: {(0, 0): (self._intern(cex[name]), cex[name])} for name in self.names
         }
         self._verdicts: dict[tuple[int, ...], bool] = {}
+        self._resettable: dict[tuple[str, ...], tuple[tuple[Event, ...], tuple[int, ...]]] = {}
         self.evaluations = 0
         self.runs = 0
 
@@ -336,6 +344,18 @@ class InterventionTable:
                 self._masks[e.trace] |= bit
             footprint |= bit
         return footprint
+
+    def resettable(self, traces: tuple[str, ...]) -> tuple[tuple[Event, ...], tuple[int, ...]]:
+        """Satisfied output events on `traces` the counterfactual automata
+        can enact, in event order, and each event's bit."""
+        if traces not in self._resettable:
+            events = sort_events(
+                e for name in traces
+                for e in events_of_trace(name, self.automata[name].source,
+                                         self.automata[name].controllable)
+            )
+            self._resettable[traces] = (events, tuple(self.bits([e]) for e in events))
+        return self._resettable[traces]
 
     def _decode(self, footprint: int) -> list[Event]:
         return [self._events[i] for i in range(footprint.bit_length()) if footprint >> i & 1]

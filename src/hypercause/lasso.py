@@ -99,3 +99,13 @@ class Lasso:
 
 def lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
+
+
+def joint_shape(lassos) -> tuple[int, int]:
+    """(prefix, period) lengths of the joint unrolling of `lassos`: the
+    longest prefix, then the least common multiple of the periods."""
+    loop, period = 0, 1
+    for t in lassos:
+        loop = max(loop, t.loop_start)
+        period = lcm(period, len(t.period))
+    return loop, period

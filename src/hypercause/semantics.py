@@ -35,8 +35,8 @@ from typing import Sequence
 
 from . import formulas as F
 from .errors import ValidationError
-from .events import Counterexample, Event, events_of_trace, sort_events
-from .lasso import Lasso, lcm
+from .events import Counterexample, Event
+from .lasso import Lasso, joint_shape
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ def zip_hyper(formula: F.HyperFormula, cex: Counterexample) -> tuple[F.Formula, 
     """Eliminate the quantifier prefix against a concrete assignment.
 
     Variables bind positionally to the counterexample's traces.  The zipped
-    lasso's prefix is the longest of the component prefixes and its period
-    the least common multiple of the component periods.
+    lasso has the shape of their joint unrolling (`lasso.joint_shape`).
     """
     names = cex.names()
     if len(names) != len(formula.variables):
@@ -75,10 +74,7 @@ def zip_hyper(formula: F.HyperFormula, cex: Counterexample) -> tuple[F.Formula, 
             f"counterexample assigns {len(names)}"
         )
     binding = tuple(zip(formula.variables, names))
-    prefix_len = max(cex[n].loop_start for n in names)
-    period_len = 1
-    for n in names:
-        period_len = lcm(period_len, len(cex[n].period))
+    prefix_len, period_len = joint_shape(cex.lassos())
 
     letters = []
     for pos in range(prefix_len + period_len):
@@ -211,10 +207,7 @@ class Program:
                 f"formula quantifies {self.arity} traces but the "
                 f"counterexample assigns {len(lassos)}"
             )
-        loop, period = 0, 1
-        for t in lassos:
-            loop = max(loop, len(t.prefix))
-            period = lcm(period, len(t.period))
+        loop, period = joint_shape(lassos)
         return loop, loop + period
 
     def _atom_rows(self, lassos: Sequence[Lasso], n: int) -> list[int]:
@@ -365,19 +358,3 @@ def eval_hyper(cex: Counterexample, formula: F.HyperFormula) -> bool:
 
 def falsifies(cex: Counterexample, formula: F.HyperFormula) -> bool:
     return not eval_hyper(cex, formula)
-
-
-def formula_input_events(machine, formula: F.HyperFormula, cex: Counterexample) -> tuple[Event, ...]:
-    """Satisfied input events whose proposition the body reads on their trace.
-
-    These complement the transition analysis: an input can steer the truth
-    of the property directly without ever being necessary for a transition.
-    """
-    binding = dict(zip(formula.variables, cex.names()))
-    read: dict[str, set[str]] = {name: set() for name in cex.names()}
-    for atom in F.atoms(formula.body):
-        if atom.prop in machine.inputs:
-            read[binding[atom.var]].add(atom.prop)
-    return sort_events(
-        e for name, trace in cex.traces.items() for e in events_of_trace(name, trace, read[name])
-    )

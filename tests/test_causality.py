@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercause.causality import (
-    CauseSearch,
     _covers_all_larger_subsets,
     actual_cause,
     all_minimal_causes,
@@ -17,6 +16,7 @@ from hypercause.causality import (
     verify_actual_cause,
 )
 from hypercause.cli import main
+from hypercause.counterfactual import InterventionTable
 from hypercause.errors import ValidationError
 from hypercause.events import (
     Counterexample,
@@ -290,7 +290,7 @@ def test_first_cause_is_the_first_of_all_causes():
         assert first.causes == every.causes[:1]
 
 
-def reference_verify_actual_cause(machine, formula, cex, cause, search):
+def reference_verify_actual_cause(machine, formula, cex, cause, table):
     """`verify_actual_cause` with the nested counterfactual condition: `cf`
     of a set asks whether some non-empty subset of it passes the contingency
     search, so every subset of every proper subset is decided again."""
@@ -302,7 +302,7 @@ def reference_verify_actual_cause(machine, formula, cex, cause, search):
 
     def cf(events):
         return any(
-            least_contingency(search, sub) is not None
+            least_contingency(table, sub) is not None
             for size in range(1, len(events) + 1)
             for sub in itertools.combinations(events, size)
         )
@@ -320,7 +320,7 @@ def test_verification_agrees_with_nested_reference():
     rng = random.Random(5)
     verdicts = []
     for machine, formula, cex in _violated_draws(40):
-        search = CauseSearch(machine, formula, cex, max_contingency_size=2)
+        table = InterventionTable(machine, formula, cex, max_contingency_size=2)
         report = all_minimal_causes(machine, formula, cex, bound=3, max_contingency_size=2)
         inputs = satisfied_events(cex, machine.inputs)
         sets = [entry.cause for entry in report.causes]
@@ -329,16 +329,16 @@ def test_verification_agrees_with_nested_reference():
         sets += [c + (rng.choice(inputs),) for c in sets]
         sets += [rng.sample(inputs, rng.randint(1, min(3, len(inputs)))) for _ in range(4)]
         for events in sets:
-            verdict = verify_actual_cause(machine, formula, cex, events, search=search)
-            assert verdict == reference_verify_actual_cause(machine, formula, cex, events, search)
+            verdict = verify_actual_cause(machine, formula, cex, events, table=table)
+            assert verdict == reference_verify_actual_cause(machine, formula, cex, events, table)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
 
 def test_max_contingency_size_zero_disables_contingencies(machine, cex):
-    search = CauseSearch(machine, OD, cex, max_contingency_size=0)
-    assert least_contingency(search, (HIGH_T2,)) is None
-    assert least_contingency(search, (LOW_T1,)) == ()
+    table = InterventionTable(machine, OD, cex, max_contingency_size=0)
+    assert least_contingency(table, (HIGH_T2,)) is None
+    assert least_contingency(table, (LOW_T1,)) == ()
     report = all_minimal_causes(machine, OD, cex, max_contingency_size=0)
     entries = {entry.cause: entry.contingency for entry in report.causes}
     assert entries[(LOW_T1,)] == ()
@@ -400,3 +400,16 @@ def test_search_names_the_trace_that_is_not_a_run(machine):
     bad = Counterexample({"t1": t1(), "t2": Lasso([frozenset({"ho"})], [frozenset({"ho", "lo"})])})
     with pytest.raises(ValidationError, match="'t2'"):
         all_minimal_causes(machine, OD, bad)
+
+
+@pytest.mark.parametrize("search", [actual_cause, all_minimal_causes])
+def test_search_walks_each_trace_once(machine, cex, monkeypatch, search):
+    # the candidate analysis reads the runs the search's automata walked
+    walked = []
+    check = MooreMachine._check_trace
+    monkeypatch.setattr(
+        MooreMachine, "_check_trace", lambda m, trace: walked.append(trace) or check(m, trace)
+    )
+    report = search(machine, OD, cex)
+    assert report.causes
+    assert walked == list(cex.lassos())

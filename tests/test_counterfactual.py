@@ -258,7 +258,6 @@ def test_events_satisfied_by_construction(machine, cex):
 
 def test_controllable_outputs_computed_once_per_machine(monkeypatch):
     from hypercause import counterfactual
-    from hypercause.causality import CauseSearch
     from hypercause.parser import parse_hyperltl
     from hypercause.satcore import candidate_cause
 
@@ -272,9 +271,9 @@ def test_controllable_outputs_computed_once_per_machine(monkeypatch):
     machine, cex = leaky_machine(), leaky_cex()
     formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
     candidate_cause(machine, formula, cex)
-    search = CauseSearch(machine, formula, cex)
+    table = counterfactual.InterventionTable(machine, formula, cex)
     assert computed == [machine]
-    assert all(aut.controllable == ("ho", "lo") for aut in search.automata.values())
+    assert all(aut.controllable == ("ho", "lo") for aut in table.automata.values())
 
 
 def _table_case(seed: int):
