@@ -16,14 +16,14 @@ traces, again by size and then event order.  `actual_cause` stops at the
 first cause, `all_minimal_causes` takes every cause; both report
 `bounded-out` when the cause bound cut the search before it could decide.
 All tests of one search share a `counterfactual.InterventionTable`, the
-instance's search context: the candidate analysis reads its automata, and
-it holds the contingency bound.  The contingency search works on the
-table's bit footprints: a cause's bits are computed once, the resettable
-events' bits once per set of flipped traces, and each contingency is the
-sum of a combination of those bits, so only a witness is turned back into
-events.  A report's `stats` give the subsets decided, the worlds
-evaluated, the counterfactual runs made, and what decided the status
-(`decided_by`).
+instance's search context: it checks the instance, the candidate analysis
+reads its automata, and it holds the contingency bound.  The contingency
+search works on the table's bit footprints: a cause's bits are computed
+once, the resettable events' bits once per set of flipped traces, and each
+contingency is the sum of a combination of those bits, so only a witness
+is turned back into events.  A report's `stats` give the subsets decided,
+the worlds evaluated, the counterfactual runs made, and what decided the
+status (`decided_by`).
 
 `no-actual-cause` is decided in one of two ways.  When the candidate
 analysis's pre-check finds that no flip and no reset can satisfy the body
@@ -112,48 +112,46 @@ def actual_cause(
     machine: MooreMachine,
     formula: F.HyperFormula,
     cex: Counterexample,
-    candidate: CandidateSet | None = None,
     bound: int | None = None,
     max_contingency_size: int | None = None,
 ) -> CauseReport:
     """The first subset-minimal actual cause of `_minimal_causes`: the
     `all_minimal_causes` search, stopped at its first cause."""
-    return _search(machine, formula, cex, candidate, bound, max_contingency_size, True)
+    return _search(machine, formula, cex, bound, max_contingency_size, True)
 
 
 def all_minimal_causes(
     machine: MooreMachine,
     formula: F.HyperFormula,
     cex: Counterexample,
-    candidate: CandidateSet | None = None,
     bound: int | None = None,
     max_contingency_size: int | None = None,
 ) -> CauseReport:
     """Every subset-minimal actual cause within the candidate set, up to
     `bound` events.
 
-    Without a `candidate` the search computes one from its own table's
-    automata (`satcore.candidate_set`, as `candidate_cause` does).
-    The status is `bounded-out` when a cause above the bound may exist.
+    The search computes the candidate set from its own table's automata
+    (`satcore.candidate_set`, as `candidate_cause` does).  The status is
+    `bounded-out` when a cause above the bound may exist.
     """
-    return _search(machine, formula, cex, candidate, bound, max_contingency_size, False)
+    return _search(machine, formula, cex, bound, max_contingency_size, False)
 
 
 def _search(
     machine: MooreMachine,
     formula: F.HyperFormula,
     cex: Counterexample,
-    candidate: CandidateSet | None,
     bound: int | None,
     max_contingency_size: int | None,
     first: bool,
 ) -> CauseReport:
     """The one cause search; `first` stops it at its first cause."""
     started = time.monotonic()
-    # the table validates the traces first, so that its errors name the trace
+    # the table checks the instance first: its errors name the trace, and
+    # only a violation has a cause
     table = InterventionTable(machine, formula, cex, max_contingency_size)
-    if candidate is None:
-        candidate = candidate_set(formula, table.automata)
+    table.require_violation()
+    candidate = candidate_set(formula, table.automata)
     events = candidate.events
     limit = len(events) if bound is None else min(bound, len(events))
     found = []
@@ -221,13 +219,14 @@ def verify_actual_cause(
     condition.  Together they hold exactly when the cause itself passes the
     contingency search and none of its non-empty proper subsets does, so
     each of those sets is decided once.  A given `table` brings its own
-    contingency bound.
+    contingency bound.  On an assignment that satisfies the formula no set
+    is a cause.
     """
     cause = sort_events(cause)
     if not cause or not satisfies_events(cex, cause):
         return False
     table = table or InterventionTable(machine, formula, cex)
-    if least_contingency(table, cause) is None:
+    if table.holds(0, 0) or least_contingency(table, cause) is None:
         return False
     return all(
         least_contingency(table, proper) is None
@@ -243,9 +242,10 @@ def check_contingency_valid(
     cause: Iterable[Event],
     contingency: Iterable[Event],
 ) -> bool:
-    """Does this specific (cause, contingency) pair repair the property?"""
+    """Does this specific (cause, contingency) pair repair the violation?"""
     cause = sort_events(cause)
     contingency = sort_events(contingency)
     if not satisfies_events(cex, cause) or not satisfies_events(cex, contingency):
         return False
-    return InterventionTable(machine, formula, cex).satisfies_after(cause, contingency)
+    table = InterventionTable(machine, formula, cex)
+    return not table.holds(0, 0) and table.satisfies_after(cause, contingency)

@@ -25,7 +25,8 @@ from typing import Callable
 
 from . import causality, checker, oracle, reports, satcore
 from .alternating import accepts_lasso, dump_automaton, ltl_to_alternating
-from .errors import SizeGuardError, ValidationError
+from .counterfactual import trace_automata
+from .errors import NothingToExplain, SizeGuardError, ValidationError
 from .events import Counterexample
 from .formulas import HyperFormula, negate_to_nnf
 from .machine import MooreMachine, load_machine, load_traces, traces_to_json
@@ -118,23 +119,6 @@ def _load_formula(path: str) -> HyperFormula:
         return parse_hyperltl(fh.read())
 
 
-def _load_counterexample(path: str, machine) -> Counterexample:
-    """The traces in `path`, each checked to be a trace of `machine`."""
-    cex = Counterexample(load_traces(path))
-    for name, trace in cex.traces.items():
-        diag = machine.validate_trace(trace)
-        if not diag:
-            raise ValidationError(
-                f"trace {name!r} is not a trace of the system: "
-                f"{diag.message} (position {diag.position})"
-            )
-    return cex
-
-
-class _NothingToExplain(Exception):
-    pass
-
-
 def _emit(doc, fmt: str, text: Callable[[], str]) -> None:
     """Write `doc` as JSON, or the text `text()` renders; only the chosen
     format is built, and JSON goes out in one write."""
@@ -158,39 +142,37 @@ def cmd_check(args) -> int:
         )
         return EXIT_NOTHING
     doc = traces_to_json(found.traces)
-    _emit(doc, args.format, lambda: reports.render_traces(found, ansi=False))
+    _emit(doc, args.format, lambda: reports.render_traces(found))
     return EXIT_RESULT
 
 
 def _load_instance(args) -> tuple[MooreMachine, HyperFormula, Counterexample]:
-    """Machine, formula, and the given counterexample or the checker's, which
-    must violate the formula."""
+    """Machine, formula, and the given counterexample or the checker's.  The
+    cause layer checks a given one (see `InterventionTable`)."""
     machine = load_machine(args.system)
     formula = _load_formula(args.formula)
     if args.counterexample:
-        cex = _load_counterexample(args.counterexample, machine)
-        found = cex if falsifies(cex, formula) else None
-    else:
-        found = checker.find_counterexample(machine, formula, args.prefix_bound, args.period_bound)
+        return machine, formula, Counterexample(load_traces(args.counterexample))
+    found = checker.find_counterexample(machine, formula, args.prefix_bound, args.period_bound)
     if found is None:
-        raise _NothingToExplain()
+        raise NothingToExplain("no violation found within bounds")
     return machine, formula, found
 
 
 def cmd_explain(args) -> int:
     machine, formula, cex = _load_instance(args)
-    if args.dump_aa:
+    search = causality.all_minimal_causes if args.all else causality.actual_cause
+    report = search(
+        machine, formula, cex,
+        bound=args.max_cause_size, max_contingency_size=args.max_contingency_size,
+    )
+    if args.dump_aa:  # after the search, which checks the instance
         body, zipped = zip_hyper(formula, cex)
         automaton = ltl_to_alternating(negate_to_nnf(body))
         sys.stderr.write(dump_automaton(automaton) + "\n")
         accepted, tree = accepts_lasso(automaton, zipped.lasso)
         if accepted:
             sys.stderr.write(tree.dump() + "\n")
-    search = causality.all_minimal_causes if args.all else causality.actual_cause
-    report = search(
-        machine, formula, cex,
-        bound=args.max_cause_size, max_contingency_size=args.max_contingency_size,
-    )
     _emit(
         reports.report_to_json(report),
         args.format,
@@ -207,7 +189,7 @@ def cmd_candidates(args) -> int:
 
     def text() -> str:
         listing = ", ".join(str(e) for e in candidate.events) or "(none)"
-        return listing + "\n" + reports.render_traces(cex, candidate.events, ansi=False)
+        return listing + "\n" + reports.render_traces(cex, candidate.events)
 
     _emit({"format": 1, "candidate": reports.candidate_to_json(candidate)}, args.format, text)
     return EXIT_RESULT
@@ -230,7 +212,7 @@ def cmd_oracle(args) -> int:
     _emit(
         reports.report_to_json(report, oracle=True),
         args.format,
-        lambda: reports.render_report(report, cex, ansi=False),
+        lambda: reports.render_report(report, cex),
     )
     return EXIT_RESULT
 
@@ -243,7 +225,8 @@ def cmd_validate(args) -> int:
         formula = _load_formula(args.formula)
         messages.append(f"formula: {len(formula.variables)} quantifier(s), ok")
     if args.counterexample:
-        cex = _load_counterexample(args.counterexample, machine)
+        cex = Counterexample(load_traces(args.counterexample))
+        trace_automata(machine, cex)  # raises on a trace that is not a run
         messages.append(f"traces: {', '.join(cex.names())}, ok")
         if formula is not None:
             if falsifies(cex, formula):
@@ -267,8 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         code = handlers[args.command](args)
         sys.stdout.flush()  # inside the try, so that a closed pipe is caught here
         return code
-    except _NothingToExplain:
-        sys.stderr.write("no violation found within bounds; nothing to explain\n")
+    except NothingToExplain as exc:
+        sys.stderr.write(f"{exc}; nothing to explain\n")
         return EXIT_NOTHING
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

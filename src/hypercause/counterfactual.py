@@ -30,7 +30,7 @@ import weakref
 from typing import Iterable
 
 from . import formulas as F
-from .errors import ValidationError
+from .errors import NothingToExplain, ValidationError
 from .events import Counterexample, Event, events_of_trace, sort_events
 from .lasso import Lasso
 from .machine import MooreMachine, walk
@@ -198,6 +198,20 @@ class CounterfactualAutomaton:
         return tuple((s, k) for k, states in enumerate(self.copy_states()) for s in sorted(states))
 
 
+def trace_automata(
+    machine: MooreMachine, cex: Counterexample
+) -> dict[str, CounterfactualAutomaton]:
+    """One counterfactual automaton per trace of `cex`.  Building one checks
+    that its trace is a run of `machine`, and the error names the trace."""
+    automata = {}
+    for name, trace in cex.traces.items():
+        try:
+            automata[name] = CounterfactualAutomaton(machine, trace)
+        except ValidationError as exc:
+            raise ValidationError(f"trace {name!r}: {exc}") from None
+    return automata
+
+
 def build_counterfactual_automaton(machine: MooreMachine, trace: Lasso) -> CounterfactualAutomaton:
     return CounterfactualAutomaton(machine, trace)
 
@@ -266,8 +280,10 @@ class InterventionTable:
     """Search context for one (machine, formula, counterexample).
 
     The table builds one counterfactual automaton per trace, which validates
-    the trace and which the candidate analysis reads too.  The search tries
-    contingencies of at most `max_contingency_size` events of `resettable`.
+    the trace and which the candidate analysis reads too.  The searches call
+    `require_violation`, which the constructor leaves out, so that a table
+    can test any assignment.  The search tries contingencies of at most
+    `max_contingency_size` events of `resettable`.
 
     `satisfies_after(cause, contingency)` answers whether the property holds
     once `cause` is flipped and `contingency` reset.  Events
@@ -304,12 +320,7 @@ class InterventionTable:
         self.formula = formula
         self.max_contingency_size = max_contingency_size
         self.names = cex.names()
-        self.automata: dict[str, CounterfactualAutomaton] = {}
-        for name, trace in cex.traces.items():
-            try:
-                self.automata[name] = CounterfactualAutomaton(machine, trace)
-            except ValidationError as exc:
-                raise ValidationError(f"trace {name!r}: {exc}") from None
+        self.automata = trace_automata(machine, cex)
         self._bits: dict[Event, int] = {}
         self._events: list[Event] = []
         self._masks = dict.fromkeys(self.names, 0)
@@ -413,6 +424,12 @@ class InterventionTable:
 
     def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:
         return self.holds(self.bits(cause), self.bits(contingency))
+
+    def require_violation(self) -> None:
+        """Raise `NothingToExplain` when the counterexample itself satisfies
+        the formula: only a violation that occurred has a cause."""
+        if self.holds(0, 0):
+            raise NothingToExplain("the counterexample satisfies the formula")
 
 
 def intervene(

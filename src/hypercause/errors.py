@@ -19,3 +19,8 @@ class UnsupportedFragmentError(ValidationError):
 
 class SizeGuardError(RuntimeError):
     """Instance exceeds a configured desk-scale guard."""
+
+
+class NothingToExplain(Exception):
+    """The trace assignment does not violate the formula, so no set of
+    events caused a violation."""

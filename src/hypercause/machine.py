@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -83,16 +82,6 @@ def walk(
         letters.append((ins & inputs) | label(state))
         state = step(state, ins)
         states.append(state)
-
-
-@dataclass(frozen=True)
-class TraceDiagnostic:
-    ok: bool
-    position: int | None = None
-    message: str = ""
-
-    def __bool__(self):
-        return self.ok
 
 
 class MooreMachine:
@@ -266,29 +255,26 @@ class MooreMachine:
             raise ValidationError(f"input word uses non-input propositions {sorted(extra)}")
         return walk(input_word, self.initial, self.successor, self.labels.__getitem__, inputs)[1]
 
-    def _check_trace(self, trace: Lasso) -> tuple[list[str], TraceDiagnostic]:
-        """States of the run on the inputs of `trace`, and the first position
-        where the trace leaves the run."""
+    def _check_trace(self, trace: Lasso) -> tuple[list[str], str | None]:
+        """States of the run on the inputs of `trace`, and why and at which
+        position the trace first leaves the run (None when it never does)."""
         inputs, outputs = frozenset(self.inputs), frozenset(self.outputs)
         word = Lasso([a & inputs for a in trace.prefix], [a & inputs for a in trace.period])
         states, _ = walk(word, self.initial, self.successor, self.labels.__getitem__, inputs)
         for i, state in enumerate(states[:-1]):
             here = trace.at(i)
             if not here <= inputs | outputs:
-                unknown = sorted(here - inputs - outputs)
-                return states, TraceDiagnostic(False, i, f"unknown propositions {unknown}")
+                return states, f"unknown propositions {sorted(here - inputs - outputs)} @ {i}"
             if here & outputs != self.labels[state]:
-                return states, TraceDiagnostic(
-                    False,
-                    i,
+                return states, (
                     f"outputs {sorted(here & outputs)} do not match state "
-                    f"{state!r} label {sorted(self.labels[state])}",
+                    f"{state!r} label {sorted(self.labels[state])} @ {i}"
                 )
-        return states, TraceDiagnostic(True)
+        return states, None
 
-    def validate_trace(self, trace: Lasso) -> TraceDiagnostic:
-        """Accepts iff `trace` is a trace of this machine; reports first bad position."""
-        return self._check_trace(trace)[1]
+    def validate_trace(self, trace: Lasso) -> bool:
+        """Is `trace` a trace of this machine?  `state_sequence` says why not."""
+        return self._check_trace(trace)[1] is None
 
     def state_sequence(self, trace: Lasso) -> tuple[str, ...]:
         """States at positions 0..|u|+|v| of a valid trace.
@@ -297,11 +283,11 @@ class MooreMachine:
         analyse per-step transitions need it to coincide with the state at
         the loop start (state-recurrent representation).  The run reaches
         that position, since no (state, period offset) pair can repeat
-        before it.
+        before it.  A trace that leaves the run raises `ValidationError`.
         """
-        states, diag = self._check_trace(trace)
-        if not diag:
-            raise ValidationError(f"not a trace of the machine: {diag.message} @ {diag.position}")
+        states, error = self._check_trace(trace)
+        if error is not None:
+            raise ValidationError(f"not a trace of the machine: {error}")
         return tuple(states[: len(trace) + 1])
 
     # -- serialization -----------------------------------------------------

@@ -39,6 +39,7 @@ def brute_force_causes(
             f"{len(input_events)} input events exceed the oracle guard ({MAX_INPUT_EVENTS})"
         )
     table = InterventionTable(machine, formula, cex)
+    table.require_violation()
 
     resettable = sort_events(
         e for name, trace in cex.traces.items()

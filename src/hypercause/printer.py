@@ -16,7 +16,8 @@ def infix(f: F.Formula) -> str:
         if isinstance(node, F.UNARY):
             sym, prec = F.INFIX_UNARY[type(node)], _UNARY_PREC
             sep = " " if sym.isalpha() else ""
-            text = f"{sym}{sep}{render(node.arg, prec)}"
+            # the operand one level lower, so that a unary chain stays bare
+            text = f"{sym}{sep}{render(node.arg, prec - 1)}"
         else:
             sym, prec, right_assoc = F.INFIX_BINARY[type(node)]
             lp = prec if right_assoc else prec - 1

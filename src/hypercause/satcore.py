@@ -78,7 +78,9 @@ def candidate_cause(
     machine: MooreMachine, formula: F.HyperFormula, cex: Counterexample
 ) -> CandidateSet:
     """Over-approximate the inputs that can be part of an actual cause."""
-    return candidate_set(formula, InterventionTable(machine, formula, cex).automata)
+    table = InterventionTable(machine, formula, cex)
+    table.require_violation()
+    return candidate_set(formula, table.automata)
 
 
 def candidate_set(

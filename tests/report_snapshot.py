@@ -11,8 +11,12 @@ alternating automaton of the negated body and its accepting run tree are in
 its stderr.  It prints
 one JSON line per instance and operation: the seed, the operation, the exit
 code, stderr, and the report with its ``stats`` removed (they count work,
-which a refactor may change).  A refactor that keeps the outputs gives
-byte-identical output:
+which a refactor may change).  A fixed tail of error paths follows: every
+operation, and ``validate``, on the running example with a trace that is
+not a run of the machine, with an assignment that satisfies the formula
+(``t1`` twice), and with one trace for the two-variable formula; these
+lines carry the case's name instead of a seed, and text output as it is.
+A refactor that keeps the outputs gives byte-identical output:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/report_snapshot.py > after.jsonl
     PYTHONHASHSEED=0 PYTHONPATH=<old checkout>/src python tests/report_snapshot.py > before.jsonl
@@ -38,6 +42,7 @@ from genrand import random_violated_instance  # noqa: E402
 from hypercause import cli  # noqa: E402
 from hypercause.machine import traces_to_json  # noqa: E402
 
+ROOT = Path(__file__).resolve().parent.parent
 SUITE_SIZE = 500
 BOUNDS = ["--max-cause-size", "3", "--max-contingency-size", "2"]
 OPERATIONS = {
@@ -47,6 +52,16 @@ OPERATIONS = {
     "explain --all": ["explain", "--all", *BOUNDS],
     "oracle": ["oracle", *BOUNDS],
 }
+RUNNING_EXAMPLE = [
+    f"--system={ROOT / 'benchmarks' / 'running_example.machine.json'}",
+    f"--formula={ROOT / 'benchmarks' / 'formulas' / 'running_example.hltl'}",
+]
+T1 = {"prefix": [[], ["lo"]], "period": [["ho", "lo"]]}
+ERROR_CASES = {
+    "trace not a run": {"t1": T1, "t2": {"prefix": [["ho"]], "period": [["ho", "lo"]]}},
+    "satisfied assignment": {"t1": T1, "t2": T1},
+    "one trace for two variables": {"t1": T1},
+}
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -54,6 +69,26 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _report(out: str):
+    """The JSON report without its ``stats``, text output as it is, or None."""
+    if not out:
+        return None
+    try:
+        report = json.loads(out)
+    except json.JSONDecodeError:
+        return out
+    report.pop("stats", None)
+    return report
+
+
+def _operations(paths: list[str], operations: dict[str, list[str]]):
+    for op, argv in operations.items():
+        # check searches for its own counterexample
+        used = paths[:2] if op == "check" else paths
+        code, out, err = _run([argv[0], *used, *argv[1:]])
+        yield {"op": op, "exit": code, "stderr": err, "report": _report(out)}
 
 
 def main() -> None:
@@ -71,15 +106,14 @@ def main() -> None:
             Path(files["formula"]).write_text(str(formula))
             Path(files["counterexample"]).write_text(json.dumps(traces_to_json(cex.traces)))
             paths = [f"--{name}={path}" for name, path in files.items()]
-            for op, argv in OPERATIONS.items():
-                # check searches for its own counterexample
-                used = paths[:2] if op == "check" else paths
-                code, out, err = _run([argv[0], *used, *argv[1:]])
-                report = json.loads(out) if out else None
-                if report is not None:
-                    report.pop("stats", None)
-                line = {"seed": seed, "op": op, "exit": code, "stderr": err, "report": report}
-                print(json.dumps(line, sort_keys=True))
+            for line in _operations(paths, OPERATIONS):
+                print(json.dumps({"seed": seed, **line}, sort_keys=True))
+        traces = files["counterexample"]
+        for case, named in ERROR_CASES.items():
+            Path(traces).write_text(json.dumps({"format": 1, "traces": named}))
+            paths = [*RUNNING_EXAMPLE, f"--counterexample={traces}"]
+            for line in _operations(paths, {**OPERATIONS, "validate": ["validate"]}):
+                print(json.dumps({"case": case, **line}, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -80,7 +80,7 @@ def timed_suite():
         machine, formula, cex = instance
         candidate = candidate_cause(machine, formula, cex)
         report = all_minimal_causes(
-            machine, formula, cex, candidate,
+            machine, formula, cex,
             bound=CAUSE_BOUND, max_contingency_size=CONTINGENCY_BOUND,
         )
         pairs = brute_force_causes(
@@ -111,8 +111,7 @@ def test_criterion_2_minimal_causes(running_example):
     with _verdict("criterion 2 (two minimal causes with documented contingency)"):
         machine, formula, cex = running_example
         started = time.monotonic()
-        candidate = candidate_cause(machine, formula, cex)
-        report = all_minimal_causes(machine, formula, cex, candidate)
+        report = all_minimal_causes(machine, formula, cex)
         elapsed = time.monotonic() - started
         assert elapsed < 5.0
         assert report.status == "found"
@@ -227,8 +226,7 @@ def test_criterion_6_formula_support_contrast(running_example):
         support = annotated_events(tree, zipped)
         assert set(support) == {Event("t1", 1, "lo", True), Event("t2", 1, "lo", False)}
         assert all(e.prop in machine.outputs and e.position == 1 for e in support)
-        candidate = candidate_cause(machine, formula, cex)
-        report = all_minimal_causes(machine, formula, cex, candidate)
+        report = all_minimal_causes(machine, formula, cex)
         surfaced = {e for entry in report.causes for e in entry.cause}
         assert Event("t1", 0, "hi", False) in surfaced
         assert Event("t2", 0, "hi", True) in surfaced

@@ -17,7 +17,7 @@ from hypercause.causality import (
 )
 from hypercause.cli import main
 from hypercause.counterfactual import InterventionTable
-from hypercause.errors import ValidationError
+from hypercause.errors import NothingToExplain, ValidationError
 from hypercause.events import (
     Counterexample,
     Event,
@@ -41,8 +41,7 @@ LOW_CONTINGENCY = Event("t2", 2, "lo", True)
 
 
 def test_actual_cause_running_example(machine, cex):
-    candidate = candidate_cause(machine, OD, cex)
-    report = actual_cause(machine, OD, cex, candidate)
+    report = actual_cause(machine, OD, cex)
     assert report.status == "found"
     (entry,) = report.causes
     assert entry.cause == (LOW_T1,)
@@ -50,18 +49,8 @@ def test_actual_cause_running_example(machine, cex):
     assert entry.verified
 
 
-def test_actual_cause_singleton_candidate_returned_unchanged(machine, cex):
-    from hypercause.satcore import CandidateSet
-
-    candidate = CandidateSet((LOW_T1,), (), ())
-    report = actual_cause(machine, OD, cex, candidate)
-    assert report.status == "found"
-    assert report.causes[0].cause == (LOW_T1,)
-
-
 def test_all_minimal_causes_running_example(machine, cex):
-    candidate = candidate_cause(machine, OD, cex)
-    report = all_minimal_causes(machine, OD, cex, candidate)
+    report = all_minimal_causes(machine, OD, cex)
     assert report.status == "found"
     causes = {entry.cause for entry in report.causes}
     assert causes == {(LOW_T1,), (HIGH_T2,)}
@@ -118,9 +107,9 @@ def test_no_actual_cause_when_effect_is_universal():
     machine, formula, cex = no_cause_instance()
     candidate = candidate_cause(machine, formula, cex)
     assert candidate.events == ()
-    report = actual_cause(machine, formula, cex, candidate)
+    report = actual_cause(machine, formula, cex)
     assert report.status == "no-actual-cause"
-    report = all_minimal_causes(machine, formula, cex, candidate)
+    report = all_minimal_causes(machine, formula, cex)
     assert report.status == "no-actual-cause"
     assert report.causes == ()
     # bad is surely present from position 1 on, whatever is flipped or reset
@@ -171,8 +160,7 @@ def rerouting_instance():
 
 def test_rerouting_cause_found_by_full_search():
     machine, formula, cex = rerouting_instance()
-    candidate = candidate_cause(machine, formula, cex)
-    report = all_minimal_causes(machine, formula, cex, candidate)
+    report = all_minimal_causes(machine, formula, cex)
     causes = {entry.cause for entry in report.causes}
     assert (Event("t1", 0, "b", False), Event("t1", 1, "a", False)) in causes
     for entry in report.causes:
@@ -185,7 +173,7 @@ def test_rerouting_cause_found_by_default_search():
     rerouted_a = Event("t1", 1, "a", False)
     assert rerouted_a in candidate.events
     assert candidate.rerouted == (rerouted_a,)
-    report = actual_cause(machine, formula, cex, candidate)
+    report = actual_cause(machine, formula, cex)
     assert report.status == "found"
     (entry,) = report.causes
     assert entry.cause == (Event("t1", 0, "b", False), rerouted_a)
@@ -197,8 +185,7 @@ def test_default_search_finds_rerouted_cause_on_corpus_draw(draw):
     # acceptance-corpus draws whose only cause needs an input that matters
     # only after an earlier flip reroutes the run
     machine, formula, cex = random_violated_instance(draw)
-    candidate = candidate_cause(machine, formula, cex)
-    report = actual_cause(machine, formula, cex, candidate, max_contingency_size=2)
+    report = actual_cause(machine, formula, cex, max_contingency_size=2)
     assert report.status == "found"
     oracle_causes = {
         cause
@@ -232,13 +219,14 @@ def test_running_example_search_counters(machine, cex):
     # without that, the same search makes 137 counterfactual runs
     report = all_minimal_causes(machine, OD, cex, bound=3, max_contingency_size=2)
     assert report.stats["subsets_checked"] == 16
-    assert report.stats["evaluations"] == 24
+    # 24 worlds with a flip, and the actual world, which must violate
+    assert report.stats["evaluations"] == 25
     assert report.stats["runs"] == 11
 
 
 def test_bounded_out_status():
     machine, formula, cex = rerouting_instance()
-    report = all_minimal_causes(machine, formula, cex, None, bound=1)
+    report = all_minimal_causes(machine, formula, cex, bound=1)
     assert report.status == "bounded-out"
     assert report.causes == ()
     # the pre-check cannot rule out the two-event cause, so the search ran
@@ -402,14 +390,60 @@ def test_search_names_the_trace_that_is_not_a_run(machine):
         all_minimal_causes(machine, OD, bad)
 
 
-@pytest.mark.parametrize("search", [actual_cause, all_minimal_causes])
-def test_search_walks_each_trace_once(machine, cex, monkeypatch, search):
-    # the candidate analysis reads the runs the search's automata walked
+def _record_walks(monkeypatch) -> list:
     walked = []
     check = MooreMachine._check_trace
     monkeypatch.setattr(
         MooreMachine, "_check_trace", lambda m, trace: walked.append(trace) or check(m, trace)
     )
+    return walked
+
+
+@pytest.mark.parametrize("search", [actual_cause, all_minimal_causes])
+def test_search_walks_each_trace_once(machine, cex, monkeypatch, search):
+    # the candidate analysis reads the runs the search's automata walked
+    walked = _record_walks(monkeypatch)
     report = search(machine, OD, cex)
     assert report.causes
     assert walked == list(cex.lassos())
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (["explain"], 2),
+    (["explain", "--all"], 2),
+    (["candidates"], 2),
+    (["oracle"], 4),  # the candidate analysis and the oracle build a table each
+], ids=["explain", "explain --all", "candidates", "oracle"])
+def test_cli_walks_each_trace_once_per_table(monkeypatch, capsys, argv, walks):
+    from test_cli import FORMULA, SYSTEM, TRACES
+
+    walked = _record_walks(monkeypatch)
+    assert main(argv + ["--system", SYSTEM, "--formula", FORMULA,
+                        "--counterexample", TRACES]) == 0
+    capsys.readouterr()
+    assert len(walked) == walks
+
+
+def satisfied_assignment():
+    """t1 twice: the body holds, so there is no violation to explain."""
+    from conftest import t1
+
+    return Counterexample({"t1": t1(), "t2": t1()})
+
+
+@pytest.mark.parametrize("search", [
+    actual_cause,
+    all_minimal_causes,
+    candidate_cause,
+    brute_force_causes,
+])
+def test_search_requires_a_violation(machine, search):
+    with pytest.raises(NothingToExplain):
+        search(machine, OD, satisfied_assignment())
+
+
+def test_no_cause_and_no_repair_without_a_violation(machine):
+    # each keeps the body holding, which repairs nothing
+    sat = satisfied_assignment()
+    assert not verify_actual_cause(machine, OD, sat, [Event("t1", 2, "hi", False)])
+    assert not check_contingency_valid(machine, OD, sat, [LOW_T1], [Event("t1", 1, "lo", True)])

@@ -282,3 +282,50 @@ def test_explain_text_format(capsys):
     assert "t1: {!hi[*]} {lo} ({ho lo})^w" in lines  # captured stdout is not a terminal
     assert lines[-1].startswith("stats: subsets_checked=")
     assert "decided_by=search" in lines[-1]
+
+
+def _write_traces(tmp_path, traces):
+    path = tmp_path / "traces.json"
+    path.write_text(json.dumps({"format": 1, "traces": traces}))
+    return str(path)
+
+
+T1 = {"prefix": [[], ["lo"]], "period": [["ho", "lo"]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain"], ["explain", "--all"], ["candidates"], ["oracle"], ["validate"],
+], ids=" ".join)
+def test_trace_that_is_not_a_run_is_a_usage_error(tmp_path, capsys, argv):
+    broken = {"prefix": [["ho"]], "period": [["ho", "lo"]]}
+    traces = _write_traces(tmp_path, {"t1": T1, "t2": broken})
+    code, out, err = run_cli(capsys, *argv, "--system", SYSTEM, "--formula", FORMULA,
+                             "--counterexample", traces)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: trace 't2': not a trace of the machine: "
+        "outputs ['ho'] do not match state 's0' label [] @ 0\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["explain", "--dump-aa"], ["candidates"], ["oracle"]],
+                         ids=" ".join)
+def test_counterexample_that_satisfies_the_formula_has_nothing_to_explain(
+    tmp_path, capsys, argv
+):
+    traces = _write_traces(tmp_path, {"t1": T1, "t2": T1})
+    code, out, err = run_cli(capsys, *argv, "--system", SYSTEM, "--formula", FORMULA,
+                             "--counterexample", traces)
+    assert code == 1
+    assert out == ""
+    assert err == "the counterexample satisfies the formula; nothing to explain\n"
+
+
+@pytest.mark.parametrize("command", ["oracle", "candidates"])
+def test_text_reports_are_coloured_on_a_terminal(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    code, out, _ = run_cli(capsys, command, "--system", SYSTEM, "--formula", FORMULA,
+                           "--counterexample", TRACES, "--format", "text")
+    assert code == 0
+    assert "\x1b[" in out

@@ -155,6 +155,15 @@ def test_infix_printer_precedence():
     assert infix(g) == "(a[p] | b[p]) & c[p]"
 
 
+def test_unary_chain_prints_without_parentheses():
+    text = "forall p. !X F G !a[p] U b[p]"
+    h = parse_hyperltl(text)
+    assert isinstance(h.body, F.Until)
+    assert str(h) == text
+    # a binary operand of a unary operator keeps its parentheses
+    assert infix(F.Not(F.And(F.Atom("a", "p"), F.Atom("b", "p")))) == "!(a[p] & b[p])"
+
+
 def test_all_bundled_formula_fixtures_parse():
     from pathlib import Path
 
@@ -329,7 +338,8 @@ def _ref_infix(f):
         elif isinstance(node, (F.Not, F.Next, F.Eventually, F.Always)):
             sym = _REF_UN_SYMBOL[type(node)]
             sep = " " if sym != "!" else ""
-            text = f"{sym}{sep}{render(node.arg, prec)}"
+            # the operand one level lower, so that a unary chain stays bare
+            text = f"{sym}{sep}{render(node.arg, prec - 1)}"
         else:
             sym = _REF_BIN_SYMBOL[type(node)]
             right_assoc = isinstance(node, (F.Implies, F.Until, F.Release))

@@ -42,6 +42,11 @@ def test_report_snapshot_prints_one_line_per_instance_and_operation(monkeypatch,
     monkeypatch.setattr(report_snapshot, "SUITE_SIZE", 3)
     report_snapshot.main()
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(lines) == 3 * len(report_snapshot.OPERATIONS) == 15
-    assert all(set(line) == {"seed", "op", "exit", "stderr", "report"} for line in lines)
-    assert not any("stats" in (line["report"] or {}) for line in lines)
+    corpus, tail = lines[:15], lines[15:]
+    assert len(corpus) == 3 * len(report_snapshot.OPERATIONS) == 15
+    assert all(set(line) == {"seed", "op", "exit", "stderr", "report"} for line in corpus)
+    assert not any("stats" in (line["report"] or {}) for line in corpus)
+    # the error tail: every operation and validate on each broken case
+    assert len(tail) == len(report_snapshot.ERROR_CASES) * 6 == 18
+    assert all(set(line) == {"case", "op", "exit", "stderr", "report"} for line in tail)
+    assert {line["exit"] for line in tail if line["op"] != "check"} == {0, 1, 2}

@@ -11,7 +11,6 @@ from hypercause.events import Counterexample, satisfied_events
 from hypercause.lasso import Lasso
 from hypercause.machine import (
     MooreMachine,
-    TraceDiagnostic,
     load_machine,
     load_traces,
     traces_to_json,
@@ -166,17 +165,26 @@ def test_validate_trace_accepts_counterexample_traces(machine):
     assert machine.validate_trace(t2())
 
 
+def _error_text(m, trace):
+    with pytest.raises(ValidationError) as exc:
+        m.state_sequence(trace)
+    return str(exc.value)
+
+
 def test_validate_trace_rejects_label_mismatch(machine):
     broken = Lasso([frozenset(), frozenset()], [frozenset({"ho", "lo"})])
-    diag = machine.validate_trace(broken)
-    assert not diag
-    assert diag.position == 1
+    assert not machine.validate_trace(broken)
+    assert _error_text(machine, broken) == (
+        "not a trace of the machine: outputs [] do not match state 's2' label ['lo'] @ 1"
+    )
 
 
 def test_validate_trace_rejects_unknown_props(machine):
     bad = Lasso([frozenset({"zz"})], [frozenset({"ho", "lo"})])
-    diag = machine.validate_trace(bad)
-    assert not diag and diag.position == 0
+    assert not machine.validate_trace(bad)
+    assert _error_text(machine, bad) == (
+        "not a trace of the machine: unknown propositions ['zz'] @ 0"
+    )
 
 
 def random_machine(rng, n_inputs=2, n_states=4):
@@ -281,6 +289,7 @@ def reference_run(m, input_word):
 
 
 def reference_validate_trace(m, trace):
+    """Why and where `trace` first leaves the machine's run, or None."""
     ap = set(m.inputs) | set(m.outputs)
     state = m.initial
     seen = set()
@@ -288,28 +297,26 @@ def reference_validate_trace(m, trace):
     while True:
         here = trace.at(step)
         if not here <= ap:
-            return TraceDiagnostic(False, step, f"unknown propositions {sorted(here - ap)}")
+            return f"unknown propositions {sorted(here - ap)} @ {step}"
         if here & set(m.outputs) != m.labels[state]:
-            return TraceDiagnostic(
-                False,
-                step,
+            return (
                 f"outputs {sorted(here & set(m.outputs))} do not match state "
-                f"{state!r} label {sorted(m.labels[state])}",
+                f"{state!r} label {sorted(m.labels[state])} @ {step}"
             )
         phase = step - trace.loop_start
         if phase >= 0:
             key = (state, phase % len(trace.period))
             if key in seen:
-                return TraceDiagnostic(True)
+                return None
             seen.add(key)
         state = m.successor(state, here & set(m.inputs))
         step += 1
 
 
 def reference_state_sequence(m, trace):
-    diag = reference_validate_trace(m, trace)
-    if not diag:
-        raise ValidationError(f"not a trace of the machine: {diag.message} @ {diag.position}")
+    error = reference_validate_trace(m, trace)
+    if error is not None:
+        raise ValidationError(f"not a trace of the machine: {error}")
     states = [m.initial]
     for n in range(len(trace)):
         states.append(m.successor(states[-1], trace.at(n) & set(m.inputs)))
@@ -378,7 +385,7 @@ def test_walk_agrees_with_reference_loops(seed):
     assert _outcome(m.run, bad_word) == _outcome(reference_run, m, bad_word)
     trace = m.run(word)
     for variant in _variants(rng, m, trace):
-        assert m.validate_trace(variant) == reference_validate_trace(m, variant)
+        assert m.validate_trace(variant) == (reference_validate_trace(m, variant) is None)
         assert _outcome(m.state_sequence, variant) == _outcome(
             reference_state_sequence, m, variant
         )
@@ -399,7 +406,7 @@ def test_walk_on_a_representation_that_does_not_close():
     m = MooreMachine(["a"], ["o"], {"p": [], "q": []}, "p",
                      {(s, x): {"p": "q", "q": "p"}[s] for s in "pq" for x in assignments(["a"])})
     trace = Lasso([], [frozenset()])
-    assert m.validate_trace(trace) == reference_validate_trace(m, trace)
+    assert m.validate_trace(trace) and reference_validate_trace(m, trace) is None
     states = m.state_sequence(trace)
     assert states == reference_state_sequence(m, trace) == ("p", "q")
     assert states[len(trace)] != states[trace.loop_start]
