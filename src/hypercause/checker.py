@@ -8,6 +8,16 @@ falsify the body.  It is lazy: the size guard counts the words
 arithmetically, words are run one at a time only when the product needs a
 trace not yet seen, and the search stops at the first falsifying
 assignment.
+
+Most of the cost is in instances with no violation, where every assignment
+is evaluated.  So after the size guard, and before any word is run, the
+search asks whether the body surely holds: every trace of the machine lies
+between two words over the states reachable in exactly ``i`` steps (the
+outputs all of them carry, and every input plus the outputs some carry),
+and when the three-valued evaluation (`semantics.Program.bounds`) of the
+body on k copies of those words is surely true, no assignment falsifies it
+at any bound.  The check is sound, not complete: otherwise the enumeration
+decides.
 """
 
 from __future__ import annotations
@@ -66,6 +76,20 @@ def _lazy_product(items: Iterator[Lasso], k: int) -> Iterator[tuple[Lasso, ...]]
     yield from itertools.islice(itertools.product(drawn, repeat=k), len(drawn), None)
 
 
+def _surely_holds(machine: MooreMachine, formula: F.HyperFormula) -> bool:
+    """Does the body hold on every k-tuple of the machine's traces?  True is
+    sure (see the module docstring); False decides nothing."""
+    sets: dict[frozenset[str], int] = {}  # state set -> first step it is reached at
+    current = frozenset([machine.initial])
+    while current not in sets:
+        sets[current] = len(sets)
+        current = frozenset([machine.delta[(s, a)] for s in current for a in machine.input_sets])
+    loop = sets[current]
+    must, may = (Lasso(rows[:loop], rows[loop:]) for rows in machine.label_bounds(sets))
+    k = len(formula.variables)
+    return formula.program.bounds([must] * k, [may] * k)[0]
+
+
 def find_counterexample(
     machine: MooreMachine,
     formula: F.HyperFormula,
@@ -74,8 +98,10 @@ def find_counterexample(
 ) -> Counterexample | None:
     """First trace assignment falsifying the body, or None within bounds.
 
-    Assignments follow ``itertools.product(traces, repeat=k)`` over the
-    distinct traces in first-appearance order.
+    The size guard refuses first; then the answer is None, without a run,
+    when the body surely holds (`_surely_holds`).  Assignments follow
+    ``itertools.product(traces, repeat=k)`` over the distinct traces in
+    first-appearance order.
     """
     k = len(formula.variables)
     letters = 2 ** len(machine.inputs)
@@ -84,6 +110,8 @@ def find_counterexample(
         raise SizeGuardError(
             f"{words ** k} candidate assignments exceed the search guard"
         )
+    if _surely_holds(machine, formula):
+        return None
     traces = _distinct_runs(machine, _input_words(machine, prefix_bound, period_bound))
     names = [f"t{i + 1}" for i in range(k)]
     for combo in _lazy_product(traces, k):

@@ -202,13 +202,22 @@ def trace_automata(
     machine: MooreMachine, cex: Counterexample
 ) -> dict[str, CounterfactualAutomaton]:
     """One counterfactual automaton per trace of `cex`.  Building one checks
-    that its trace is a run of `machine`, and the error names the trace."""
+    that its trace is a run of `machine`, and the error names the trace.
+    Then each trace's period must close on machine states (the run re-enters
+    its loop start's state), since the copies stand for the positions of the
+    representation."""
     automata = {}
     for name, trace in cex.traces.items():
         try:
             automata[name] = CounterfactualAutomaton(machine, trace)
         except ValidationError as exc:
             raise ValidationError(f"trace {name!r}: {exc}") from None
+    for name, aut in automata.items():
+        if aut.states[len(aut.source)] != aut.states[aut.loop_to]:
+            raise ValidationError(
+                f"trace {name!r}: period does not close on machine states; "
+                "use a representation aligned with the state recurrence"
+            )
     return automata
 
 

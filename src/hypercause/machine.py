@@ -245,6 +245,20 @@ class MooreMachine:
                     break
         return frozenset(relevant)
 
+    def label_bounds(
+        self, sets: Iterable[Iterable[str]]
+    ) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
+        """Must and may rows of steps whose state lies in the given sets, one
+        row each per set: a step surely carries the outputs every state of
+        its set carries, and possibly every input and the outputs some state
+        carries."""
+        must, may = [], []
+        for states in sets:
+            labels = [self.labels[s] for s in states]
+            must.append(frozenset.intersection(*labels))
+            may.append(self._input_set.union(*labels))
+        return must, may
+
     # -- semantics ---------------------------------------------------------
 
     def run(self, input_word: Lasso) -> Lasso:

@@ -38,10 +38,12 @@ loop, so the words read step 0 from the initial state and, with loop start
 0, begin their period at step 1.  So at each step an output is surely
 present when every such state carries it and possibly present when some
 state does; inputs may take either value, and a proposition the machine
-lacks is absent.  Every world's word lies between these must and may words,
-literal by literal, and LTL is monotone in its literals, so when the
-three-valued evaluation of the body (`semantics.Program.may_hold`) says
-the body cannot hold, no world satisfies it and nothing is a cause:
+lacks is absent (`MooreMachine.label_bounds`, which the checker also uses
+to decide that a property holds).  Every world's word lies between these
+must and may words, literal by literal, and LTL is monotone in its
+literals, so when the three-valued evaluation of the body
+(`semantics.Program.bounds`) says the body cannot hold, no world
+satisfies it and nothing is a cause:
 ``CandidateSet.feasible`` is False and the cause search reports
 ``no-actual-cause`` without trying a subset.  The check is sound but not
 complete: a "may" answer leaves the question to the search.
@@ -54,7 +56,6 @@ from dataclasses import dataclass
 
 from . import formulas as F
 from .counterfactual import CounterfactualAutomaton, InterventionTable
-from .errors import ValidationError
 from .events import Counterexample, Event, events_of_trace, sort_events
 from .lasso import Lasso
 from .machine import MooreMachine
@@ -101,17 +102,11 @@ def candidate_set(
     rerouted: list[Event] = []
     for name, aut in automata.items():
         machine, trace, states = aut.machine, aut.source, aut.states
-        if states[len(trace)] != states[trace.loop_start]:
-            raise ValidationError(
-                f"trace {name!r}: period does not close on machine states; "
-                "use a representation aligned with the state recurrence"
-            )
         reach = aut.copy_states()
-        labels = [[machine.label(s) for s in copy] for copy in reach]
-        inputs = frozenset(machine.inputs)
-        start = machine.label(machine.initial)
-        must.append(_bounds([frozenset.intersection(*ls) for ls in labels], trace, start))
-        may.append(_bounds([inputs.union(*ls) for ls in labels], trace, inputs | start))
+        # rows of the initial state, then of each copy
+        low, high = machine.label_bounds([{machine.initial}, *reach])
+        must.append(_bounds(low[1:], trace, low[0]))
+        may.append(_bounds(high[1:], trace, high[0]))
         for n in range(len(trace)):
             here = trace.at(n)
             step_events = sort_events(
@@ -128,7 +123,7 @@ def candidate_set(
     events.extend(rerouted)
     return CandidateSet(
         sort_events(events), tuple(per_step), support_events, sort_events(rerouted),
-        formula.program.may_hold(must, may),
+        formula.program.bounds(must, may)[1],
     )
 
 

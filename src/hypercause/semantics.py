@@ -16,9 +16,11 @@ for position ``i``:
 * ``F`` and ``G`` are closed forms (from the loop on, every position sees
   the whole loop), ``U`` and ``R`` whole-row fixpoints.
 
-`Program.may_hold` runs the same program three-valued, on a must and a may
-row per subformula, over words known only between two bounds; the
-candidate analysis uses it to rule out every counterfactual world at once.
+`Program.bounds` runs the same program three-valued, on a must and a may
+row per subformula, over words known only between two bounds, and reads
+both verdicts at position 0: the checker uses the must verdict to show that
+every assignment of machine traces satisfies the body, and the candidate
+analysis the may verdict to rule out every counterfactual world at once.
 
 Zipping is the reference the program is checked against: it merges the
 assignment into a single lasso whose letters carry ``prop@var`` keys, so the
@@ -249,17 +251,19 @@ class Program:
             rows.append(row)
         return bool(rows[self.result] & 1)
 
-    def may_hold(self, must: Sequence[Lasso], may: Sequence[Lasso]) -> bool:
-        """Can the body hold on some assignment whose words lie between `must`
-        and `may`?
+    def bounds(self, must: Sequence[Lasso], may: Sequence[Lasso]) -> tuple[bool, bool]:
+        """Does the body surely hold, and can it hold, on the assignments
+        whose words lie between `must` and `may`?
 
         Trace ``i``'s word must contain every letter of ``must[i]`` and only
         letters of ``may[i]``, position by position; both have that trace's
         shape.  Each subformula gets a must row (true on every such
         assignment) and a may row (true on some): ``&`` and ``|`` act on each
         row, ``!`` swaps the rows and complements them, and the temporal
-        operators, being monotone, act on each row unchanged.  False means
-        no such assignment satisfies the body; True decides nothing.
+        operators, being monotone, act on each row unchanged.  The answer
+        reads both rows at position 0: (True, _) means every such assignment
+        satisfies the body, (_, False) that none does; on exact words
+        (``must == may``) both are `holds`.
         """
         loop, n = self._joint(must)
         full = (1 << n) - 1
@@ -284,7 +288,7 @@ class Program:
                 high = _temporal(op, hi[x], hi[y], loop, full)
             lo.append(low)
             hi.append(high)
-        return bool(hi[self.result] & 1)
+        return bool(lo[self.result] & 1), bool(hi[self.result] & 1)
 
 
 def _temporal(op: int, a: int, b: int, loop: int, full: int) -> int:

@@ -6,10 +6,13 @@ uses), the script writes the machine, formula and counterexample to files
 and runs ``check`` at prefix bound 2 and period bound 2 (the bounds the
 corpus was drawn at), ``candidates``, and ``explain``, ``explain --all`` and
 ``oracle`` at cause bound 3 and contingency bound 2, all through
-`hypercause.cli.main`.  ``explain`` runs with ``--dump-aa``, so the
-alternating automaton of the negated body and its accepting run tree are in
-its stderr.  It prints
-one JSON line per instance and operation: the seed, the operation, the exit
+`hypercause.cli.main`.  Each draw in between that the corpus skips (no
+violation within the bounds, refused by the size guard, or traces over the
+corpus caps) gets its ``check`` line only, so the checker's "no violation"
+answers and guard refusals are compared too.  ``explain`` runs with
+``--dump-aa``, so the alternating automaton of the negated body and its
+accepting run tree are in its stderr.  It prints one JSON line per
+instance and operation: the seed, the operation, the exit
 code, stderr, and the report with its ``stats`` removed (they count work,
 which a refactor may change).  A fixed tail of error paths follows: every
 operation, and ``validate``, on the running example with a trace that is
@@ -24,7 +27,7 @@ A refactor that keeps the outputs gives byte-identical output:
 
 ``PYTHONHASHSEED=0`` fixes set iteration order, which can change the
 search's order of work.  The script is not a pytest module; it takes
-about a minute on a 2-vCPU host.
+about 10 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from genrand import random_violated_instance  # noqa: E402
+from genrand import random_draw, random_violated_instance  # noqa: E402
 from hypercause import cli  # noqa: E402
 from hypercause.machine import traces_to_json  # noqa: E402
 
@@ -94,19 +97,22 @@ def _operations(paths: list[str], operations: dict[str, list[str]]):
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         files = {name: str(Path(tmp) / name) for name in ("system", "formula", "counterexample")}
+        paths = [f"--{name}={path}" for name, path in files.items()]
         seed = done = 0
         while done < SUITE_SIZE:
             seed += 1
             instance = random_violated_instance(seed)
-            if instance is None:
-                continue
-            done += 1
-            machine, formula, cex = instance
+            if instance is None:  # the draw's check line only
+                machine, formula = random_draw(seed)
+                operations = {"check": OPERATIONS["check"]}
+            else:
+                done += 1
+                machine, formula, cex = instance
+                Path(files["counterexample"]).write_text(json.dumps(traces_to_json(cex.traces)))
+                operations = OPERATIONS
             Path(files["system"]).write_text(json.dumps(machine.to_json()))
             Path(files["formula"]).write_text(str(formula))
-            Path(files["counterexample"]).write_text(json.dumps(traces_to_json(cex.traces)))
-            paths = [f"--{name}={path}" for name, path in files.items()]
-            for line in _operations(paths, OPERATIONS):
+            for line in _operations(paths, operations):
                 print(json.dumps({"seed": seed, **line}, sort_keys=True))
         traces = files["counterexample"]
         for case, named in ERROR_CASES.items():

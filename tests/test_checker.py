@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from hypercause.checker import MAX_ASSIGNMENTS, _input_words, find_counterexample
+from hypercause.checker import (
+    MAX_ASSIGNMENTS, _input_words, _surely_holds, find_counterexample,
+)
 from hypercause.errors import SizeGuardError
 from hypercause.events import Counterexample
 from hypercause.lasso import Lasso
@@ -95,6 +97,13 @@ def test_lazy_search_equals_eager_reference(bounds):
         assert lazy == eager, f"seed {seed}"
 
 
+def _no_runs(machine, monkeypatch):
+    def run(word):
+        raise AssertionError("no word may be run")
+
+    monkeypatch.setattr(machine, "run", run)
+
+
 def test_size_guard_raises_before_any_run(monkeypatch):
     machine, formula = next(
         (m, f) for m, f in map(random_draw, range(1, 100))
@@ -102,9 +111,33 @@ def test_size_guard_raises_before_any_run(monkeypatch):
     )
     expected = outcome(eager_find_counterexample, machine, formula, 2, 2)
     assert expected[0] == "guard"
+    _no_runs(machine, monkeypatch)
+    assert outcome(find_counterexample, machine, formula, 2, 2) == expected
 
-    def run(word):
-        raise AssertionError("the guard must refuse before any word is run")
 
-    monkeypatch.setattr(machine, "run", run)
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 2)])
+def test_surely_holds_only_without_a_violation(bounds):
+    decided = 0
+    for seed in range(1, 61):
+        machine, formula = random_draw(seed)
+        if _surely_holds(machine, formula):
+            decided += 1
+            found = outcome(eager_find_counterexample, machine, formula, *bounds)
+            assert found[0] == "guard" or found[1] is None, f"seed {seed}"
+    assert decided >= 10
+
+
+def test_decided_draw_runs_no_word(monkeypatch):
+    machine, formula = random_draw(16)  # forall 0 1. o0[0] <-> o0[1]
+    _no_runs(machine, monkeypatch)
+    assert find_counterexample(machine, formula, 2, 2) is None
+
+
+def test_size_guard_refuses_before_the_check(monkeypatch):
+    # the check would decide this draw, but the guard refuses it as before
+    machine, formula = random_draw(30)
+    assert _surely_holds(machine, formula)
+    expected = outcome(eager_find_counterexample, machine, formula, 2, 2)
+    assert expected == ("guard", "27625536 candidate assignments exceed the search guard")
+    _no_runs(machine, monkeypatch)
     assert outcome(find_counterexample, machine, formula, 2, 2) == expected

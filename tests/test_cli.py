@@ -309,6 +309,32 @@ def test_trace_that_is_not_a_run_is_a_usage_error(tmp_path, capsys, argv):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["explain"], ["explain", "--all"], ["candidates"], ["oracle"], ["validate"],
+], ids=" ".join)
+def test_period_that_does_not_close_is_a_usage_error(tmp_path, capsys, argv):
+    # two states share the empty label and swap on every step, so the run
+    # of ({})^w is p q p q ...: a run whose one-letter period does not close
+    system = tmp_path / "m.json"
+    system.write_text(json.dumps({
+        "format": 1, "inputs": ["a"], "outputs": ["o"],
+        "states": [{"id": "p", "label": []}, {"id": "q", "label": []}], "initial": "p",
+        "transitions": [{"from": "p", "guard": "true", "to": "q"},
+                        {"from": "q", "guard": "true", "to": "p"}],
+    }))
+    formula = tmp_path / "f.hltl"
+    formula.write_text("forall p. G o[p]")
+    traces = _write_traces(tmp_path, {"t1": {"prefix": [], "period": [[]]}})
+    code, out, err = run_cli(capsys, *argv, "--system", str(system), "--formula",
+                             str(formula), "--counterexample", traces)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: trace 't1': period does not close on machine states; "
+        "use a representation aligned with the state recurrence\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [["explain", "--dump-aa"], ["candidates"], ["oracle"]],
                          ids=" ".join)
 def test_counterexample_that_satisfies_the_formula_has_nothing_to_explain(

@@ -42,9 +42,17 @@ def test_report_snapshot_prints_one_line_per_instance_and_operation(monkeypatch,
     monkeypatch.setattr(report_snapshot, "SUITE_SIZE", 3)
     report_snapshot.main()
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    corpus, tail = lines[:15], lines[15:]
-    assert len(corpus) == 3 * len(report_snapshot.OPERATIONS) == 15
+    corpus, tail = lines[:19], lines[19:]
     assert all(set(line) == {"seed", "op", "exit", "stderr", "report"} for line in corpus)
+    ops: dict[int, list[str]] = {}
+    for line in corpus:
+        ops.setdefault(line["seed"], []).append(line["op"])
+    every = list(report_snapshot.OPERATIONS)
+    assert len(every) == 5
+    assert ops == {1: every, 2: ["check"], 3: ["check"], 4: every,
+                   5: ["check"], 6: ["check"], 7: every}
+    # the draws the corpus skips: no violation (exit 1), and the size guard (exit 3)
+    assert [line["exit"] for line in corpus if len(ops[line["seed"]]) == 1] == [1, 1, 3, 3]
     assert not any("stats" in (line["report"] or {}) for line in corpus)
     # the error tail: every operation and validate on each broken case
     assert len(tail) == len(report_snapshot.ERROR_CASES) * 6 == 18

@@ -253,12 +253,14 @@ def _reshaped(trace: Lasso, letters) -> Lasso:
 @settings(max_examples=300)
 @given(assigned_formulas(), st.data())
 def test_three_valued_evaluation_bounds_every_word_between(case, data):
-    # on exact words the three-valued answer is the two-valued one, and a
-    # word that satisfies the body keeps every widening of it possible
+    # on exact words both three-valued verdicts are the two-valued one; a
+    # word that satisfies the body keeps every widening of it possible, and
+    # one that falsifies it keeps every widening from surely holding
     formula, cex = case
     program = formula.program
     words = cex.lassos()
-    assert program.may_hold(words, words) == program.holds(words)
+    holds = program.holds(words)
+    assert program.bounds(words, words) == (holds, holds)
     must, may = [], []
     for word in words:
         letters = word.prefix + word.period
@@ -266,6 +268,6 @@ def test_three_valued_evaluation_bounds_every_word_between(case, data):
         added = data.draw(st.lists(LETTERS, min_size=len(letters), max_size=len(letters)))
         must.append(_reshaped(word, (a - d for a, d in zip(letters, dropped))))
         may.append(_reshaped(word, (a | d for a, d in zip(letters, added))))
-    if program.holds(words):
-        assert program.may_hold(must, may)
+    surely, possibly = program.bounds(must, may)
+    assert possibly if holds else not surely
 
