@@ -14,10 +14,10 @@ is evaluated.  So after the size guard, and before any word is run, the
 search asks whether the body surely holds: every trace of the machine lies
 between two words over the states reachable in exactly ``i`` steps (the
 outputs all of them carry, and every input plus the outputs some carry),
-and when the three-valued evaluation (`semantics.Program.bounds`) of the
-body on k copies of those words is surely true, no assignment falsifies it
-at any bound.  The check is sound, not complete: otherwise the enumeration
-decides.
+whose sets `machine.orbit` steps until one repeats, and when the
+three-valued evaluation (`semantics.Program.bounds`) of the body on k
+copies of those words is surely true, no assignment falsifies it at any
+bound.  The check is sound, not complete: otherwise the enumeration decides.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import formulas as F
 from .errors import SizeGuardError
 from .events import Counterexample
 from .lasso import Lasso
-from .machine import MooreMachine
+from .machine import MooreMachine, orbit
 from .semantics import eval_hyper
 
 MAX_ASSIGNMENTS = 2_000_000
@@ -79,13 +79,12 @@ def _lazy_product(items: Iterator[Lasso], k: int) -> Iterator[tuple[Lasso, ...]]
 def _surely_holds(machine: MooreMachine, formula: F.HyperFormula) -> bool:
     """Does the body hold on every k-tuple of the machine's traces?  True is
     sure (see the module docstring); False decides nothing."""
-    sets: dict[frozenset[str], int] = {}  # state set -> first step it is reached at
-    current = frozenset([machine.initial])
-    while current not in sets:
-        sets[current] = len(sets)
-        current = frozenset([machine.delta[(s, a)] for s in current for a in machine.input_sets])
-    loop = sets[current]
-    must, may = (Lasso(rows[:loop], rows[loop:]) for rows in machine.label_bounds(sets))
+    delta, input_sets = machine.delta, machine.input_sets
+    sets, loop = orbit(
+        frozenset([machine.initial]),
+        lambda current: frozenset([delta[(s, a)] for s in current for a in input_sets]),
+    )
+    must, may = machine.label_bounds(sets, loop)
     k = len(formula.variables)
     return formula.program.bounds([must] * k, [may] * k)[0]
 

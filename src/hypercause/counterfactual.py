@@ -33,7 +33,7 @@ from . import formulas as F
 from .errors import NothingToExplain, ValidationError
 from .events import Counterexample, Event, events_of_trace, sort_events
 from .lasso import Lasso
-from .machine import MooreMachine, walk
+from .machine import MooreMachine, orbit, walk
 from .semantics import eval_hyper
 
 
@@ -49,7 +49,7 @@ _CONTROLLABLE: "weakref.WeakKeyDictionary[MooreMachine, tuple]" = weakref.WeakKe
 def controllable_outputs(machine: MooreMachine) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Largest output set usable for contingencies, plus the excluded rest.
 
-    A set O_c qualifies when, closing the reachable states under both the
+    A set O_c qualifies when, closing the initial state under both the
     transition function and O_c-overrides of successor labels, every
     non-identity override names exactly one state.  Identity overrides
     follow the ordinary transition function, so duplicated labels do not by
@@ -71,19 +71,15 @@ def _largest_controllable(machine: MooreMachine) -> tuple[tuple[str, ...], tuple
         flagged = frozenset(candidate)
         overrides = [frozenset(c) for k in range(len(candidate) + 1)
                      for c in itertools.combinations(candidate, k)]
-        seen = set(machine.reachable_states())
-        frontier = list(seen)
-        while frontier:
-            s = frontier.pop()
+        seen = [machine.initial]
+        for s in seen:  # a worklist: `seen` grows while it is read
             for a in machine.input_sets:
                 succ = machine.delta[(s, a)]
                 try:
                     targets = {_forced_state(machine, succ, flagged, o) for o in overrides}
                 except ValidationError:
                     return False
-                for t in targets - seen:
-                    seen.add(t)
-                    frontier.append(t)
+                seen.extend(targets.difference(seen))
         return True
 
     maximal: list[tuple[str, ...]] = []
@@ -133,9 +129,6 @@ class CounterfactualAutomaton:
         self._successors = source.successors()
         self.initial = (machine.initial, 0)
 
-    def input_alphabet(self) -> tuple[str, ...]:
-        return tuple(self.machine.inputs) + tuple(sorted(self._flags))
-
     def step(self, state: tuple[str, int], input_set: Iterable[str]) -> tuple[str, int]:
         s, k = state
         input_set = frozenset(input_set)
@@ -156,16 +149,16 @@ class CounterfactualAutomaton:
         labels = self.machine.labels
         return walk(input_word, self.initial, self.step, lambda s: labels[s[0]], inputs)[1]
 
-    def copy_states(self) -> tuple[frozenset[str], ...]:
-        """Machine states the automaton can occupy at each copy, under any
-        input word and any auxiliary inputs.
+    def step_sets(self) -> tuple[list[tuple[frozenset[str], int]], int]:
+        """(machine states, copy) the automaton can occupy at each step,
+        under any input word and any auxiliary inputs, as an `orbit`: the
+        steps up to the first repeated pair, and the index it loops back to.
 
-        The copies of `reachable`, computed on the base machine: a step from
-        a state takes every successor under some input set and forces it
-        with every set of controllable outputs, so the automaton's alphabet
-        is never enumerated letter by letter.  Forcing an output that
-        already has its source value changes nothing, so only sets of
-        differing outputs are tried.
+        The pairs are computed on the base machine: a step from a state takes
+        every successor under some input set and forces it with every set of
+        controllable outputs, so the automaton's alphabet is never enumerated
+        letter by letter.  Forcing an output that already has its source
+        value changes nothing, so only sets of differing outputs are tried.
         """
         machine, source = self.machine, self.source
         outputs = frozenset(machine.outputs)
@@ -175,27 +168,19 @@ class CounterfactualAutomaton:
         def targets(state: str, source_outputs: frozenset[str]) -> frozenset[str]:
             found = set()
             for succ in {machine.delta[(state, a)] for a in machine.input_sets}:
-                found.add(succ)
                 differing = sorted((machine.label(succ) ^ source_outputs) & controllable)
-                for k in range(1, len(differing) + 1):
+                for k in range(len(differing) + 1):  # forcing none of them gives `succ`
                     for flagged in itertools.combinations(differing, k):
-                        flagged = frozenset(flagged)
-                        found.add(_forced_state(machine, succ, flagged, source_outputs))
+                        found.add(_forced_state(machine, succ, frozenset(flagged), source_outputs))
             return frozenset(found)
 
-        reach: list[set[str]] = [set() for _ in range(len(source))]
-        reach[0].add(machine.initial)
-        frontier = [(machine.initial, 0)]
-        while frontier:
-            s, k = frontier.pop()
+        def step(pair: tuple[frozenset[str], int]) -> tuple[frozenset[str], int]:
+            states, k = pair
             k_next = self._successors[k]
-            for t in targets(s, source.at(k_next) & outputs) - reach[k_next]:
-                reach[k_next].add(t)
-                frontier.append((t, k_next))
-        return tuple(frozenset(states) for states in reach)
+            source_outputs = source.at(k_next) & outputs
+            return frozenset().union(*(targets(s, source_outputs) for s in states)), k_next
 
-    def reachable(self) -> tuple[tuple[str, int], ...]:
-        return tuple((s, k) for k, states in enumerate(self.copy_states()) for s in sorted(states))
+        return orbit((frozenset([machine.initial]), 0), step)
 
 
 def trace_automata(

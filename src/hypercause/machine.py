@@ -84,6 +84,18 @@ def walk(
         states.append(state)
 
 
+def orbit(initial, step: Callable) -> tuple[list, int]:
+    """Values ``initial, step(initial), ...`` up to the first repeat, and the
+    index of the value the repeat returns to: value ``i`` of the infinite
+    sequence is entry ``i`` before that index, and wraps around from it on."""
+    seen: dict = {}  # value -> index of its first visit
+    value = initial
+    while value not in seen:
+        seen[value] = len(seen)
+        value = step(value)
+    return list(seen), seen[value]
+
+
 class MooreMachine:
     """Finite-state transducer: outputs depend on the current state only."""
 
@@ -223,18 +235,6 @@ class MooreMachine:
                 f"{{{', '.join(sorted(key[1]))}}}"
             ) from None
 
-    def reachable_states(self) -> tuple[str, ...]:
-        seen = [self.initial]
-        frontier = [self.initial]
-        while frontier:
-            s = frontier.pop()
-            for assignment in self.input_sets:
-                t = self.delta[(s, assignment)]
-                if t not in seen:
-                    seen.append(t)
-                    frontier.append(t)
-        return tuple(seen)
-
     def input_support(self, state: str) -> frozenset[str]:
         """Inputs on which the successor of `state` depends."""
         relevant = set()
@@ -245,19 +245,17 @@ class MooreMachine:
                     break
         return frozenset(relevant)
 
-    def label_bounds(
-        self, sets: Iterable[Iterable[str]]
-    ) -> tuple[list[frozenset[str]], list[frozenset[str]]]:
-        """Must and may rows of steps whose state lies in the given sets, one
-        row each per set: a step surely carries the outputs every state of
-        its set carries, and possibly every input and the outputs some state
-        carries."""
+    def label_bounds(self, sets: Iterable[Iterable[str]], loop: int) -> tuple[Lasso, Lasso]:
+        """Must and may words of runs whose step ``i`` lies in state set ``i``
+        (`orbit` order, looping back to `loop`): a step surely carries the
+        outputs every state of its set carries, and possibly every input and
+        the outputs some state carries."""
         must, may = [], []
         for states in sets:
             labels = [self.labels[s] for s in states]
             must.append(frozenset.intersection(*labels))
             may.append(self._input_set.union(*labels))
-        return must, may
+        return Lasso(must[:loop], must[loop:]), Lasso(may[:loop], may[loop:])
 
     # -- semantics ---------------------------------------------------------
 
@@ -336,38 +334,69 @@ def _read_json(source):
     return source
 
 
+def _of(kind: type, value, *path):
+    """`value`, which must have the JSON type `kind`.  The error names the
+    field at `path` (keys and indices, as in ``states[1].label``)."""
+    if not isinstance(value, kind):
+        field = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+        expected = {str: "a string", list: "an array", dict: "an object"}[kind]
+        raise ValidationError(f"{field} must be {expected}")
+    return value
+
+
+def _entries(value, kind: type, *path) -> list:
+    """`value`, which must be a JSON array of entries of JSON type `kind`."""
+    if not (isinstance(value, list) and all(isinstance(x, kind) for x in value)):
+        for i, x in enumerate(_of(list, value, *path)):
+            _of(kind, x, *path, i)
+    return value
+
+
 def load_machine(source) -> MooreMachine:
-    """Load a machine from a JSON file path, file object, or parsed dict."""
+    """Load a machine from a JSON file path, file object, or parsed dict.
+    A value of the wrong JSON type raises a `ValidationError` naming it."""
     data = _read_json(source)
     if not isinstance(data, dict):
         raise ValidationError("machine file must contain a JSON object")
     if data.get("format", 1) != 1:
         raise ValidationError(f"unsupported machine format {data.get('format')!r}")
     try:
-        states = {s["id"]: s.get("label", []) for s in data["states"]}
-        transitions = [(t["from"], t["guard"], t["to"]) for t in data["transitions"]]
+        states = {
+            _of(str, s["id"], "states", i, "id"):
+                _entries(s.get("label", []), str, "states", i, "label")
+            for i, s in enumerate(_entries(data["states"], dict, "states"))
+        }
+        transitions = [
+            (_of(str, t["from"], "transitions", i, "from"),
+             _of(str, t["guard"], "transitions", i, "guard"),
+             _of(str, t["to"], "transitions", i, "to"))
+            for i, t in enumerate(_entries(data["transitions"], dict, "transitions"))
+        ]
         return MooreMachine.from_guards(
-            data["inputs"], data["outputs"], states, data["initial"], transitions
+            _entries(data["inputs"], str, "inputs"), _entries(data["outputs"], str, "outputs"),
+            states, _of(str, data["initial"], "initial"), transitions,
         )
     except KeyError as exc:
         raise ValidationError(f"machine file missing field {exc}") from None
 
 
 def load_traces(source) -> dict[str, Lasso]:
-    """Load named lassos from a JSON trace file."""
+    """Load named lassos from a JSON trace file; a letter is an array of strings."""
     data = _read_json(source)
     if not isinstance(data, dict) or "traces" not in data:
         raise ValidationError("trace file must be a JSON object with a 'traces' field")
     if data.get("format", 1) != 1:
         raise ValidationError(f"unsupported trace format {data.get('format')!r}")
     out: dict[str, Lasso] = {}
-    for name, body in data["traces"].items():
+    for name, body in _of(dict, data["traces"], "traces").items():
+        body = _of(dict, body, "traces", name)
         try:
-            out[name] = Lasso(
-                [frozenset(x) for x in body["prefix"]],
-                [frozenset(x) for x in body["period"]],
-            )
-        except (KeyError, TypeError) as exc:
+            out[name] = Lasso(*(
+                [_entries(x, str, "traces", name, part, i)
+                 for i, x in enumerate(_entries(body[part], list, "traces", name, part))]
+                for part in ("prefix", "period")
+            ))
+        except KeyError as exc:
             raise ValidationError(f"trace {name!r} malformed: {exc}") from None
     return out
 

@@ -355,3 +355,47 @@ def test_text_reports_are_coloured_on_a_terminal(capsys, monkeypatch, command):
                            "--counterexample", TRACES, "--format", "text")
     assert code == 0
     assert "\x1b[" in out
+
+
+# (file, path to the value replaced in it, the wrongly typed value, the error)
+WRONGLY_TYPED = [
+    ("system", ("inputs",), "hi", "inputs must be an array"),
+    ("system", ("outputs",), ["ho", 5], "outputs[1] must be a string"),
+    ("system", ("states", 1, "label"), "ho", "states[1].label must be an array"),
+    ("system", ("states", 1, "label"), 5, "states[1].label must be an array"),
+    ("system", ("states", 0, "id"), ["s0"], "states[0].id must be a string"),
+    ("system", ("states", 2), "s2", "states[2] must be an object"),
+    ("system", ("initial",), 0, "initial must be a string"),
+    ("system", ("transitions", 0, "guard"), 1, "transitions[0].guard must be a string"),
+    ("system", ("transitions", 3, "to"), None, "transitions[3].to must be a string"),
+    ("counterexample", ("traces", "t1", "prefix", 1), "lo",
+     "traces.t1.prefix[1] must be an array"),
+    ("counterexample", ("traces", "t2", "period", 0), ["ho", 5],
+     "traces.t2.period[0][1] must be a string"),
+    ("counterexample", ("traces", "t2", "prefix"), "hi", "traces.t2.prefix must be an array"),
+    ("counterexample", ("traces", "t1"), [], "traces.t1 must be an object"),
+    ("counterexample", ("traces",), [], "traces must be an object"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "explain"])
+@pytest.mark.parametrize("case", WRONGLY_TYPED,
+                         ids=lambda case: f"{'.'.join(map(str, case[1]))}={json.dumps(case[2])}")
+def test_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, command, case):
+    # a string is never read as a set of its characters, and no type error
+    # escapes as a traceback
+    kind, path, value, message = case
+    files = {"system": SYSTEM, "counterexample": TRACES}
+    doc = json.loads(Path(files[kind]).read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    files[kind] = tmp_path / f"{kind}.json"
+    files[kind].write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--system", str(files["system"]),
+                             "--formula", FORMULA, "--counterexample",
+                             str(files["counterexample"]))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -9,6 +9,7 @@ from hypercause.counterfactual import (
     CounterfactualAutomaton,
     InterventionTable,
     build_counterfactual_automaton,
+    contingency_flag,
     controllable_outputs,
     intervene,
     intervention_word,
@@ -16,7 +17,7 @@ from hypercause.counterfactual import (
 from hypercause.errors import ValidationError
 from hypercause.events import Counterexample, Event, satisfied_events, satisfies_events
 from hypercause.lasso import Lasso
-from hypercause.machine import MooreMachine
+from hypercause.machine import MooreMachine, walk
 from hypercause.parser import parse_hyperltl
 from hypercause.semantics import eval_hyper
 
@@ -35,7 +36,7 @@ def test_chain_structure(machine):
     assert aut.initial == ("s0", 0)
     assert aut.last_copy == 2
     assert aut.loop_to == 2
-    assert set(aut.input_alphabet()) == {"hi", "ho^C", "lo^C"}
+    assert set(_alphabet(aut)) == {"hi", "ho^C", "lo^C"}
 
 
 def test_reachable_fragment_transitions(machine):
@@ -47,10 +48,10 @@ def test_reachable_fragment_transitions(machine):
     assert aut.step(("s0", 0), set()) == ("s2", 1)
     # prefix copies cannot be revisited: loop stays in the last copy
     assert aut.step(("s3", 2), set()) == ("s3", 2)
-    reachable = aut.reachable()
+    reachable = _step_pairs(aut)
     assert ("s0", 0) in reachable
     assert all(k > 0 for (s, k) in reachable if (s, k) != ("s0", 0))
-    assert set(reachable) == _letter_closure(aut)
+    assert reachable == _letter_closure(aut)
 
 
 def test_no_contingency_projection_matches_base_run(machine):
@@ -221,10 +222,21 @@ def test_random_no_contingency_conservativity():
         checked += 1
 
 
+def _alphabet(aut):
+    # the automaton's inputs: the machine's plus one auxiliary contingency
+    # input per controllable output
+    return (*aut.machine.inputs, *(contingency_flag(o) for o in aut.controllable))
+
+
+def _step_pairs(aut):
+    # every (state, copy) some step of `step_sets` holds
+    return {(s, k) for states, k in aut.step_sets()[0] for s in states}
+
+
 def _letter_closure(aut):
     # every (state, copy) reached by stepping with every letter of the
     # automaton's alphabet: inputs plus auxiliary contingency inputs
-    alphabet = aut.input_alphabet()
+    alphabet = _alphabet(aut)
     seen = {aut.initial}
     frontier = [aut.initial]
     while frontier:
@@ -244,9 +256,9 @@ def test_random_reachable_equals_letter_by_letter_closure():
         m = random_machine(rng, n_inputs=rng.randint(1, 2), n_states=rng.randint(2, 4))
         trace = m.run(random_input_word(rng, m.inputs))
         aut = CounterfactualAutomaton(m, trace)
-        reachable = aut.reachable()
-        assert len(set(reachable)) == len(reachable)
-        assert set(reachable) == _letter_closure(aut)
+        pairs, loop = aut.step_sets()
+        assert len(set(pairs)) == len(pairs) and 0 <= loop < len(pairs)
+        assert _step_pairs(aut) == _letter_closure(aut)
 
 
 def test_events_satisfied_by_construction(machine, cex):
@@ -475,7 +487,12 @@ def _ref_largest_controllable(machine):
     def valid(candidate):
         overrides = [frozenset(c) for k in range(len(candidate) + 1)
                      for c in itertools.combinations(candidate, k)]
-        seen = set(machine.reachable_states())
+        reachable = [machine.initial]
+        for s in reachable:
+            for a in machine.input_sets:
+                if machine.delta[(s, a)] not in reachable:
+                    reachable.append(machine.delta[(s, a)])
+        seen = set(reachable)
         frontier = list(seen)
         while frontier:
             s = frontier.pop()
@@ -558,3 +575,29 @@ def test_intervention_word_agrees_with_reference(seed):
             assert _outcome(intervention_word, aut, cause, reset) == _outcome(
                 _ref_intervention_word, aut, cause, reset
             )
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_every_intervened_run_stays_in_the_step_sets(seed):
+    # step i of any run, under any flips and resets, is in the (states,
+    # copy) pair `step_sets` gives for step i, wrapped around its loop
+    rng, machine, trace = _machine_case(seed)
+    loop_state = machine.state_sequence(trace)[trace.loop_start]
+    from_loop = MooreMachine(machine.inputs, machine.outputs, machine.labels, loop_state,
+                             machine.delta)
+    for m, t in ((machine, trace), (from_loop, Lasso([], trace.period))):
+        aut = CounterfactualAutomaton(m, t)
+        pairs, loop = aut.step_sets()
+        cex = Counterexample({"t": t})
+        inputs = satisfied_events(cex, m.inputs)
+        outputs = satisfied_events(cex, aut.controllable)
+        for _ in range(10):
+            cause = rng.sample(inputs, rng.randint(0, len(inputs)))
+            resets = rng.sample(outputs, rng.randint(0, len(outputs)))
+            word = intervention_word(aut, cause, resets)
+            states, _ = walk(word, aut.initial, aut.step, lambda s: m.labels[s[0]],
+                             frozenset(m.inputs))
+            for i, (state, copy) in enumerate(states):
+                held, held_copy = pairs[i if i < loop else loop + (i - loop) % (len(pairs) - loop)]
+                assert state in held and copy == held_copy, (i, cause, resets)

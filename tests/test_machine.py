@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercause.boolexpr import assignments
-from hypercause.counterfactual import CounterfactualAutomaton, intervention_word
+from hypercause.counterfactual import CounterfactualAutomaton, contingency_flag, intervention_word
 from hypercause.errors import ParseError, ValidationError
 from hypercause.events import Counterexample, satisfied_events
 from hypercause.lasso import Lasso
@@ -324,7 +324,8 @@ def reference_state_sequence(m, trace):
 
 
 def reference_counterfactual_run(aut, input_word):
-    extra = input_word.alphabet() - set(aut.input_alphabet())
+    alphabet = {*aut.machine.inputs, *(contingency_flag(o) for o in aut.controllable)}
+    extra = input_word.alphabet() - alphabet
     if extra:
         raise ValidationError(f"input word uses unknown propositions {sorted(extra)}")
     letters = []
