@@ -8,22 +8,33 @@ already does.
 There is one search.  It enumerates minimal causes (`_minimal_causes`)
 within the candidate set, which holds every minimal cause (see `satcore`):
 subsets in ascending size, ties broken by the global event order, up to the
-cause bound, skipping supersets of causes already found, each decided by one
-contingency search (`least_contingency`).  That search returns the
-order-least contingency: the empty one if the flip alone repairs the
-property, else the first set of resettable output events on the flipped
-traces, again by size and then event order.  `actual_cause` stops at the
-first cause, `all_minimal_causes` takes every cause; both report
-`bounded-out` when the cause bound cut the search before it could decide.
-All tests of one search share a `counterfactual.InterventionTable`, the
-instance's search context: it checks the instance, the candidate analysis
-reads its automata, and it holds the contingency bound.  The contingency
-search works on the table's bit footprints: a cause's bits are computed
-once, the resettable events' bits once per set of flipped traces, and each
-contingency is the sum of a combination of those bits, so only a witness
-is turned back into events.  A report's `stats` give the subsets decided,
-the worlds evaluated, the counterfactual runs made, and what decided the
-status (`decided_by`).
+cause bound, skipping supersets of causes already found (a footprint test
+on the table's bits), each decided by one contingency search
+(`least_contingency`).  That search returns the order-least contingency:
+the empty one if the flip alone repairs the property, else the first set
+of resettable output events on the flipped traces, again by size and then
+event order.  `actual_cause` stops at the first cause, `all_minimal_causes`
+takes every cause; both report `bounded-out` when the cause bound cut the
+search before it could decide.  All tests of one search share a
+`counterfactual.InterventionTable`, the instance's search context: it
+checks the instance, the candidate analysis reads its automata, and it
+holds the contingency bound.  The contingency search works on the table's
+bit footprints: a cause's bits are computed once, the resettable events'
+bits once per set of flipped traces, and each contingency is the sum of a
+combination of those bits, so only a witness is turned back into events.
+
+Most subsets are no cause, and enumerating contingencies learns that only
+after trying every reset combination.  So when the flip alone does not
+repair the property, a per-subset check first asks whether any contingency
+at all could (`InterventionTable.repairable`): in the paper a contingency is
+a choice of the counterfactual automaton's auxiliary inputs, so this is an
+existential query over them, bounded the way the pre-check below bounds
+every flip, but with each flipped trace's inputs fixed to its flipped word.
+When the body cannot hold on those bounds, the subset is no cause and no
+reset is tried.  The check is sound, so it changes no answer, only the
+work.  A report's `stats` give the subsets decided, the worlds evaluated,
+the counterfactual runs made, the subsets the per-subset check ruled out
+(`ruled_out`), and what decided the status (`decided_by`).
 
 `no-actual-cause` is decided in one of two ways.  When the candidate
 analysis's pre-check finds that no flip and no reset can satisfy the body
@@ -72,11 +83,15 @@ def least_contingency(
     order, over all resettable output events on the flipped traces, up to
     `table.max_contingency_size` events.  The sets are tried as bit
     footprints (`InterventionTable.holds`); only the witness is turned back
-    into events.
+    into events.  The flip alone is tried first; if it fails, the
+    per-subset check (`InterventionTable.repairable`) may show that no reset
+    of any size repairs the property, and then no set is tried.
     """
     cause_bits = table.bits(cause)
     if table.holds(cause_bits, 0):
         return ()
+    if not table.repairable(cause_bits):
+        return None
     universe, bits = table.resettable(tuple(sorted({e.trace for e in cause})))
     limit = len(bits) if table.max_contingency_size is None else table.max_contingency_size
     for size in range(1, limit + 1):
@@ -97,14 +112,15 @@ def _minimal_causes(
     subset is decided by `least_contingency`, whose witness is None when
     the subset is no cause.
     """
-    found: list[tuple[Event, ...]] = []
+    found: list[int] = []  # footprints of the causes found
     for size in range(1, limit + 1):
         for combo in itertools.combinations(events, size):
-            if any(set(c) <= set(combo) for c in found):
+            bits = table.bits(combo)
+            if any(f & bits == f for f in found):
                 continue
             contingency = least_contingency(table, combo)
             if contingency is not None:
-                found.append(combo)
+                found.append(bits)
             yield combo, contingency
 
 
@@ -180,6 +196,7 @@ def _search(
         "time_ms": round((time.monotonic() - started) * 1000, 3),
         "evaluations": table.evaluations,
         "runs": table.runs,
+        "ruled_out": table.ruled_out,
         "decided_by": "search" if candidate.feasible else "precheck",
     }
     return CauseReport(candidate, entries, status, stats)

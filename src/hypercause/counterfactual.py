@@ -19,15 +19,18 @@ a footprint it has not met.  Adding a reset of output ``o`` at position
 ``p`` to a known footprint reuses that footprint's run when the run
 already shows ``o`` at its source value on every step into copy ``p``:
 forcing an output to the value it has enters the state the run enters
-anyway, so the run is the same.
+anyway, so the run is the same.  Before any reset of a flip set is tried,
+the table can bound all of them at once (`InterventionTable.repairable`):
+it walks each flipped trace's `step_sets` with the flipped word's letters
+and every reset free, and asks whether the body can hold between the
+resulting must and may words.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import weakref
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import formulas as F
 from .errors import NothingToExplain, ValidationError
@@ -128,6 +131,11 @@ class CounterfactualAutomaton:
         self._flags = {contingency_flag(o): o for o in controllable}
         self._successors = source.successors()
         self.initial = (machine.initial, 0)
+        self._controllable = frozenset(controllable)
+        outputs = frozenset(machine.outputs)
+        self._source_outputs = [source.at(k) & outputs for k in range(len(source))]
+        # ((states, copy), input letter or None) -> the next `step_sets` pair
+        self._steps: dict[tuple, tuple[frozenset[str], int]] = {}
 
     def step(self, state: tuple[str, int], input_set: Iterable[str]) -> tuple[str, int]:
         s, k = state
@@ -137,8 +145,8 @@ class CounterfactualAutomaton:
         flagged = frozenset(self._flags[f] for f in input_set if f in self._flags)
         if not flagged:
             return (base_succ, k_next)
-        source_outputs = self.source.at(k_next) & frozenset(self.machine.outputs)
-        return (_forced_state(self.machine, base_succ, flagged, source_outputs), k_next)
+        return (_forced_state(self.machine, base_succ, flagged, self._source_outputs[k_next]),
+                k_next)
 
     def run(self, input_word: Lasso) -> Lasso:
         """Trace over the base alphabet, normalized at state+input recurrence."""
@@ -149,38 +157,50 @@ class CounterfactualAutomaton:
         labels = self.machine.labels
         return walk(input_word, self.initial, self.step, lambda s: labels[s[0]], inputs)[1]
 
-    def step_sets(self) -> tuple[list[tuple[frozenset[str], int]], int]:
+    def step_sets(
+        self, letters: Sequence[frozenset[str] | None] | None = None
+    ) -> tuple[list[tuple[frozenset[str], int]], int]:
         """(machine states, copy) the automaton can occupy at each step,
-        under any input word and any auxiliary inputs, as an `orbit`: the
-        steps up to the first repeated pair, and the index it loops back to.
+        under any auxiliary inputs, as an `orbit`: the steps up to the first
+        repeated pair, and the index it loops back to.
 
-        The pairs are computed on the base machine: a step from a state takes
-        every successor under some input set and forces it with every set of
-        controllable outputs, so the automaton's alphabet is never enumerated
-        letter by letter.  Forcing an output that already has its source
-        value changes nothing, so only sets of differing outputs are tried.
+        `letters`, when given, holds one entry per copy: the input letter
+        the step out of that copy reads, or None when any input letter may.
+        Without it every input letter may, which bounds every flip.  The
+        pairs are computed on the base machine: a step from a state takes
+        its successor under each allowed input letter and forces it with
+        every set of controllable outputs, so the automaton's alphabet is
+        never enumerated letter by letter.  Forcing an output that already
+        has its source value changes nothing, so only sets of differing
+        outputs are tried.  Each step from a (states, copy) pair under a
+        letter is kept on the automaton, so every walk of it shares them.
         """
-        machine, source = self.machine, self.source
-        outputs = frozenset(machine.outputs)
-        controllable = frozenset(self.controllable)
-
-        @functools.cache
-        def targets(state: str, source_outputs: frozenset[str]) -> frozenset[str]:
-            found = set()
-            for succ in {machine.delta[(state, a)] for a in machine.input_sets}:
-                differing = sorted((machine.label(succ) ^ source_outputs) & controllable)
-                for k in range(len(differing) + 1):  # forcing none of them gives `succ`
-                    for flagged in itertools.combinations(differing, k):
-                        found.add(_forced_state(machine, succ, frozenset(flagged), source_outputs))
-            return frozenset(found)
+        steps = self._steps
 
         def step(pair: tuple[frozenset[str], int]) -> tuple[frozenset[str], int]:
-            states, k = pair
-            k_next = self._successors[k]
-            source_outputs = source.at(k_next) & outputs
-            return frozenset().union(*(targets(s, source_outputs) for s in states)), k_next
+            letter = None if letters is None else letters[pair[1]]
+            known = steps.get((pair, letter))
+            if known is None:
+                known = steps[(pair, letter)] = self._set_step(pair, letter)
+            return known
 
-        return orbit((frozenset([machine.initial]), 0), step)
+        return orbit((frozenset([self.machine.initial]), 0), step)
+
+    def _set_step(
+        self, pair: tuple[frozenset[str], int], letter: frozenset[str] | None
+    ) -> tuple[frozenset[str], int]:
+        machine = self.machine
+        states, k = pair
+        k_next = self._successors[k]
+        source_outputs = self._source_outputs[k_next]
+        allowed = machine.input_sets if letter is None else (letter,)
+        found = set()
+        for succ in {machine.delta[(s, a)] for s in states for a in allowed}:
+            differing = sorted((machine.labels[succ] ^ source_outputs) & self._controllable)
+            for n in range(len(differing) + 1):  # forcing none of them gives `succ`
+                for flagged in itertools.combinations(differing, n):
+                    found.add(_forced_state(machine, succ, frozenset(flagged), source_outputs))
+        return frozenset(found), k_next
 
 
 def trace_automata(
@@ -226,7 +246,8 @@ def intervention_word(
     source = automaton.source
     cause = tuple(cause)
     contingency = tuple(contingency)
-    word = [set(source.at(k) & frozenset(machine.inputs)) for k in range(len(source))]
+    inputs = frozenset(machine.inputs)
+    word = [set(source.at(k) & inputs) for k in range(len(source))]
 
     for e in cause + contingency:
         _check_position(source, e)
@@ -302,6 +323,11 @@ class InterventionTable:
     letters and the point of recurrence stay the same.  The check reads the
     stored footprint's own run, not the interned lasso, whose unrolling may
     come from another footprint.
+
+    `repairable(cause_bits)` over-approximates, three-valued, whether any
+    contingency repairs a flip set; the bound words of each trace are kept
+    per footprint on it, and the answer per footprint.  `ruled_out` counts
+    the flip sets it rules out.
     """
 
     def __init__(
@@ -325,9 +351,13 @@ class InterventionTable:
             name: {(0, 0): (self._intern(cex[name]), cex[name])} for name in self.names
         }
         self._verdicts: dict[tuple[int, ...], bool] = {}
+        # per trace: cause footprint on it -> its must and may words
+        self._word_bounds = {name: {0: (cex[name], cex[name])} for name in self.names}
+        self._repairable: dict[int, bool] = {}
         self._resettable: dict[tuple[str, ...], tuple[tuple[Event, ...], tuple[int, ...]]] = {}
         self.evaluations = 0
         self.runs = 0
+        self.ruled_out = 0
 
     def _intern(self, lasso: Lasso) -> int:
         tid = self._ids.get(lasso)
@@ -414,6 +444,40 @@ class InterventionTable:
         if verdict is None:
             verdict = self._verdicts[ids] = eval_hyper(self._world(ids), self.formula)
             self.evaluations += 1
+        return verdict
+
+    def _cause_bounds(self, name: str, cause_bits: int) -> tuple[Lasso, Lasso]:
+        """Must and may words of trace `name` flipped by `cause_bits` (its
+        footprint on that trace) under any resets."""
+        known = self._word_bounds[name].get(cause_bits)
+        if known is None:
+            aut = self.automata[name]
+            word = intervention_word(aut, self._decode(cause_bits), ())
+            letters = word.prefix + word.period
+            pairs, loop = aut.step_sets(letters)
+            known = self._word_bounds[name][cause_bits] = aut.machine.label_bounds(
+                [held for held, _ in pairs], loop, [letters[k] for _, k in pairs]
+            )
+        return known
+
+    def repairable(self, cause_bits: int) -> bool:
+        """Can flipping `cause_bits` under some contingency, of any size,
+        satisfy the property?  False is sure; True decides nothing.
+
+        Each trace the cause touches is bounded by its `step_sets` with the
+        flipped letter at every copy and every reset free, the other traces
+        are exact (contingencies reset events on flipped traces only), and
+        the body is evaluated three-valued on those words
+        (`semantics.Program.bounds`).  `ruled_out` counts the footprints
+        answered False.
+        """
+        verdict = self._repairable.get(cause_bits)
+        if verdict is None:
+            must, may = zip(*(
+                self._cause_bounds(name, cause_bits & self._masks[name]) for name in self.names
+            ))
+            verdict = self._repairable[cause_bits] = self.formula.program.bounds(must, may)[1]
+            self.ruled_out += not verdict
         return verdict
 
     def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import boolexpr
 from .errors import SizeGuardError, ValidationError
@@ -245,16 +245,27 @@ class MooreMachine:
                     break
         return frozenset(relevant)
 
-    def label_bounds(self, sets: Iterable[Iterable[str]], loop: int) -> tuple[Lasso, Lasso]:
+    def label_bounds(
+        self,
+        sets: Iterable[Iterable[str]],
+        loop: int,
+        letters: Sequence[frozenset[str] | None] | None = None,
+    ) -> tuple[Lasso, Lasso]:
         """Must and may words of runs whose step ``i`` lies in state set ``i``
         (`orbit` order, looping back to `loop`): a step surely carries the
-        outputs every state of its set carries, and possibly every input and
-        the outputs some state carries."""
+        outputs every state of its set carries, and possibly the outputs some
+        state carries.  Its inputs are ``letters[i]`` when that is given, and
+        otherwise possibly every input."""
         must, may = [], []
-        for states in sets:
+        for i, states in enumerate(sets):
             labels = [self.labels[s] for s in states]
-            must.append(frozenset.intersection(*labels))
-            may.append(self._input_set.union(*labels))
+            letter = None if letters is None else letters[i]
+            if letter is None:
+                must.append(frozenset.intersection(*labels))
+                may.append(self._input_set.union(*labels))
+            else:
+                must.append(letter.union(frozenset.intersection(*labels)))
+                may.append(letter.union(*labels))
         return Lasso(must[:loop], must[loop:]), Lasso(may[:loop], may[loop:])
 
     # -- semantics ---------------------------------------------------------
@@ -352,20 +363,28 @@ def _entries(value, kind: type, *path) -> list:
     return value
 
 
+def _check_format(data: dict, kind: str) -> None:
+    """Refuse a file whose ``format`` is given and is not the integer 1
+    (``true`` and ``1.0`` equal 1 in Python, but are no format number)."""
+    value = data.get("format", 1)
+    if type(value) is not int or value != 1:
+        raise ValidationError(f"unsupported {kind} format {value!r}")
+
+
 def load_machine(source) -> MooreMachine:
     """Load a machine from a JSON file path, file object, or parsed dict.
     A value of the wrong JSON type raises a `ValidationError` naming it."""
     data = _read_json(source)
     if not isinstance(data, dict):
         raise ValidationError("machine file must contain a JSON object")
-    if data.get("format", 1) != 1:
-        raise ValidationError(f"unsupported machine format {data.get('format')!r}")
+    _check_format(data, "machine")
     try:
-        states = {
-            _of(str, s["id"], "states", i, "id"):
-                _entries(s.get("label", []), str, "states", i, "label")
-            for i, s in enumerate(_entries(data["states"], dict, "states"))
-        }
+        states: dict[str, list] = {}
+        for i, s in enumerate(_entries(data["states"], dict, "states")):
+            state = _of(str, s["id"], "states", i, "id")
+            if state in states:
+                raise ValidationError(f"duplicate state id {state!r} at states[{i}]")
+            states[state] = _entries(s.get("label", []), str, "states", i, "label")
         transitions = [
             (_of(str, t["from"], "transitions", i, "from"),
              _of(str, t["guard"], "transitions", i, "guard"),
@@ -385,8 +404,7 @@ def load_traces(source) -> dict[str, Lasso]:
     data = _read_json(source)
     if not isinstance(data, dict) or "traces" not in data:
         raise ValidationError("trace file must be a JSON object with a 'traces' field")
-    if data.get("format", 1) != 1:
-        raise ValidationError(f"unsupported trace format {data.get('format')!r}")
+    _check_format(data, "trace")
     out: dict[str, Lasso] = {}
     for name, body in _of(dict, data["traces"], "traces").items():
         body = _of(dict, body, "traces", name)

@@ -42,6 +42,10 @@ in its literals, so when the three-valued evaluation of the body
 it and nothing is a cause: ``CandidateSet.feasible`` is False and the
 cause search reports ``no-actual-cause`` without trying a subset.  The
 check is sound but not complete: a "may" answer leaves it to the search.
+It is the all-free case of the cause search's per-subset check
+(`InterventionTable.repairable`), which walks the same step sets with each
+copy's input letter fixed to a flip set's word, through the same
+`label_bounds` and `Program.bounds`.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypercause import formulas as F
 from hypercause.causality import (
     _covers_all_larger_subsets,
     actual_cause,
@@ -31,7 +32,7 @@ from hypercause.oracle import brute_force_causes
 from hypercause.parser import parse_hyperltl
 from hypercause.satcore import candidate_cause
 
-from genrand import random_violated_instance
+from genrand import random_hyper_body, random_lasso, random_machine, random_violated_instance
 
 OD = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
 
@@ -216,12 +217,68 @@ def test_each_distinct_world_evaluated_once(machine, cex, monkeypatch):
 
 def test_running_example_search_counters(machine, cex):
     # a run is reused when an added reset leaves the trace unchanged;
-    # without that, the same search makes 137 counterfactual runs
+    # without that, the same search makes 11 counterfactual runs
     report = all_minimal_causes(machine, OD, cex, bound=3, max_contingency_size=2)
     assert report.stats["subsets_checked"] == 16
-    # 24 worlds with a flip, and the actual world, which must violate
-    assert report.stats["evaluations"] == 25
-    assert report.stats["runs"] == 11
+    # 17 worlds with a flip, and the actual world, which must violate
+    assert report.stats["evaluations"] == 18
+    assert report.stats["runs"] == 9
+    # the per-subset check rules out all 14 subsets that are no cause, so
+    # only a cause ever tries a reset
+    assert report.stats["ruled_out"] == 14
+
+
+def _rejected_subsets(machine, formula, cex, max_size=2, max_pool=8):
+    """(subsets, checked): every flip set of at most `max_size` satisfied
+    input events that the per-subset check rejects, and how many of them
+    were confirmed: an unbounded `least_contingency` with the check
+    disabled, which tries every reset of the flipped traces, finds none.
+    Sets with more than `max_pool` resettable events are not confirmed."""
+    table = InterventionTable(machine, formula, cex)
+    events = satisfied_events(cex, machine.inputs)
+    rejected = [
+        combo for size in range(1, max_size + 1)
+        for combo in itertools.combinations(events, size)
+        if not table.repairable(table.bits(combo))
+    ]
+    assert table.ruled_out == len(rejected)
+    checked = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InterventionTable, "repairable", lambda self, cause_bits: True)
+        exact = InterventionTable(machine, formula, cex)
+        for combo in rejected:
+            if len(exact.resettable(tuple(sorted({e.trace for e in combo})))[0]) <= max_pool:
+                assert least_contingency(exact, combo) is None, combo
+                checked += 1
+    return rejected, checked
+
+
+def test_rejected_subsets_of_the_rerouting_instance_have_no_contingency():
+    machine, formula, cex = rerouting_instance()
+    rejected, checked = _rejected_subsets(machine, formula, cex)
+    # the cause passes the check; flipping b alone reroutes the run into a
+    # state whose successor on the trace's a input is bad, which the check
+    # sees, since it reads the flipped letter of every copy
+    assert (Event("t1", 0, "b", False), Event("t1", 1, "a", False)) not in rejected
+    assert (Event("t1", 0, "b", False),) in rejected
+    assert checked == len(rejected) > 0
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_rejected_subsets_have_no_contingency(seed):
+    # random machines, bodies and traces; the assignment need not violate
+    # the body, since the check's answer does not depend on it
+    rng = random.Random(seed)
+    machine = random_machine(
+        rng, rng.randint(1, 2), rng.randint(1, 2), unique_labels=rng.random() < 0.5
+    )
+    variables = tuple(str(i) for i in range(rng.randint(1, 2)))
+    body = random_hyper_body(rng, machine.inputs + machine.outputs, variables, rng.randint(1, 3))
+    cex = Counterexample({
+        f"t{i + 1}": machine.run(random_lasso(rng, machine.inputs, 2, 2))
+        for i in range(len(variables))
+    })
+    _rejected_subsets(machine, F.HyperFormula(variables, body), cex)
 
 
 def test_bounded_out_status():

@@ -309,6 +309,20 @@ def test_trace_that_is_not_a_run_is_a_usage_error(tmp_path, capsys, argv):
     )
 
 
+def test_duplicate_state_id_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(Path(SYSTEM).read_text())
+    first = doc["states"][0]
+    doc["states"].append(dict(first, label=["lo"]))
+    system = tmp_path / "m.json"
+    system.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--system", str(system), "--formula", FORMULA,
+                             "--counterexample", TRACES)
+    assert code == 2
+    assert out == ""
+    last = len(doc["states"]) - 1
+    assert err == f"error: duplicate state id {first['id']!r} at states[{last}]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["explain"], ["explain", "--all"], ["candidates"], ["oracle"], ["validate"],
 ], ids=" ".join)

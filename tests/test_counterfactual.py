@@ -16,7 +16,7 @@ from hypercause.counterfactual import (
 )
 from hypercause.errors import ValidationError
 from hypercause.events import Counterexample, Event, satisfied_events, satisfies_events
-from hypercause.lasso import Lasso
+from hypercause.lasso import Lasso, joint_shape
 from hypercause.machine import MooreMachine, walk
 from hypercause.parser import parse_hyperltl
 from hypercause.semantics import eval_hyper
@@ -577,27 +577,63 @@ def test_intervention_word_agrees_with_reference(seed):
             )
 
 
-@settings(max_examples=150)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_every_intervened_run_stays_in_the_step_sets(seed):
-    # step i of any run, under any flips and resets, is in the (states,
-    # copy) pair `step_sets` gives for step i, wrapped around its loop
+def _automaton_cases(seed):
+    """A random trace's automaton, and the automaton of the same period
+    entered from the loop state (a trace with loop start 0), each with its
+    satisfied input events and resettable output events."""
     rng, machine, trace = _machine_case(seed)
     loop_state = machine.state_sequence(trace)[trace.loop_start]
     from_loop = MooreMachine(machine.inputs, machine.outputs, machine.labels, loop_state,
                              machine.delta)
     for m, t in ((machine, trace), (from_loop, Lasso([], trace.period))):
         aut = CounterfactualAutomaton(m, t)
-        pairs, loop = aut.step_sets()
         cex = Counterexample({"t": t})
-        inputs = satisfied_events(cex, m.inputs)
-        outputs = satisfied_events(cex, aut.controllable)
+        yield rng, aut, satisfied_events(cex, m.inputs), satisfied_events(cex, aut.controllable)
+
+
+def _assert_run_in_step_sets(aut, pairs, loop, word):
+    # step i of the run on `word` is in the (states, copy) pair `pairs`
+    # gives for step i, wrapped around its loop
+    states, _ = walk(word, aut.initial, aut.step, lambda s: aut.machine.labels[s[0]],
+                     frozenset(aut.machine.inputs))
+    for i, (state, copy) in enumerate(states):
+        held, held_copy = pairs[i if i < loop else loop + (i - loop) % (len(pairs) - loop)]
+        assert state in held and copy == held_copy, (i, word)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_every_intervened_run_stays_in_the_step_sets(seed):
+    # under any flips and resets
+    for rng, aut, inputs, outputs in _automaton_cases(seed):
+        pairs, loop = aut.step_sets()
         for _ in range(10):
             cause = rng.sample(inputs, rng.randint(0, len(inputs)))
             resets = rng.sample(outputs, rng.randint(0, len(outputs)))
-            word = intervention_word(aut, cause, resets)
-            states, _ = walk(word, aut.initial, aut.step, lambda s: m.labels[s[0]],
-                             frozenset(m.inputs))
-            for i, (state, copy) in enumerate(states):
-                held, held_copy = pairs[i if i < loop else loop + (i - loop) % (len(pairs) - loop)]
-                assert state in held and copy == held_copy, (i, cause, resets)
+            _assert_run_in_step_sets(aut, pairs, loop, intervention_word(aut, cause, resets))
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_every_reset_run_of_a_flip_set_stays_in_its_step_sets(seed):
+    # with each copy's letter fixed to the flipped word's, or left free,
+    # the step sets still hold every run under any resets, and the run's
+    # trace lies between the must and may words `label_bounds` reads from
+    # them
+    for rng, aut, inputs, outputs in _automaton_cases(seed):
+        for _ in range(4):
+            cause = rng.sample(inputs, rng.randint(0, len(inputs)))
+            flipped = intervention_word(aut, cause, [])
+            letters = [a if rng.random() < 0.75 else None
+                       for a in flipped.prefix + flipped.period]
+            pairs, loop = aut.step_sets(letters)
+            must, may = aut.machine.label_bounds(
+                [held for held, _ in pairs], loop, [letters[k] for _, k in pairs]
+            )
+            for _ in range(4):
+                resets = rng.sample(outputs, rng.randint(0, len(outputs)))
+                word = intervention_word(aut, cause, resets)
+                _assert_run_in_step_sets(aut, pairs, loop, word)
+                trace = aut.run(word)
+                for i in range(sum(joint_shape([must, trace]))):
+                    assert must.at(i) <= trace.at(i) <= may.at(i), (i, cause, resets)

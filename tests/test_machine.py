@@ -261,6 +261,38 @@ def test_load_machine_reports_bad_guard(tmp_path):
         load_machine(path)
 
 
+def test_load_machine_refuses_duplicate_state_ids():
+    # the second entry would otherwise replace the first, labelling p {o}
+    doc = {
+        "format": 1, "inputs": [], "outputs": ["o"],
+        "states": [{"id": "p", "label": []}, {"id": "p", "label": ["o"]}],
+        "initial": "p", "transitions": [{"from": "p", "guard": "true", "to": "p"}],
+    }
+    with pytest.raises(ValidationError) as info:
+        load_machine(doc)
+    assert str(info.value) == "duplicate state id 'p' at states[1]"
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", 2, None])
+def test_loaders_require_the_integer_format_1(value):
+    machine = dict(leaky_machine().to_json(), format=value)
+    traces = dict(traces_to_json({"t1": t1()}), format=value)
+    with pytest.raises(ValidationError, match=f"^unsupported machine format {value!r}$"):
+        load_machine(machine)
+    with pytest.raises(ValidationError, match=f"^unsupported trace format {value!r}$"):
+        load_traces(traces)
+
+
+def test_loaders_accept_format_1_or_none():
+    machine = leaky_machine().to_json()
+    traces = traces_to_json({"t1": t1()})
+    assert load_machine(machine).labels == leaky_machine().labels
+    assert load_traces(traces)["t1"] == t1()
+    del machine["format"], traces["format"]
+    assert load_machine(machine).labels == leaky_machine().labels
+    assert load_traces(traces)["t1"] == t1()
+
+
 # -- reference walks ----------------------------------------------------------
 # The four lasso walks as separate loops, one per job, as they were before
 # `machine.walk` replaced them.
