@@ -322,7 +322,10 @@ class InterventionTable:
     forcing `o` to the value it already has enters the same state, and the
     letters and the point of recurrence stay the same.  The check reads the
     stored footprint's own run, not the interned lasso, whose unrolling may
-    come from another footprint.
+    come from another footprint.  This reuse probe checks each reset event
+    once: an event stays valid for the table's lifetime, so the bit of one
+    that passed is remembered, while one that fails is checked, and raises,
+    on every call.
 
     `repairable(cause_bits)` over-approximates, three-valued, whether any
     contingency repairs a flip set; the bound words of each trace are kept
@@ -351,6 +354,7 @@ class InterventionTable:
             name: {(0, 0): (self._intern(cex[name]), cex[name])} for name in self.names
         }
         self._verdicts: dict[tuple[int, ...], bool] = {}
+        self._valid_resets = 0  # footprint of the reset events that passed `_check_reset`
         # per trace: cause footprint on it -> its must and may words
         self._word_bounds = {name: {0: (cex[name], cex[name])} for name in self.names}
         self._repairable: dict[int, bool] = {}
@@ -408,7 +412,9 @@ class InterventionTable:
             if known is None:
                 continue
             e = self._events[bit.bit_length() - 1]
-            _check_reset(aut, e)
+            if not self._valid_resets & bit:
+                _check_reset(aut, e)
+                self._valid_resets |= bit
             p = e.position
             run = known[1]
             steps = (p,) if p < source.loop_start else range(p, len(run), len(source.period))

@@ -3,12 +3,21 @@
 Independent of the candidate analysis, the alternating automata, and the
 cause-search heuristics: it shares only the intervention table
 (`counterfactual.InterventionTable`: counterfactual runs and the memoized
-evaluator) with the cause search.  Every subset of satisfied input events
+evaluator) with the cause search, through its footprint interface
+(`bits` and `holds`).  Its event universe, its enumeration and its
+contingency pools are its own.  Every subset of satisfied input events
 is tried in ascending (size, event-order); a set counts as a cause when
 flipping some part of it under some output-event reset satisfies the
 property and no smaller set already qualified.  Witness contingencies are
 reported as the order-least valid reset, searched over every resettable
-output event.
+output event on the flipped traces.
+
+The enumeration runs on bit footprints: each satisfied input event and
+each resettable output event gets its bit from the table once, a subset
+is the sum of a combination of those bits, a superset of a cause found is
+skipped by a footprint test, and each set of flipped traces gets its
+contingency pool once.  Only causes and witnesses are turned back into
+events.
 """
 
 from __future__ import annotations
@@ -33,14 +42,15 @@ def brute_force_causes(
     max_contingency_size: int | None = None,
 ) -> tuple[tuple[tuple[Event, ...], tuple[Event, ...]], ...]:
     """All subset-minimal causes with their least witnessing contingency."""
+    # the table checks the instance before the size guards: its errors name
+    # the trace, and only a violation has a cause
+    table = InterventionTable(machine, formula, cex)
+    table.require_violation()
     input_events = satisfied_events(cex, machine.inputs)
     if len(input_events) > MAX_INPUT_EVENTS:
         raise SizeGuardError(
             f"{len(input_events)} input events exceed the oracle guard ({MAX_INPUT_EVENTS})"
         )
-    table = InterventionTable(machine, formula, cex)
-    table.require_violation()
-
     resettable = sort_events(
         e for name, trace in cex.traces.items()
         for e in events_of_trace(name, trace, table.automata[name].controllable)
@@ -49,30 +59,53 @@ def brute_force_causes(
         raise SizeGuardError(
             f"{len(resettable)} output events exceed the oracle guard ({MAX_OUTPUT_EVENTS})"
         )
+    input_bits = [table.bits([e]) for e in input_events]
+    reset_bits = [table.bits([e]) for e in resettable]
+    input_masks: dict[str, int] = {}  # trace -> footprint of its input events
+    for e, bit in zip(input_events, input_bits):
+        input_masks[e.trace] = input_masks.get(e.trace, 0) | bit
+    pools: dict[tuple[str, ...], list[int]] = {}
 
-    def witness(cause) -> tuple[Event, ...] | None:
-        if table.satisfies_after(cause, ()):
-            return ()
-        touched = {e.trace for e in cause}
-        pool = [e for e in resettable if e.trace in touched]
+    def witness(cause_bits: int) -> int | None:
+        """Footprint of the order-least contingency for a cause, or None."""
+        if table.holds(cause_bits, 0):
+            return 0
+        touched = tuple(name for name, mask in input_masks.items() if mask & cause_bits)
+        pool = pools.get(touched)
+        if pool is None:
+            pool = pools[touched] = [
+                bit for e, bit in zip(resettable, reset_bits) if e.trace in touched
+            ]
         limit = len(pool) if max_contingency_size is None else min(max_contingency_size, len(pool))
         for size in range(1, limit + 1):
             for combo in itertools.combinations(pool, size):
-                if table.satisfies_after(cause, combo):
-                    return sort_events(combo)
+                reset = sum(combo)
+                if table.holds(cause_bits, reset):
+                    return reset
         return None
 
     causes: list[tuple[tuple[Event, ...], tuple[Event, ...]]] = []
+    found: list[int] = []  # footprints of the causes found
     limit = (
         len(input_events)
         if max_cause_size is None
         else min(max_cause_size, len(input_events))
     )
     for size in range(1, limit + 1):
-        for combo in itertools.combinations(input_events, size):
-            if any(set(c) <= set(combo) for c, _ in causes):
+        for combo in itertools.combinations(input_bits, size):
+            cause_bits = sum(combo)
+            if any(f & cause_bits == f for f in found):
                 continue
-            found = witness(combo)
-            if found is not None:
-                causes.append((sort_events(combo), found))
+            reset = witness(cause_bits)
+            if reset is not None:
+                found.append(cause_bits)
+                causes.append(
+                    (_decode(input_events, input_bits, cause_bits),
+                     _decode(resettable, reset_bits, reset))
+                )
     return tuple(causes)
+
+
+def _decode(events: tuple[Event, ...], bits: list[int], footprint: int) -> tuple[Event, ...]:
+    """The events of `events` whose bits are in `footprint`, in their order."""
+    return tuple(e for e, bit in zip(events, bits) if bit & footprint)

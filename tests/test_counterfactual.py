@@ -408,6 +408,24 @@ def test_invalid_reset_raises_though_the_rest_is_memoized():
     assert table.runs == 0  # the valid reset changes nothing: its run was reused
 
 
+def test_reset_valid_on_one_trace_does_not_pass_on_another(machine):
+    # <lo,1,t1> holds on t1 and is checked once; <lo,1,t2> sits at the same
+    # position on t2, where it does not hold.  Flipping <hi,0,t2> gives a run
+    # with lo at position 1, so the reset would reuse that run unchecked.
+    cex = Counterexample({"t1": t1(), "t2": t2()})
+    formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
+    table = InterventionTable(machine, formula, cex)
+    valid, bad = Event("t1", 1, "lo", True), Event("t2", 1, "lo", True)
+    flip = [Event("t2", 0, "hi", True)]
+    assert "lo" in table.intervened(flip, [])["t2"].at(1)
+    table.satisfies_after(flip, [valid])
+    for _ in range(2):
+        for cause, base in (([], []), (flip, []), (flip, [valid])):
+            with pytest.raises(ValidationError, match="not satisfied by the trace"):
+                table.satisfies_after(cause, base + [bad])
+            table.satisfies_after(cause, base + [valid])
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_empty_intervention_is_identity_on_random_draws(seed):
