@@ -32,9 +32,12 @@ existential query over them, bounded the way the pre-check below bounds
 every flip, but with each flipped trace's inputs fixed to its flipped word.
 When the body cannot hold on those bounds, the subset is no cause and no
 reset is tried.  The check is sound, so it changes no answer, only the
-work.  A report's `stats` give the subsets decided, the worlds evaluated,
-the counterfactual runs made, the subsets the per-subset check ruled out
-(`ruled_out`), and what decided the status (`decided_by`).
+work.  A report's `stats` give the subsets decided, the worlds evaluated
+(`evaluations`, which counts distinct views: each trace restricted to the
+propositions the body reads on it), the counterfactual runs made (`runs`;
+a trace whose outputs the body never reads needs none), the subsets the
+per-subset check ruled out (`ruled_out`), and what decided the status
+(`decided_by`).
 
 `no-actual-cause` is decided in one of two ways.  When the candidate
 analysis's pre-check finds that no flip and no reset can satisfy the body

@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import causality, checker, oracle, reports, satcore
 from .alternating import accepts_lasso, dump_automaton, ltl_to_alternating
-from .counterfactual import trace_automata
+from .counterfactual import InterventionTable, trace_automata
 from .errors import NothingToExplain, SizeGuardError, ValidationError
 from .events import Counterexample
 from .formulas import HyperFormula, negate_to_nnf
@@ -119,11 +119,54 @@ def _load_formula(path: str) -> HyperFormula:
         return parse_hyperltl(fh.read())
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _indented_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for what a report
+    holds: strings, ``true``, ``false``, ``null``, ints, floats, lists,
+    tuples and dicts with string keys; anything else is a `TypeError`.
+    `indent` is the line break and indentation of `value`'s own line.
+
+    With an indent, CPython before 3.13 encodes in pure Python; this writer
+    costs less.  It can go once the floor is Python 3.13, whose C encoder
+    handles indents.
+    """
+    if isinstance(value, str):
+        return _encode_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)  # also spells NaN and the infinities
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_indented_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_encode_string(key) + ": " + _indented_json(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(doc, fmt: str, text: Callable[[], str]) -> None:
     """Write `doc` as JSON, or the text `text()` renders; only the chosen
     format is built, and JSON goes out in one write."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_indented_json(doc) + "\n")
     else:
         sys.stdout.write(text() + "\n")
 
@@ -197,17 +240,22 @@ def cmd_candidates(args) -> int:
 
 def cmd_oracle(args) -> int:
     machine, formula, cex = _load_instance(args)
-    candidate = satcore.candidate_cause(machine, formula, cex)
-    pairs = oracle.brute_force_causes(
-        machine, formula, cex,
+    # one table checks the instance and serves the candidate analysis and
+    # the enumeration
+    table = InterventionTable(machine, formula, cex)
+    table.require_violation()
+    candidate = satcore.candidate_set(formula, table.automata)
+    pairs = oracle.enumerate_causes(
+        table, machine, cex,
         max_cause_size=args.max_cause_size,
         max_contingency_size=args.max_contingency_size,
     )
     entries = tuple(
         causality.CauseEntry(cause, witness, True) for cause, witness in pairs
     )
+    stats = {"evaluations": table.evaluations, "runs": table.runs}
     report = causality.CauseReport(
-        candidate, entries, "found" if entries else "no-actual-cause", {}
+        candidate, entries, "found" if entries else "no-actual-cause", stats
     )
     _emit(
         reports.report_to_json(report, oracle=True),

@@ -15,7 +15,9 @@ events in the loop recur at every iteration of their offset.
 `InterventionTable` is the search context of one instance: its automata,
 its contingency bound, and the counterfactual tests.  It works on bit
 footprints (an int with one bit per event) and runs an automaton only for
-a footprint it has not met.  Adding a reset of output ``o`` at position
+a footprint it has not met, and only on a trace whose outputs the body
+reads: it decides verdicts on per-trace views, what the body reads of
+each trace.  Adding a reset of output ``o`` at position
 ``p`` to a known footprint reuses that footprint's run when the run
 already shows ``o`` at its source value on every step into copy ``p``:
 forcing an output to the value it has enters the state the run enters
@@ -305,27 +307,36 @@ class InterventionTable:
     are handled as bit footprints: `bits(events)` gives each event a bit the
     first time it sees it, and `holds(cause_bits, reset_bits)` is the test
     on ints, so a search that tries many contingencies for one cause pays
-    for event handling once.  Per trace, the (cause bits, reset bits) on
-    that trace map to an interned trace id, equal runs sharing one id;
-    verdicts are memoized on the tuple of trace ids, and `evaluations`
-    counts the calls to `eval_hyper`.
+    for event handling once.
 
-    A new footprint is normally run through `intervention_word`, which
-    rejects an invalid event; since a footprint that raised is never
-    stored, an invalid event raises on every call.  `runs` counts these
-    runs.  One is skipped when the footprint is a stored one plus a reset
-    of output `o` at position `p` to its source value `v` that passes
-    `_check_reset` (which raises otherwise), and the
-    stored run shows `o` at `v` on every step whose copy is `p`: the stored
-    run's id is reused.  That is sound because the forced state is chosen
-    by the label of the state the run enters anyway (`_forced_state`), so
-    forcing `o` to the value it already has enters the same state, and the
-    letters and the point of recurrence stay the same.  The check reads the
-    stored footprint's own run, not the interned lasso, whose unrolling may
-    come from another footprint.  This reuse probe checks each reset event
-    once: an event stays valid for the table's lifetime, so the bit of one
-    that passed is remembered, while one that fails is checked, and raises,
-    on every call.
+    The verdict depends only on what the body reads (the atoms of
+    ``formula.program``), so each trace under a footprint is kept as a
+    *view*: its run restricted to the propositions the body reads on that
+    trace.  Views are interned, equal views sharing one id; verdicts are
+    memoized on the tuple of view ids and evaluated on the views, and
+    `evaluations` counts the distinct view tuples evaluated.  On a trace
+    where the body reads no output, the view is the flipped input word
+    restricted to the inputs it reads: no run is made there, and resets
+    cannot change the view, so it is looked up by the cause bits alone.
+    `intervened` returns each footprint's own run, making the run of such
+    a trace when it is asked for.
+
+    Each reset event passes `_check_reset` before a lookup uses it.  An
+    event stays valid for the table's lifetime, so the bit of one that
+    passed is remembered, while one that fails is checked, and raises, on
+    every call.  A new footprint is otherwise checked by
+    `intervention_word`: its run is made from that word, and on a trace
+    that needs no run, so is its view.  Since a footprint that raised is
+    never stored, an invalid event raises on every call.  `runs` counts
+    the runs the verdicts need.  One is skipped when the footprint is a
+    stored one plus a reset of output `o` at position `p` to its source
+    value `v`, and the stored run shows `o` at `v` on every step whose copy
+    is `p`: the stored run and its view are reused.  That is sound because
+    the forced state is chosen by the label of the state the run enters
+    anyway (`_forced_state`), so forcing `o` to the value it already has
+    enters the same state, and the letters and the point of recurrence stay
+    the same.  The check reads the stored footprint's own run, not a run of
+    another footprint with the same view.
 
     `repairable(cause_bits)` over-approximates, three-valued, whether any
     contingency repairs a flip set; the bound words of each trace are kept
@@ -347,11 +358,24 @@ class InterventionTable:
         self._bits: dict[Event, int] = {}
         self._events: list[Event] = []
         self._masks = dict.fromkeys(self.names, 0)
-        self._lassos: list[Lasso] = []
-        self._ids: dict[Lasso, int] = {}
-        # per trace: footprint -> (interned trace id, the footprint's own run)
+        # per trace: the propositions the body reads on it; an atom whose
+        # variable has no trace is left to the evaluator's arity error
+        read: list[set[str]] = [set() for _ in self.names]
+        for index, prop in formula.program.atoms:
+            if index < len(read):
+                read[index].add(prop)
+        self._read = {name: frozenset(props) for name, props in zip(self.names, read)}
+        outputs = frozenset(machine.outputs)
+        self._word_only = {name for name, props in self._read.items() if not props & outputs}
+        # per trace: the bits of the reset events that can change its view
+        # (none where the view is the flipped input word)
+        self._reset_masks = dict.fromkeys(self.names, 0)
+        self._views: list[Lasso] = []
+        self._view_ids: dict[Lasso, int] = {}
+        # per trace: footprint -> (view id, the footprint's own run, or None
+        # on a trace whose view needs no run)
         self._runs = {
-            name: {(0, 0): (self._intern(cex[name]), cex[name])} for name in self.names
+            name: {(0, 0): (self._view(name, cex[name]), cex[name])} for name in self.names
         }
         self._verdicts: dict[tuple[int, ...], bool] = {}
         self._valid_resets = 0  # footprint of the reset events that passed `_check_reset`
@@ -363,12 +387,15 @@ class InterventionTable:
         self.runs = 0
         self.ruled_out = 0
 
-    def _intern(self, lasso: Lasso) -> int:
-        tid = self._ids.get(lasso)
-        if tid is None:
-            tid = self._ids[lasso] = len(self._lassos)
-            self._lassos.append(lasso)
-        return tid
+    def _view(self, name: str, word: Lasso) -> int:
+        """Interned id of `word` restricted to what the body reads on `name`."""
+        read = self._read[name]
+        view = Lasso([a & read for a in word.prefix], [a & read for a in word.period])
+        vid = self._view_ids.get(view)
+        if vid is None:
+            vid = self._view_ids[view] = len(self._views)
+            self._views.append(view)
+        return vid
 
     def bits(self, events: Iterable[Event]) -> int:
         """Footprint of `events`: the union of their bits."""
@@ -381,6 +408,8 @@ class InterventionTable:
                 bit = self._bits[e] = 1 << len(self._events)
                 self._events.append(e)
                 self._masks[e.trace] |= bit
+                if e.trace not in self._word_only:
+                    self._reset_masks[e.trace] |= bit
             footprint |= bit
         return footprint
 
@@ -399,10 +428,24 @@ class InterventionTable:
     def _decode(self, footprint: int) -> list[Event]:
         return [self._events[i] for i in range(footprint.bit_length()) if footprint >> i & 1]
 
-    def _run(self, name: str, cause_bits: int, reset_bits: int) -> tuple[int, Lasso]:
-        """(trace id, run) of trace `name` under one footprint on it."""
-        runs = self._runs[name]
+    def _check_resets(self, reset_bits: int) -> None:
+        """`_check_reset` on each reset event in `reset_bits` not yet passed."""
+        rest = reset_bits & ~self._valid_resets
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            e = self._events[bit.bit_length() - 1]
+            _check_reset(self.automata[e.trace], e)
+            self._valid_resets |= bit
+
+    def _run(self, name: str, cause_bits: int, reset_bits: int) -> tuple[int, Lasso | None]:
+        """(view id, run) of trace `name` under one footprint on it, whose
+        reset events have passed `_check_resets`."""
         aut = self.automata[name]
+        if name in self._word_only:
+            word = intervention_word(aut, self._decode(cause_bits), ())
+            return self._view(name, word), None
+        runs = self._runs[name]
         source = aut.source
         rest = reset_bits
         while rest:
@@ -412,9 +455,6 @@ class InterventionTable:
             if known is None:
                 continue
             e = self._events[bit.bit_length() - 1]
-            if not self._valid_resets & bit:
-                _check_reset(aut, e)
-                self._valid_resets |= bit
             p = e.position
             run = known[1]
             steps = (p,) if p < source.loop_start else range(p, len(run), len(source.period))
@@ -423,13 +463,15 @@ class InterventionTable:
         word = intervention_word(aut, self._decode(cause_bits), self._decode(reset_bits))
         run = aut.run(word)
         self.runs += 1
-        return self._intern(run), run
+        return self._view(name, run), run
 
-    def _trace_ids(self, cause_bits: int, reset_bits: int) -> tuple[int, ...]:
+    def _view_key(self, cause_bits: int, reset_bits: int) -> tuple[int, ...]:
+        """The view id of each trace under a footprint, in trace order."""
+        if reset_bits & ~self._valid_resets:
+            self._check_resets(reset_bits)
         ids = []
         for name in self.names:
-            mask = self._masks[name]
-            key = (cause_bits & mask, reset_bits & mask)
+            key = (cause_bits & self._masks[name], reset_bits & self._reset_masks[name])
             runs = self._runs[name]
             known = runs.get(key)
             if known is None:
@@ -437,18 +479,29 @@ class InterventionTable:
             ids.append(known[0])
         return tuple(ids)
 
-    def _world(self, ids: tuple[int, ...]) -> Counterexample:
-        return Counterexample({name: self._lassos[i] for name, i in zip(self.names, ids)})
-
     def intervened(self, cause: Iterable[Event], contingency: Iterable[Event]) -> Counterexample:
-        return self._world(self._trace_ids(self.bits(cause), self.bits(contingency)))
+        """The world after flipping `cause` under `contingency`: each
+        trace's own run under its footprint."""
+        cause_bits, reset_bits = self.bits(cause), self.bits(contingency)
+        self._view_key(cause_bits, reset_bits)  # checks the events
+        world = {}
+        for name in self.names:
+            mask = self._masks[name]
+            key = (cause_bits & mask, reset_bits & mask)
+            run = self._runs[name].get(key, (None, None))[1]
+            if run is None:  # a trace whose view needed no run
+                aut = self.automata[name]
+                run = aut.run(intervention_word(aut, *map(self._decode, key)))
+            world[name] = run
+        return Counterexample(world)
 
     def holds(self, cause_bits: int, reset_bits: int) -> bool:
         """`satisfies_after` on footprints made by `bits`."""
-        ids = self._trace_ids(cause_bits, reset_bits)
+        ids = self._view_key(cause_bits, reset_bits)
         verdict = self._verdicts.get(ids)
         if verdict is None:
-            verdict = self._verdicts[ids] = eval_hyper(self._world(ids), self.formula)
+            views = Counterexample({name: self._views[i] for name, i in zip(self.names, ids)})
+            verdict = self._verdicts[ids] = eval_hyper(views, self.formula)
             self.evaluations += 1
         return verdict
 

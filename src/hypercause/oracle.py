@@ -2,9 +2,12 @@
 
 Independent of the candidate analysis, the alternating automata, and the
 cause-search heuristics: it shares only the intervention table
-(`counterfactual.InterventionTable`: counterfactual runs and the memoized
-evaluator) with the cause search, through its footprint interface
-(`bits` and `holds`).  Its event universe, its enumeration and its
+(`counterfactual.InterventionTable`: counterfactual runs and the evaluator
+memoized on per-trace views) with the cause search, through its footprint
+interface (`bits` and `holds`).  `brute_force_causes` builds and checks
+the table; `enumerate_causes` takes a checked one, so that the CLI's
+`oracle` builds one table for the report's candidate analysis and the
+enumeration.  Its event universe, its enumeration and its
 contingency pools are its own.  Every subset of satisfied input events
 is tried in ascending (size, event-order); a set counts as a cause when
 flipping some part of it under some output-event reset satisfies the
@@ -46,6 +49,19 @@ def brute_force_causes(
     # the trace, and only a violation has a cause
     table = InterventionTable(machine, formula, cex)
     table.require_violation()
+    return enumerate_causes(table, machine, cex, max_cause_size, max_contingency_size)
+
+
+def enumerate_causes(
+    table: InterventionTable,
+    machine: MooreMachine,
+    cex: Counterexample,
+    max_cause_size: int | None = None,
+    max_contingency_size: int | None = None,
+) -> tuple[tuple[tuple[Event, ...], tuple[Event, ...]], ...]:
+    """`brute_force_causes` on a table built for (machine, `cex`) and
+    checked by `require_violation`; the table's counters then include the
+    enumeration's work."""
     input_events = satisfied_events(cex, machine.inputs)
     if len(input_events) > MAX_INPUT_EVENTS:
         raise SizeGuardError(

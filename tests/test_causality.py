@@ -220,8 +220,9 @@ def test_running_example_search_counters(machine, cex):
     # without that, the same search makes 11 counterfactual runs
     report = all_minimal_causes(machine, OD, cex, bound=3, max_contingency_size=2)
     assert report.stats["subsets_checked"] == 16
-    # 17 worlds with a flip, and the actual world, which must violate
-    assert report.stats["evaluations"] == 18
+    # the body reads `lo` on both traces: 17 worlds with a flip and the
+    # actual world make 5 distinct pairs of `lo` words
+    assert report.stats["evaluations"] == 5
     assert report.stats["runs"] == 9
     # the per-subset check rules out all 14 subsets that are no cause, so
     # only a cause ever tries a reset
@@ -469,7 +470,7 @@ def test_search_walks_each_trace_once(machine, cex, monkeypatch, search):
     (["explain"], 2),
     (["explain", "--all"], 2),
     (["candidates"], 2),
-    (["oracle"], 4),  # the candidate analysis and the oracle build a table each
+    (["oracle"], 2),  # one table serves the candidate analysis and the oracle
 ], ids=["explain", "explain --all", "candidates", "oracle"])
 def test_cli_walks_each_trace_once_per_table(monkeypatch, capsys, argv, walks):
     from test_cli import FORMULA, SYSTEM, TRACES

@@ -413,3 +413,55 @@ def test_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, command, case):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_oracle_report_counts_its_table(capsys):
+    # one table serves the candidate analysis and the enumeration, and the
+    # report gives its counters under the search's names
+    code, out, _ = run_cli(
+        capsys, "oracle", "--system", SYSTEM, "--formula", FORMULA,
+        "--counterexample", TRACES, "--max-cause-size", "3", "--max-contingency-size", "2",
+    )
+    assert code == 0
+    assert json.loads(out)["stats"] == {"evaluations": 5, "runs": 11}
+
+
+#: the corpus draws whose JSON layout the byte-level test checks
+LAYOUT_DRAWS = (11, 12, 27)
+LAYOUT_OPERATIONS = {
+    "check": ["check", "--prefix-bound", "2", "--period-bound", "2"],
+    "explain": ["explain"],
+    "explain --all": ["explain", "--all"],
+    "candidates": ["candidates"],
+    "oracle": ["oracle"],
+}
+
+
+def _instance_files(tmp_path, draw) -> tuple[str, str, str]:
+    """System, formula and counterexample files of the running example
+    (`draw` None) or of a corpus draw."""
+    if draw is None:
+        return SYSTEM, FORMULA, TRACES
+    from genrand import random_violated_instance
+    from hypercause.machine import traces_to_json
+
+    machine, formula, cex = random_violated_instance(draw)
+    files = (tmp_path / "system.json", tmp_path / "formula.hltl", tmp_path / "traces.json")
+    files[0].write_text(json.dumps(machine.to_json()))
+    files[1].write_text(str(formula))
+    files[2].write_text(json.dumps(traces_to_json(cex.traces)))
+    return tuple(map(str, files))
+
+
+@pytest.mark.parametrize("draw", (None, *LAYOUT_DRAWS),
+                         ids=["running-example", *(f"draw-{d}" for d in LAYOUT_DRAWS)])
+@pytest.mark.parametrize("op", list(LAYOUT_OPERATIONS))
+def test_json_output_is_the_standard_indented_layout(tmp_path, capsys, draw, op):
+    # compares bytes, which a comparison of parsed reports would not see
+    system, formula, traces = _instance_files(tmp_path, draw)
+    command, *options = LAYOUT_OPERATIONS[op]
+    given = [] if op == "check" else ["--counterexample", traces]
+    code, out, _ = run_cli(capsys, command, "--system", system, "--formula", formula,
+                           *given, *options)
+    assert code in (0, 1, 3)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

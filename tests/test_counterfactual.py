@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercause import formulas as F
 from hypercause.counterfactual import (
     CounterfactualAutomaton,
     InterventionTable,
@@ -303,11 +304,45 @@ def _table_case(seed: int):
     return rng, machine, formula, cex
 
 
-@settings(max_examples=60)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_interned_evaluation_agrees_with_uninterned(seed):
+def _read_props(formula, cex) -> dict[str, frozenset[str]]:
+    """Per trace, the propositions the body reads on it (variables bind
+    positionally)."""
+    read = {name: set() for name in cex.names()}
+    binding = dict(zip(formula.variables, cex.names()))
+    for atom in F.atoms(formula.body):
+        read[binding[atom.var]].add(atom.prop)
+    return {name: frozenset(props) for name, props in read.items()}
+
+
+def _restricted(world: Counterexample, read: dict[str, frozenset[str]]) -> tuple[Lasso, ...]:
+    return tuple(
+        Lasso([a & read[name] for a in t.prefix], [a & read[name] for a in t.period])
+        for name, t in world.traces.items()
+    )
+
+
+def test_interned_evaluation_agrees_with_uninterned():
+    # how many draws have a body that reads a strict subset of some trace's
+    # propositions, and a trace on which it reads no output
+    seen = {"strict subset": 0, "no output read": 0}
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def check(seed):
+        strict, word_only = _check_interned_evaluation(seed)
+        seen["strict subset"] += strict
+        seen["no output read"] += word_only
+
+    check()
+    assert seen["strict subset"] >= 40 and seen["no output read"] >= 20, seen
+
+
+def _check_interned_evaluation(seed: int) -> tuple[bool, bool]:
     rng, machine, formula, cex = _table_case(seed)
     table = InterventionTable(machine, formula, cex)
+    read = _read_props(formula, cex)
+    alphabet = frozenset(machine.inputs) | frozenset(machine.outputs)
+    word_only = {name for name, props in read.items() if not props & set(machine.outputs)}
     inputs = satisfied_events(cex, machine.inputs)
     resets = [
         Event(name, pos, prop, prop in cex[name].at(pos))
@@ -338,7 +373,11 @@ def test_interned_evaluation_agrees_with_uninterned(seed):
         world = intervene(machine, cex, cause, reset)
         assert table.intervened(cause, reset) == world
         assert table.satisfies_after(cause, reset) == eval_hyper(world, formula)
-    assert table.evaluations == len({intervene(machine, cex, c, r) for c, r in pairs})
+    # one evaluation per distinct tuple of views: each world restricted, per
+    # trace, to what the body reads there
+    assert table.evaluations == len(
+        {_restricted(intervene(machine, cex, c, r), read) for c, r in pairs}
+    )
     footprints = {
         (name, frozenset(e for e in c if e.trace == name), frozenset(e for e in r if e.trace == name))
         for c, r in pairs
@@ -346,6 +385,8 @@ def test_interned_evaluation_agrees_with_uninterned(seed):
     }
     changed = len({f for f in footprints if f[1] or f[2]})
     assert table.runs < changed if resets else table.runs <= changed
+    # no run on a trace whose outputs the body never reads
+    assert table.runs <= len({f for f in footprints if (f[1] or f[2]) and f[0] not in word_only})
 
     name = cex.names()[-1]
     some = inputs[-1]
@@ -378,6 +419,7 @@ def test_interned_evaluation_agrees_with_uninterned(seed):
             with pytest.raises(ValidationError):
                 table.satisfies_after(cause, reset + [bad])
             table.satisfies_after(cause, reset)
+    return any(props < alphabet for props in read.values()), bool(word_only)
 
 
 def test_invalid_reset_raises_though_the_rest_is_memoized():
@@ -424,6 +466,73 @@ def test_reset_valid_on_one_trace_does_not_pass_on_another(machine):
             with pytest.raises(ValidationError, match="not satisfied by the trace"):
                 table.satisfies_after(cause, base + [bad])
             table.satisfies_after(cause, base + [valid])
+
+
+#: reads only the input on both traces, so the table makes no run
+INPUTS_ONLY = 'Forall (Forall (G (Eq (AP "hi" 0) (AP "hi" 1))))'
+#: reads an output on t1 and only the input on t2
+MIXED = 'Forall (Forall (G (Eq (AP "lo" 0) (AP "hi" 1))))'
+
+
+def test_invalid_reset_on_a_trace_without_runs_raises_on_every_call(machine, cex):
+    # no run is made, so only the reset check itself can reject these
+    table = InterventionTable(machine, parse_hyperltl(INPUTS_ONLY), cex)
+    valid = Event("t1", 1, "lo", True)
+    bad_resets = [
+        Event("t1", 1, "lo", False),  # flipped polarity
+        Event("t1", len(cex["t1"]), "lo", True),  # out of range
+        Event("t1", 0, "hi", False),  # an input, valid only as a cause
+    ]
+    table.satisfies_after([], [valid])
+    for bad in bad_resets:
+        for cause in ([], [Event("t1", 0, "hi", False)]):
+            for base in ([], [valid]):
+                for _ in range(2):
+                    with pytest.raises(ValidationError):
+                        table.satisfies_after(cause, base + [bad])
+                    table.satisfies_after(cause, base)
+    assert table.runs == 0
+
+
+@pytest.mark.parametrize("formula", [INPUTS_ONLY, MIXED], ids=["inputs only", "mixed"])
+def test_intervened_runs_the_traces_whose_views_need_no_run(machine, cex, formula):
+    body = parse_hyperltl(formula)
+    table = InterventionTable(machine, body, cex)
+    flips = [[], [Event("t1", 0, "hi", False)], [Event("t2", 0, "hi", True)],
+             [Event("t1", 1, "hi", False), Event("t2", 1, "hi", True)]]
+    resets = [[], [Event("t1", 1, "lo", True)], [Event("t2", 2, "lo", True)],
+              [Event("t1", 2, "ho", True), Event("t2", 1, "ho", True)]]
+    for cause in flips:
+        for reset in resets:
+            world = intervene(machine, cex, cause, reset)
+            assert table.satisfies_after(cause, reset) == eval_hyper(world, body)
+            assert table.intervened(cause, reset) == world
+    # t2's view is its flipped input word, so only t1 is ever run, and only
+    # when the body reads its output
+    if formula == INPUTS_ONLY:
+        assert table.runs == 0
+    else:
+        changed_on_t1 = {
+            (frozenset(e for e in c if e.trace == "t1"), frozenset(e for e in r if e.trace == "t1"))
+            for c in flips for r in resets
+        } - {(frozenset(), frozenset())}
+        assert 0 < table.runs <= len(changed_on_t1)
+
+
+@pytest.mark.parametrize("traces", [{"t1": t1()}, {"t1": t1(), "t2": t2(), "t3": t1()}],
+                         ids=["one trace", "three traces"])
+def test_arity_mismatch_raises_the_evaluators_error(machine, traces):
+    # views group atoms by trace; a variable without a trace, or a trace
+    # without a variable, is left to the evaluator's own error
+    formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
+    assignment = Counterexample(traces)
+    with pytest.raises(ValidationError) as direct:
+        eval_hyper(assignment, formula)
+    with pytest.raises(ValidationError) as tabled:
+        InterventionTable(machine, formula, assignment).require_violation()
+    assert str(tabled.value) == str(direct.value) == (
+        f"formula quantifies 2 traces but the counterexample assigns {len(traces)}"
+    )
 
 
 @settings(max_examples=40)
