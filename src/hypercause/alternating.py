@@ -19,13 +19,12 @@ are the atomic facts the acceptance actually read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import formulas as F
 from .errors import ValidationError
 from .events import Event, sort_events
 from .lasso import Lasso
 from .semantics import ZippedTrace
+from .values import Value
 
 
 class AutExpr:
@@ -243,19 +242,30 @@ def _values(aut: AutExpr, trace: Lasso) -> dict[tuple[int, int], bool]:
     return value
 
 
-@dataclass(frozen=True)
-class RunNode:
-    kind: str  # "literal" | "step" | "conj" | "disj" | "loop"
-    element_id: int
-    position: int
-    label: str
-    children: tuple["RunNode", ...] = ()
+class RunNode(Value):
+    __slots__ = ("kind", "element_id", "position", "label", "children")
+
+    def __init__(
+        self,
+        kind: str,  # "literal" | "step" | "conj" | "disj" | "loop"
+        element_id: int,
+        position: int,
+        label: str,
+        children: tuple[RunNode, ...] = (),
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "element_id", element_id)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
-class RunTree:
-    root: RunNode
-    annotations: tuple[tuple[str, bool, int], ...]  # (atom key, polarity, position)
+class RunTree(Value):
+    __slots__ = ("root", "annotations")
+
+    def __init__(self, root: RunNode, annotations: tuple[tuple[str, bool, int], ...]):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "annotations", annotations)  # (atom key, polarity, position)
 
     def dump(self) -> str:
         """Indented text: one node per line as ``@<position> <kind> <label>``,

@@ -12,7 +12,7 @@ scale only: a table has one bit per subset of the inputs.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import ParseError
 

@@ -52,29 +52,44 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import formulas as F
 from .counterfactual import InterventionTable
 from .events import Counterexample, Event, satisfies_events, sort_events
 from .machine import MooreMachine
 from .satcore import CandidateSet, candidate_set
+from .values import Value
 
 
-@dataclass(frozen=True)
-class CauseEntry:
-    cause: tuple[Event, ...]
-    contingency: tuple[Event, ...]
-    verified: bool
+class CauseEntry(Value):
+    __slots__ = ("cause", "contingency", "verified")
+
+    def __init__(self, cause: tuple[Event, ...], contingency: tuple[Event, ...], verified: bool):
+        object.__setattr__(self, "cause", cause)
+        object.__setattr__(self, "contingency", contingency)
+        object.__setattr__(self, "verified", verified)
 
 
-@dataclass(frozen=True)
-class CauseReport:
-    candidate: CandidateSet
-    causes: tuple[CauseEntry, ...]
-    status: str  # "found" | "no-actual-cause" | "bounded-out"
-    stats: dict = field(default_factory=dict, compare=False)
+class CauseReport(Value):
+    """A search's answer; `stats` is in the repr but not compared."""
+
+    __slots__ = ("candidate", "causes", "status", "stats")
+
+    def __init__(
+        self,
+        candidate: CandidateSet,
+        causes: tuple[CauseEntry, ...],
+        status: str,  # "found" | "no-actual-cause" | "bounded-out"
+        stats: dict | None = None,
+    ):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "causes", causes)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "stats", {} if stats is None else stats)
+
+    def _key(self) -> tuple:
+        return self.candidate, self.causes, self.status
 
 
 def least_contingency(

@@ -23,7 +23,7 @@ bound.  The check is sound, not complete: otherwise the enumeration decides.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import formulas as F
 from .errors import SizeGuardError

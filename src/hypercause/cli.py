@@ -21,7 +21,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import causality, checker, oracle, reports, satcore
 from .alternating import accepts_lasso, dump_automaton, ltl_to_alternating

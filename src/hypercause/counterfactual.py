@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import formulas as F
 from .errors import NothingToExplain, ValidationError

@@ -7,19 +7,33 @@ output events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
 from .lasso import Lasso
+from .values import Value
 
 
-@dataclass(frozen=True, order=False)
-class Event:
-    trace: str
-    position: int
-    prop: str
-    positive: bool
+class Event(Value):
+    __slots__ = ("trace", "position", "prop", "positive", "_hash")
+
+    def __init__(self, trace: str, position: int, prop: str, positive: bool):
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "_hash", hash((trace, position, prop, positive)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._hash == other._hash and (
+                self.trace == other.trace and self.position == other.position
+                and self.prop == other.prop and self.positive == other.positive
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         # negative literals sort before positive ones at the same spot
@@ -37,7 +51,7 @@ def sort_events(events: Iterable[Event]) -> tuple[Event, ...]:
     return tuple(sorted(set(events), key=Event.sort_key))
 
 
-class Counterexample:
+class Counterexample(Value):
     """Ordered assignment of named lasso traces to trace variables."""
 
     __slots__ = ("traces",)
@@ -46,9 +60,6 @@ class Counterexample:
         if not traces:
             raise ValidationError("counterexample must assign at least one trace")
         object.__setattr__(self, "traces", dict(traces))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Counterexample is immutable")
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.traces)

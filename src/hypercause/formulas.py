@@ -10,87 +10,129 @@ negation normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .errors import UnsupportedFragmentError, ValidationError
+from .values import Value
 
 
-class Formula:
+class Formula(Value):
+    __slots__ = ()
+
     def __str__(self) -> str:
         from .printer import infix
 
         return infix(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    prop: str
-    var: str
+    __slots__ = ("prop", "var")
+
+    def __init__(self, prop: str, var: str):
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "var", var)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.prop == other.prop and self.var == other.var
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prop, self.var))
 
     def key(self) -> str:
         return f"{self.prop}@{self.var}" if self.var else self.prop
 
 
-@dataclass(frozen=True)
 class Const(Formula):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    arg: Formula
+class _Unary(Formula):
+    """Methods of the one-operand nodes.  Each node declares its slot `arg`
+    itself, so that `Value` finds the fields in the node's `__slots__`."""
+
+    __slots__ = ()
+
+    def __init__(self, arg: Formula):
+        object.__setattr__(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.arg is other.arg or self.arg == other.arg
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.arg,))
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """Methods of the two-operand nodes, whose slots are `left` and `right`."""
+
+    __slots__ = ()
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left is other.left or self.left == other.left) and (
+                self.right is other.right or self.right == other.right
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    arg: Formula
+class Implies(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    arg: Formula
+class Iff(_Binary):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    arg: Formula
+class Next(_Unary):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Eventually(_Unary):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Always(_Unary):
+    __slots__ = ("arg",)
+
+
+class Until(_Binary):
+    __slots__ = ("left", "right")
+
+
+class Release(_Binary):
+    __slots__ = ("left", "right")
 
 
 TRUE = Const(True)
@@ -119,19 +161,20 @@ SEXPR_HEADS = {
 }
 
 
-@dataclass(frozen=True)
-class HyperFormula:
+class HyperFormula(Value):
     """Universally quantified formula: prefix of trace variables plus a body."""
 
-    variables: tuple[str, ...]
-    body: Formula
+    __slots__ = ("variables", "body", "_program")
 
-    def __post_init__(self):
-        if not self.variables:
+    def __init__(self, variables: tuple[str, ...], body: Formula):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "_program", None)
+        if not variables:
             raise UnsupportedFragmentError("quantifier prefix must not be empty")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValidationError("duplicate trace variables in prefix")
-        unbound = {a.var for a in atoms(self.body)} - set(self.variables)
+        unbound = {a.var for a in atoms(body)} - set(variables)
         if unbound:
             raise ValidationError(f"atoms reference unbound trace variables {sorted(unbound)}")
 
@@ -140,12 +183,14 @@ class HyperFormula:
 
         return f"forall {' '.join(self.variables)}. {infix(self.body)}"
 
-    @cached_property
+    @property
     def program(self):
         """The body compiled for `semantics.eval_hyper`, built on first use."""
-        from .semantics import compile_body
+        if self._program is None:
+            from .semantics import compile_body
 
-        return compile_body(self)
+            object.__setattr__(self, "_program", compile_body(self))
+        return self._program
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

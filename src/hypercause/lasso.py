@@ -5,9 +5,10 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import ValidationError
+from .values import Value
 
 
-class Lasso:
+class Lasso(Value):
     """A word ``u . v^omega`` over letters that are sets of proposition names.
 
     The stored representation is preserved as constructed (event positions
@@ -25,9 +26,6 @@ class Lasso:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "_ckey", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Lasso is immutable")
 
     @property
     def loop_start(self) -> int:
@@ -76,14 +74,6 @@ class Lasso:
             c = self.canonical()
             object.__setattr__(self, "_ckey", (c.prefix, c.period))
         return self._ckey
-
-    def __eq__(self, other):
-        if not isinstance(other, Lasso):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"Lasso({list(map(set, self.prefix))!r}, {list(map(set, self.period))!r})"

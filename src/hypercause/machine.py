@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import functools
 import json
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+import os
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from . import boolexpr
 from .errors import SizeGuardError, ValidationError
@@ -114,15 +114,16 @@ class MooreMachine:
             _check_name(n, "input")
         for n in self.outputs:
             _check_name(n, "output")
-        if set(self.inputs) & set(self.outputs):
+        self._output_set = frozenset(self.outputs)
+        if self._input_set & self._output_set:
             raise ValidationError("inputs and outputs must be disjoint")
-        if len(set(self.inputs)) != len(self.inputs) or len(set(self.outputs)) != len(self.outputs):
+        if len(self._input_set) != len(self.inputs) or len(self._output_set) != len(self.outputs):
             raise ValidationError("duplicate proposition names")
         if len(self.inputs) > MAX_INPUTS:
             raise SizeGuardError(f"more than {MAX_INPUTS} inputs")
         self.labels = {s: frozenset(l) for s, l in labels.items()}
         for s, l in self.labels.items():
-            if not l <= set(self.outputs):
+            if not l <= self._output_set:
                 raise ValidationError(f"state {s!r} label {sorted(l)} not a subset of outputs")
         if initial not in self.labels:
             raise ValidationError(f"initial state {initial!r} is not a state")
@@ -272,7 +273,7 @@ class MooreMachine:
 
     def run(self, input_word: Lasso) -> Lasso:
         """Trace produced by feeding `input_word`; least lasso at state+input recurrence."""
-        inputs = frozenset(self.inputs)
+        inputs = self._input_set
         extra = input_word.alphabet() - inputs
         if extra:
             raise ValidationError(f"input word uses non-input propositions {sorted(extra)}")
@@ -281,7 +282,7 @@ class MooreMachine:
     def _check_trace(self, trace: Lasso) -> tuple[list[str], str | None]:
         """States of the run on the inputs of `trace`, and why and at which
         position the trace first leaves the run (None when it never does)."""
-        inputs, outputs = frozenset(self.inputs), frozenset(self.outputs)
+        inputs, outputs = self._input_set, self._output_set
         word = Lasso([a & inputs for a in trace.prefix], [a & inputs for a in trace.period])
         states, _ = walk(word, self.initial, self.successor, self.labels.__getitem__, inputs)
         for i, state in enumerate(states[:-1]):
@@ -337,7 +338,7 @@ class MooreMachine:
 
 def _read_json(source):
     """The parsed JSON of a file path or file object; any other value as is."""
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
     if hasattr(source, "read"):

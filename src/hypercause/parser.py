@@ -12,10 +12,10 @@ quantifier raises UnsupportedFragmentError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import formulas as F
 from .errors import ParseError, UnsupportedFragmentError
+from .values import Value
 
 _TOKEN = re.compile(
     r"""\s*(?:
@@ -37,11 +37,13 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
+class Token(Value):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def tokenize(text: str) -> list[Token]:

@@ -51,24 +51,33 @@ copy's input letter fixed to a flip set's word, through the same
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import formulas as F
 from .counterfactual import CounterfactualAutomaton, InterventionTable
 from .events import Counterexample, Event, events_of_trace, sort_events
 from .lasso import Lasso
 from .machine import MooreMachine
+from .values import Value
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    events: tuple[Event, ...]
-    per_step: tuple[tuple[tuple[str, int], tuple[Event, ...]], ...]  # ((trace, step), events)
-    formula_support: tuple[Event, ...]
-    # inputs relevant only on runs rerouted by flips or resets
-    rerouted: tuple[Event, ...] = ()
-    # False when no flip and no reset can satisfy the body (module docstring)
-    feasible: bool = True
+class CandidateSet(Value):
+    __slots__ = ("events", "per_step", "formula_support", "rerouted", "feasible")
+
+    def __init__(
+        self,
+        events: tuple[Event, ...],
+        per_step: tuple[tuple[tuple[str, int], tuple[Event, ...]], ...],  # ((trace, step), events)
+        formula_support: tuple[Event, ...],
+        # inputs relevant only on runs rerouted by flips or resets
+        rerouted: tuple[Event, ...] = (),
+        # False when no flip and no reset can satisfy the body (module docstring)
+        feasible: bool = True,
+    ):
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "per_step", per_step)
+        object.__setattr__(self, "formula_support", formula_support)
+        object.__setattr__(self, "rerouted", rerouted)
+        object.__setattr__(self, "feasible", feasible)
 
     def step_events(self, trace: str, step: int) -> tuple[Event, ...]:
         return dict(self.per_step).get((trace, step), ())

@@ -32,21 +32,29 @@ annotations and the CLI's automaton dump work on the zipped trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import formulas as F
 from .errors import ValidationError
 from .events import Counterexample, Event
 from .lasso import Lasso, joint_shape
+from .values import Value
 
 
-@dataclass(frozen=True)
-class ZippedTrace:
-    lasso: Lasso
-    variables: tuple[str, ...]
-    binding: tuple[tuple[str, str], ...]  # (variable, trace name)
-    shapes: tuple[tuple[int, int], ...]  # per variable: (|u|, |v|) of its trace
+class ZippedTrace(Value):
+    __slots__ = ("lasso", "variables", "binding", "shapes")
+
+    def __init__(
+        self,
+        lasso: Lasso,
+        variables: tuple[str, ...],
+        binding: tuple[tuple[str, str], ...],  # (variable, trace name)
+        shapes: tuple[tuple[int, int], ...],  # per variable: (|u|, |v|) of its trace
+    ):
+        object.__setattr__(self, "lasso", lasso)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "binding", binding)
+        object.__setattr__(self, "shapes", shapes)
 
     def trace_of(self, var: str) -> str:
         return dict(self.binding)[var]
@@ -183,9 +191,8 @@ class Program:
     the trace its variable binds and the proposition it reads.  Instruction
     ``j`` of `code` is ``(opcode, x, y)`` and computes row ``len(atoms) + j``
     from rows ``x`` and ``y`` (unary operators ignore ``y``; a constant
-    keeps its value in ``x``).  Row `result` is the body.  A plain class,
-    not a dataclass: creating a dataclass takes about a millisecond, paid
-    on every import of the package.
+    keeps its value in ``x``).  Row `result` is the body.  A plain slotted
+    class, not a dataclass (see `values`).
     """
 
     __slots__ = ("arity", "atoms", "code", "result")
