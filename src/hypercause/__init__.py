@@ -15,7 +15,7 @@ from .causality import (
     verify_actual_cause,
 )
 from .checker import find_counterexample
-from .counterfactual import CounterfactualAutomaton, build_counterfactual_automaton, intervene
+from .counterfactual import CounterfactualAutomaton, intervene
 from .events import Counterexample, Event, satisfies_events
 from .formulas import HyperFormula, negate_to_nnf, nnf
 from .lasso import Lasso
@@ -38,7 +38,6 @@ __all__ = [
     "actual_cause",
     "all_minimal_causes",
     "brute_force_causes",
-    "build_counterfactual_automaton",
     "candidate_cause",
     "check_contingency_valid",
     "eval_hyper",

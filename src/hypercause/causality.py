@@ -5,47 +5,49 @@ when flipping it (possibly under a contingency W of output events reset to
 their counterexample values) satisfies the property, and no proper subset
 already does.
 
-There is one search.  It enumerates minimal causes (`_minimal_causes`)
-within the candidate set, which holds every minimal cause (see `satcore`):
-subsets in ascending size, ties broken by the global event order, up to the
-cause bound, skipping supersets of causes already found (a footprint test
-on the table's bits), each decided by one contingency search
+There is one search (`_minimal_causes`) within the candidate set, which
+holds every minimal cause (see `satcore`): subsets in ascending size, ties
+broken by the global event order, up to the cause bound, skipping
+supersets of causes found, each decided by one contingency search
 (`least_contingency`).  That search returns the order-least contingency:
 the empty one if the flip alone repairs the property, else the first set
 of resettable output events on the flipped traces, again by size and then
 event order.  `actual_cause` stops at the first cause, `all_minimal_causes`
-takes every cause; both report `bounded-out` when the cause bound cut the
-search before it could decide.  All tests of one search share a
-`counterfactual.InterventionTable`, the instance's search context: it
-checks the instance, the candidate analysis reads its automata, and it
-holds the contingency bound.  The contingency search works on the table's
-bit footprints: a cause's bits are computed once, the resettable events'
-bits once per set of flipped traces, and each contingency is the sum of a
-combination of those bits, so only a witness is turned back into events.
+takes every cause.  All tests of one search share a
+`counterfactual.InterventionTable`, the instance's search context, and
+work on its bit footprints (an int with one bit per event): each
+contingency is a sum of the resettable events' bits, and only a witness is
+turned back into events.
 
-Most subsets are no cause, and enumerating contingencies learns that only
-after trying every reset combination.  So when the flip alone does not
-repair the property, a per-subset check first asks whether any contingency
-at all could (`InterventionTable.repairable`): in the paper a contingency is
-a choice of the counterfactual automaton's auxiliary inputs, so this is an
-existential query over them, bounded the way the pre-check below bounds
-every flip, but with each flipped trace's inputs fixed to its flipped word.
-When the body cannot hold on those bounds, the subset is no cause and no
-reset is tried.  The check is sound, so it changes no answer, only the
-work.  A report's `stats` give the subsets decided, the worlds evaluated
+One three-valued check, `InterventionTable.repairable`, bounds every world
+a set of interventions can make: in the paper a contingency is a choice of
+the counterfactual automaton's auxiliary inputs, so whether any contingency
+repairs the property is an existential query over them.  It leaves every
+reset on a touched trace free and each input fixed or free.  It is sound,
+so it changes no answer, only the work, in three places:
+
+* the pre-check, with every input free: when the body cannot hold, nothing
+  is a cause (`CandidateSet.feasible`, see `satcore`): `no-actual-cause`
+  at once, whatever the bounds, with `decided_by` "precheck";
+* per subset whose flip alone does not repair the property, with the flip
+  fixed: when the body cannot hold, no reset is tried;
+* the set check, which closes `all_minimal_causes`: a cause not yet found
+  lies in a maximal cause-free set, the complement of a minimal hitting
+  set of the causes found.  After each cause, and past the cause bound,
+  the search checks each such set no smaller than the subsets left, with
+  its inputs free.  When the check rules out all of them, no cause is
+  left, even past the bound, and `decided_by` is "closure".  Otherwise it
+  checks the live set's part on each trace.  Subsets of a set or part it
+  rules out are skipped.
+
+The status is `bounded-out` only while a cause may lie above the bound.  A
+report's `stats` give the subsets decided, the worlds evaluated
 (`evaluations`, which counts distinct views: each trace restricted to the
 propositions the body reads on it), the counterfactual runs made (`runs`;
 a trace whose outputs the body never reads needs none), the subsets the
-per-subset check ruled out (`ruled_out`), and what decided the status
-(`decided_by`).
-
-`no-actual-cause` is decided in one of two ways.  When the candidate
-analysis's pre-check finds that no flip and no reset can satisfy the body
-(`CandidateSet.feasible` is False, see `satcore`), the search reports it at
-once, whatever the bounds, with `decided_by` "precheck" and no subset
-tried.  Otherwise it takes a search that covered every subset of the
-candidate set.  The pre-check is sound but not complete: a world it cannot
-rule out sends the instance to the search.
+per-subset check ruled out (`ruled_out`), the sets the check decided with
+inputs free (`set_checks`, the pre-check included), and what decided the
+status (`decided_by`: "precheck", "search" or "closure").
 """
 
 from __future__ import annotations
@@ -121,25 +123,86 @@ def least_contingency(
 
 
 def _minimal_causes(
-    table: InterventionTable, events: Sequence[Event], limit: int
-) -> Iterator[tuple[tuple[Event, ...], tuple[Event, ...] | None]]:
-    """(subset, witness) for each subset of `events` of at most `limit`
-    events that the search decides, in (size, event order).
-
-    Subsets that contain a cause already found are skipped; every other
-    subset is decided by `least_contingency`, whose witness is None when
-    the subset is no cause.
+    table: InterventionTable, events: Sequence[Event], limit: int, first: bool
+) -> tuple[list[tuple[tuple[Event, ...], tuple[Event, ...]]], int, bool | None]:
+    """The causes of at most `limit` of `events` with their witnesses, in
+    (size, event order); the number of subsets decided; and whether the set
+    check closed the search (True), the enumeration decided it (None), or
+    a cause may lie above the bound (False).  `first` stops at the first
+    cause; otherwise `_closed` is asked after each cause and past the bound.
     """
-    found: list[int] = []  # footprints of the causes found
+    found = []
+    causes: list[int] = []  # footprints of the causes found
+    dead: list[int] = []  # footprints of sets the set check ruled out
+    universe = 0 if first else table.bits(events)  # the events `_closed` may free
+    checked = 0
     for size in range(1, limit + 1):
         for combo in itertools.combinations(events, size):
             bits = table.bits(combo)
-            if any(f & bits == f for f in found):
+            if any(f & bits == f for f in causes) or dead and any(bits | d == d for d in dead):
                 continue
+            checked += 1
             contingency = least_contingency(table, combo)
-            if contingency is not None:
-                found.append(bits)
-            yield combo, contingency
+            if contingency is None:
+                continue
+            found.append((sort_events(combo), contingency))
+            if first:
+                return found, checked, None
+            causes.append(bits)
+            closed = _closed(table, universe, causes, size, dead)
+            if closed is not False:
+                return found, checked, closed
+    if first:  # with no cause found, every subset is cause-free
+        return found, checked, None if limit >= len(events) else False
+    return found, checked, _closed(table, universe, causes, limit + 1, dead)
+
+
+def _closed(
+    table: InterventionTable, universe: int, causes: Sequence[int], size: int, dead: list[int]
+) -> bool | None:
+    """Can no cause of at least `size` events be found beyond `causes`?
+
+    A new cause contains no cause found, so it lies inside a maximal
+    cause-free set (`_cause_free_sets`).  None when there is no such set of
+    at least `size` events; True when the set check rules out each one
+    (`InterventionTable.repairable` with every event of the set free);
+    False at the first it cannot rule out, once the check has tried that
+    set's part on each trace.  The sets and parts ruled out join `dead`.
+    """
+    closed = None
+    for free in _cause_free_sets(universe, causes, size):
+        if not any(free | d == d for d in dead):
+            if table.repairable(0, free):
+                for part in table.split(free):  # a set on one trace is its own part
+                    if not any(part | d == d for d in dead) and not table.repairable(0, part):
+                        dead.append(part)
+                return False
+            dead.append(free)
+        closed = True
+    return closed
+
+
+def _cause_free_sets(universe: int, causes: Sequence[int], size: int) -> Iterator[int]:
+    """The maximal subsets of `universe` (a footprint) with at least `size`
+    events that contain none of `causes`: the complements of the minimal
+    hitting sets of the causes.  A hitting set grows by one event of the
+    first cause it misses, never past the events `size` leaves it.
+    """
+    room = universe.bit_count() - size  # the most events a hitting set may take
+    seen = set()
+    stack = [0] if room >= 0 else []
+    while stack:
+        hit = stack.pop()
+        missed = next((c for c in causes if not c & hit), None)
+        if missed is not None:
+            if hit.bit_count() < room:
+                stack.extend(hit | 1 << i for i in range(missed.bit_length()) if missed >> i & 1)
+        elif hit not in seen:
+            seen.add(hit)
+            # minimal: each of its events is the only one some cause holds
+            if all(any(c & hit == 1 << i for c in causes)
+                   for i in range(hit.bit_length()) if hit >> i & 1):
+                yield universe & ~hit
 
 
 def actual_cause(
@@ -185,26 +248,15 @@ def _search(
     # only a violation has a cause
     table = InterventionTable(machine, formula, cex, max_contingency_size)
     table.require_violation()
-    candidate = candidate_set(formula, table.automata)
+    candidate = candidate_set(table)
     events = candidate.events
     limit = len(events) if bound is None else min(bound, len(events))
-    found = []
-    subsets_checked = 0
-    if not candidate.feasible:
-        status = "no-actual-cause"
+    if candidate.feasible:
+        found, subsets_checked, closed = _minimal_causes(table, events, limit, first)
+        decided_by = "closure" if closed else "search"
     else:
-        for combo, contingency in _minimal_causes(table, events, limit):
-            subsets_checked += 1
-            if contingency is not None:
-                found.append((sort_events(combo), contingency))
-                if first:
-                    break
-        if first and found:
-            status = "found"
-        elif not _covers_all_larger_subsets(events, [c for c, _ in found], limit):
-            status = "bounded-out"
-        else:
-            status = "found" if found else "no-actual-cause"
+        found, subsets_checked, closed, decided_by = [], 0, None, "precheck"
+    status = "bounded-out" if closed is False else "found" if found else "no-actual-cause"
     entries = tuple(
         CauseEntry(c, w, verify_actual_cause(machine, formula, cex, c, table=table))
         for c, w in found
@@ -215,28 +267,10 @@ def _search(
         "evaluations": table.evaluations,
         "runs": table.runs,
         "ruled_out": table.ruled_out,
-        "decided_by": "search" if candidate.feasible else "precheck",
+        "set_checks": table.set_checks,
+        "decided_by": decided_by,
     }
     return CauseReport(candidate, entries, status, stats)
-
-
-def _covers_all_larger_subsets(
-    universe: Sequence[Event], causes: Sequence[tuple[Event, ...]], bound: int
-) -> bool:
-    """True when no subset above the bound could be a new minimal cause."""
-    if bound >= len(universe):
-        return True
-    if not causes:
-        return False
-    # a larger subset is ruled out iff it contains a found cause, so a
-    # cause-free subset above the bound is the complement of a hitting set
-    # of the causes with fewer than len(universe) - bound events
-    pool = sorted({e for c in causes for e in c}, key=Event.sort_key)
-    for k in range(min(len(pool), len(universe) - bound - 1) + 1):
-        for hitting in itertools.combinations(pool, k):
-            if all(any(h in c for h in hitting) for c in causes):
-                return False
-    return True
 
 
 def verify_actual_cause(

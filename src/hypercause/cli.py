@@ -244,7 +244,7 @@ def cmd_oracle(args) -> int:
     # the enumeration
     table = InterventionTable(machine, formula, cex)
     table.require_violation()
-    candidate = satcore.candidate_set(formula, table.automata)
+    candidate = satcore.candidate_set(table)
     pairs = oracle.enumerate_causes(
         table, machine, cex,
         max_cause_size=args.max_cause_size,

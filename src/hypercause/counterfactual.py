@@ -21,11 +21,11 @@ each trace.  Adding a reset of output ``o`` at position
 ``p`` to a known footprint reuses that footprint's run when the run
 already shows ``o`` at its source value on every step into copy ``p``:
 forcing an output to the value it has enters the state the run enters
-anyway, so the run is the same.  Before any reset of a flip set is tried,
-the table can bound all of them at once (`InterventionTable.repairable`):
-it walks each flipped trace's `step_sets` with the flipped word's letters
-and every reset free, and asks whether the body can hold between the
-resulting must and may words.
+anyway, so the run is the same.  `InterventionTable.repairable` bounds
+many worlds at once: it walks each touched trace's `step_sets`, each copy
+allowing a set of input letters and every reset free, and asks whether
+the body can hold between the resulting must and may words (see
+`causality` for its three uses).
 """
 
 from __future__ import annotations
@@ -136,8 +136,9 @@ class CounterfactualAutomaton:
         self._controllable = frozenset(controllable)
         outputs = frozenset(machine.outputs)
         self._source_outputs = [source.at(k) & outputs for k in range(len(source))]
-        # ((states, copy), input letter or None) -> the next `step_sets` pair
+        # ((states, copy), allowed input letters) -> the next `step_sets` pair
         self._steps: dict[tuple, tuple[frozenset[str], int]] = {}
+        self._free_walk: tuple[list[tuple[frozenset[str], int]], int] | None = None
 
     def step(self, state: tuple[str, int], input_set: Iterable[str]) -> tuple[str, int]:
         s, k = state
@@ -160,42 +161,45 @@ class CounterfactualAutomaton:
         return walk(input_word, self.initial, self.step, lambda s: labels[s[0]], inputs)[1]
 
     def step_sets(
-        self, letters: Sequence[frozenset[str] | None] | None = None
+        self, letters: Sequence[frozenset[frozenset[str]]] | None = None
     ) -> tuple[list[tuple[frozenset[str], int]], int]:
         """(machine states, copy) the automaton can occupy at each step,
         under any auxiliary inputs, as an `orbit`: the steps up to the first
         repeated pair, and the index it loops back to.
 
-        `letters`, when given, holds one entry per copy: the input letter
-        the step out of that copy reads, or None when any input letter may.
-        Without it every input letter may, which bounds every flip.  The
-        pairs are computed on the base machine: a step from a state takes
-        its successor under each allowed input letter and forces it with
-        every set of controllable outputs, so the automaton's alphabet is
-        never enumerated letter by letter.  Forcing an output that already
-        has its source value changes nothing, so only sets of differing
-        outputs are tried.  Each step from a (states, copy) pair under a
-        letter is kept on the automaton, so every walk of it shares them.
+        `letters` holds one entry per copy: the set of input letters the
+        step out of that copy may read (by default `machine.input_sets`,
+        which bounds every flip).  A step from a state takes its successor
+        under each allowed letter on the base machine and forces it with
+        every set of controllable outputs that differ from their source
+        values (forcing the others changes nothing), so the automaton's
+        alphabet is never enumerated letter by letter.  Each step from a
+        (states, copy) pair under a letter set is kept on the automaton, and
+        the walk with every letter is kept whole.
         """
+        if letters is None:
+            if self._free_walk is None:
+                every = frozenset(self.machine.input_sets)
+                self._free_walk = self.step_sets([every] * len(self.source))
+            return self._free_walk
         steps = self._steps
 
         def step(pair: tuple[frozenset[str], int]) -> tuple[frozenset[str], int]:
-            letter = None if letters is None else letters[pair[1]]
-            known = steps.get((pair, letter))
+            allowed = letters[pair[1]]
+            known = steps.get((pair, allowed))
             if known is None:
-                known = steps[(pair, letter)] = self._set_step(pair, letter)
+                known = steps[(pair, allowed)] = self._set_step(pair, allowed)
             return known
 
         return orbit((frozenset([self.machine.initial]), 0), step)
 
     def _set_step(
-        self, pair: tuple[frozenset[str], int], letter: frozenset[str] | None
+        self, pair: tuple[frozenset[str], int], allowed: frozenset[frozenset[str]]
     ) -> tuple[frozenset[str], int]:
         machine = self.machine
         states, k = pair
         k_next = self._successors[k]
         source_outputs = self._source_outputs[k_next]
-        allowed = machine.input_sets if letter is None else (letter,)
         found = set()
         for succ in {machine.delta[(s, a)] for s in states for a in allowed}:
             differing = sorted((machine.labels[succ] ^ source_outputs) & self._controllable)
@@ -226,10 +230,6 @@ def trace_automata(
                 "use a representation aligned with the state recurrence"
             )
     return automata
-
-
-def build_counterfactual_automaton(machine: MooreMachine, trace: Lasso) -> CounterfactualAutomaton:
-    return CounterfactualAutomaton(machine, trace)
 
 
 def intervention_word(
@@ -338,10 +338,8 @@ class InterventionTable:
     the same.  The check reads the stored footprint's own run, not a run of
     another footprint with the same view.
 
-    `repairable(cause_bits)` over-approximates, three-valued, whether any
-    contingency repairs a flip set; the bound words of each trace are kept
-    per footprint on it, and the answer per footprint.  `ruled_out` counts
-    the flip sets it rules out.
+    `repairable` keeps the bound words of each trace per footprint on it,
+    and its answer per footprint.
     """
 
     def __init__(
@@ -379,13 +377,14 @@ class InterventionTable:
         }
         self._verdicts: dict[tuple[int, ...], bool] = {}
         self._valid_resets = 0  # footprint of the reset events that passed `_check_reset`
-        # per trace: cause footprint on it -> its must and may words
-        self._word_bounds = {name: {0: (cex[name], cex[name])} for name in self.names}
-        self._repairable: dict[int, bool] = {}
+        # per trace: (cause, free) footprints on it -> its must and may words
+        self._word_bounds = {name: {(0, 0): (cex[name], cex[name])} for name in self.names}
+        self._repairable: dict[tuple[int, int | None], bool] = {}
         self._resettable: dict[tuple[str, ...], tuple[tuple[Event, ...], tuple[int, ...]]] = {}
         self.evaluations = 0
         self.runs = 0
         self.ruled_out = 0
+        self.set_checks = 0
 
     def _view(self, name: str, word: Lasso) -> int:
         """Interned id of `word` restricted to what the body reads on `name`."""
@@ -424,6 +423,10 @@ class InterventionTable:
             )
             self._resettable[traces] = (events, tuple(self.bits([e]) for e in events))
         return self._resettable[traces]
+
+    def split(self, footprint: int) -> list[int]:
+        """The parts of `footprint` on each trace it touches, in trace order."""
+        return [footprint & mask for mask in self._masks.values() if footprint & mask]
 
     def _decode(self, footprint: int) -> list[Event]:
         return [self._events[i] for i in range(footprint.bit_length()) if footprint >> i & 1]
@@ -505,38 +508,56 @@ class InterventionTable:
             self.evaluations += 1
         return verdict
 
-    def _cause_bounds(self, name: str, cause_bits: int) -> tuple[Lasso, Lasso]:
-        """Must and may words of trace `name` flipped by `cause_bits` (its
-        footprint on that trace) under any resets."""
-        known = self._word_bounds[name].get(cause_bits)
+    def _bounds(self, name: str, cause_bits: int, free_bits: int | None) -> tuple[Lasso, Lasso]:
+        """Must and may words of trace `name` flipped by `cause_bits`, with
+        each input event of `free_bits` flipped or not (their footprints on
+        that trace; None frees every input), under any resets."""
+        known = self._word_bounds[name].get((cause_bits, free_bits))
         if known is None:
             aut = self.automata[name]
-            word = intervention_word(aut, self._decode(cause_bits), ())
-            letters = word.prefix + word.period
+            letters = None
+            if free_bits is not None:
+                word = intervention_word(aut, self._decode(cause_bits), ())
+                free = [frozenset()] * len(aut.source)  # per copy, the free inputs
+                for e in self._decode(free_bits):
+                    free[e.position] |= {e.prop}
+                letters = [
+                    frozenset(a for a in aut.machine.input_sets if a ^ letter <= props)
+                    if props else frozenset((letter,))
+                    for letter, props in zip(word.prefix + word.period, free)
+                ]
             pairs, loop = aut.step_sets(letters)
-            known = self._word_bounds[name][cause_bits] = aut.machine.label_bounds(
-                [held for held, _ in pairs], loop, [letters[k] for _, k in pairs]
+            known = self._word_bounds[name][(cause_bits, free_bits)] = aut.machine.label_bounds(
+                [held for held, _ in pairs], loop, letters and [letters[k] for _, k in pairs]
             )
         return known
 
-    def repairable(self, cause_bits: int) -> bool:
-        """Can flipping `cause_bits` under some contingency, of any size,
-        satisfy the property?  False is sure; True decides nothing.
+    def repairable(self, cause_bits: int, free_bits: int | None = 0) -> bool:
+        """Can flipping `cause_bits`, with each input event of `free_bits`
+        flipped or not, under some contingency of any size, satisfy the
+        property?  False is sure; True decides nothing.
 
-        Each trace the cause touches is bounded by its `step_sets` with the
-        flipped letter at every copy and every reset free, the other traces
-        are exact (contingencies reset events on flipped traces only), and
-        the body is evaluated three-valued on those words
-        (`semantics.Program.bounds`).  `ruled_out` counts the footprints
-        answered False.
+        Each trace the footprints touch is bounded by its `step_sets`, each
+        copy allowing the flipped letter with the free inputs in every
+        combination, and every reset free; the other traces are exact
+        (contingencies reset events on flipped traces only).  The body is
+        evaluated three-valued on those words (`semantics.Program.bounds`).
+        `ruled_out` counts the flip sets (`free_bits` empty) it rules out,
+        `set_checks` the free sets it decides; `free_bits` None frees every
+        input event on every trace (the candidate analysis's pre-check).
         """
-        verdict = self._repairable.get(cause_bits)
+        verdict = self._repairable.get((cause_bits, free_bits))
         if verdict is None:
             must, may = zip(*(
-                self._cause_bounds(name, cause_bits & self._masks[name]) for name in self.names
+                self._bounds(name, cause_bits & mask, free_bits and free_bits & mask)
+                for name, mask in self._masks.items()
             ))
-            verdict = self._repairable[cause_bits] = self.formula.program.bounds(must, may)[1]
-            self.ruled_out += not verdict
+            verdict = self.formula.program.bounds(must, may)[1]
+            self._repairable[(cause_bits, free_bits)] = verdict
+            if free_bits == 0:
+                self.ruled_out += not verdict
+            else:
+                self.set_checks += 1
         return verdict
 
     def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:

@@ -250,23 +250,23 @@ class MooreMachine:
         self,
         sets: Iterable[Iterable[str]],
         loop: int,
-        letters: Sequence[frozenset[str] | None] | None = None,
+        letters: Sequence[frozenset[frozenset[str]]] | None = None,
     ) -> tuple[Lasso, Lasso]:
         """Must and may words of runs whose step ``i`` lies in state set ``i``
         (`orbit` order, looping back to `loop`): a step surely carries the
         outputs every state of its set carries, and possibly the outputs some
-        state carries.  Its inputs are ``letters[i]`` when that is given, and
-        otherwise possibly every input."""
+        state carries; likewise the inputs of every and of some letter step
+        ``i`` allows (``letters[i]``, by default `input_sets`)."""
         must, may = [], []
         for i, states in enumerate(sets):
             labels = [self.labels[s] for s in states]
-            letter = None if letters is None else letters[i]
-            if letter is None:
+            if letters is None:  # every input letter: none surely, each possibly
                 must.append(frozenset.intersection(*labels))
                 may.append(self._input_set.union(*labels))
             else:
-                must.append(letter.union(frozenset.intersection(*labels)))
-                may.append(letter.union(*labels))
+                allowed = letters[i]
+                must.append(frozenset.intersection(*allowed) | frozenset.intersection(*labels))
+                may.append(frozenset.union(*allowed, *labels))
         return Lasso(must[:loop], must[loop:]), Lasso(may[:loop], may[loop:])
 
     # -- semantics ---------------------------------------------------------

@@ -22,12 +22,6 @@ def event_to_json(event: Event) -> dict:
     }
 
 
-def event_from_json(data: dict) -> Event:
-    return Event(
-        data["trace"], data["position"], data["prop"], data["polarity"] == "positive"
-    )
-
-
 def candidate_to_json(candidate: CandidateSet) -> dict:
     return {
         "events": [event_to_json(e) for e in candidate.events],

@@ -42,10 +42,9 @@ in its literals, so when the three-valued evaluation of the body
 it and nothing is a cause: ``CandidateSet.feasible`` is False and the
 cause search reports ``no-actual-cause`` without trying a subset.  The
 check is sound but not complete: a "may" answer leaves it to the search.
-It is the all-free case of the cause search's per-subset check
-(`InterventionTable.repairable`), which walks the same step sets with each
-copy's input letter fixed to a flip set's word, through the same
-`label_bounds` and `Program.bounds`.
+It is the table's set check (`InterventionTable.repairable`) on every
+input event, so it walks the step sets the rerouting part walked; the
+cause search asks the same check with fewer inputs free or fixed.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import functools
 from . import formulas as F
 from .counterfactual import CounterfactualAutomaton, InterventionTable
 from .events import Counterexample, Event, events_of_trace, sort_events
-from .lasso import Lasso
 from .machine import MooreMachine
 from .values import Value
 
@@ -89,29 +87,27 @@ def candidate_cause(
     """Over-approximate the inputs that can be part of an actual cause."""
     table = InterventionTable(machine, formula, cex)
     table.require_violation()
-    return candidate_set(formula, table.automata)
+    return candidate_set(table)
 
 
-def candidate_set(
-    formula: F.HyperFormula, automata: dict[str, CounterfactualAutomaton]
-) -> CandidateSet:
+def candidate_set(table: InterventionTable) -> CandidateSet:
     """The candidate analysis on each trace's counterfactual automaton.
 
     The per-step part reads the automaton's original run (`states`); a step
     at a state whose successor ignores the inputs contributes nothing.  The
     rerouting part reads the union of its `step_sets` per copy, and the
-    pre-check's `feasible` flag the step sets themselves (see the module
-    docstring for why both are sound).
+    pre-check's `feasible` flag is the table's set check on every input
+    event, which walks the same step sets (see the module docstring for why
+    both are sound).
     """
+    formula, automata = table.formula, table.automata
     relevant = functools.cache(MooreMachine.input_support)
-    bounds: list[tuple[Lasso, Lasso]] = []  # must and may word per trace
     per_step: list[tuple[tuple[str, int], tuple[Event, ...]]] = []
     events: list[Event] = []
     rerouted: list[Event] = []
     for name, aut in automata.items():
         machine, trace, states = aut.machine, aut.source, aut.states
-        pairs, loop = aut.step_sets()
-        bounds.append(machine.label_bounds([held for held, _ in pairs], loop))
+        pairs = aut.step_sets()[0]
         for n in range(len(trace)):
             here = trace.at(n)
             step_events = sort_events(
@@ -130,7 +126,7 @@ def candidate_set(
     events.extend(rerouted)
     return CandidateSet(
         sort_events(events), tuple(per_step), support_events, sort_events(rerouted),
-        formula.program.bounds(*zip(*bounds))[1],
+        table.repairable(0, None),
     )
 
 

@@ -184,15 +184,16 @@ _OPCODES = {
 }
 
 
-class Program:
+class Program(Value):
     """A hyper formula's body as a postorder list of row operations.
 
     Rows ``0 .. len(atoms) - 1`` hold the atoms, each given as the index of
     the trace its variable binds and the proposition it reads.  Instruction
     ``j`` of `code` is ``(opcode, x, y)`` and computes row ``len(atoms) + j``
     from rows ``x`` and ``y`` (unary operators ignore ``y``; a constant
-    keeps its value in ``x``).  Row `result` is the body.  A plain slotted
-    class, not a dataclass (see `values`).
+    keeps its value in ``x``).  Row `result` is the body.  An immutable
+    value (see `values`): a formula caches its program, so a changed row
+    would change every later verdict on that formula.
     """
 
     __slots__ = ("arity", "atoms", "code", "result")
@@ -204,10 +205,8 @@ class Program:
         code: tuple[tuple[int, int, int], ...],
         result: int,
     ):
-        self.arity = arity
-        self.atoms = atoms
-        self.code = code
-        self.result = result
+        for field, value in zip(self.__slots__, (arity, atoms, code, result)):
+            object.__setattr__(self, field, value)
 
     def _joint(self, lassos: Sequence[Lasso]) -> tuple[int, int]:
         """(loop start, length) of the joint unrolling of `lassos`."""

@@ -23,7 +23,7 @@ import pytest
 from hypercause import formulas as F
 from hypercause.alternating import accepts_lasso, annotated_events, ltl_to_alternating
 from hypercause.causality import all_minimal_causes, check_contingency_valid, verify_actual_cause
-from hypercause.counterfactual import build_counterfactual_automaton, intervene
+from hypercause.counterfactual import CounterfactualAutomaton, intervene
 from hypercause.events import Counterexample, Event, satisfies_events
 from hypercause.lasso import Lasso
 from hypercause.machine import load_machine, load_traces
@@ -151,7 +151,7 @@ def test_criterion_3_intervention_traces(running_example):
 def test_criterion_4_counterfactual_automaton(running_example):
     with _verdict("criterion 4 (counterfactual automaton fragment)"):
         machine, _, cex = running_example
-        automaton = build_counterfactual_automaton(machine, cex["t2"])
+        automaton = CounterfactualAutomaton(machine, cex["t2"])
         assert automaton.step(("s0", 0), {"hi"}) == ("s1", 1)
         assert automaton.step(("s0", 0), {"lo^C"}) == ("s0", 1)
         assert automaton.step(("s0", 0), {"ho^C"}) == ("s3", 1)

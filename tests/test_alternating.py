@@ -12,6 +12,7 @@ from hypercause.alternating import (
     AutNode,
     RunNode,
     RunTree,
+    _holds,
     _sccs,
     _successors,
     accepts_lasso,
@@ -19,7 +20,6 @@ from hypercause.alternating import (
     dump_automaton,
     elements,
     ltl_to_alternating,
-    replay,
 )
 from hypercause.errors import ValidationError
 from hypercause.events import Event
@@ -29,6 +29,50 @@ from hypercause.semantics import eval_ltl, zip_hyper
 
 from conftest import leaky_cex
 from genrand import random_lasso, random_ltl
+
+
+def replay(tree: RunTree, aut, trace: Lasso) -> bool:
+    """Re-derive acceptance by walking the stored branch choices.
+
+    Checks that the tree starts at `aut` itself at position 0, that each
+    node's children are the successors of its element (a step's target at
+    the next position, both conjuncts, or one disjunct) at the positions a
+    run reads them, that every literal read holds on the trace, and that
+    every back-edge closes a cycle through this branch that contains an
+    accepting node (the Büchi condition on the finite unrolling).
+    """
+    if tree.root.element_id != id(aut) or tree.root.position != 0:
+        return False
+    succ = trace.successors()
+    by_id = {id(e): e for e in elements(aut)}
+
+    def walk(node: RunNode, path: tuple) -> bool:
+        e = by_id[node.element_id]  # the root is `aut`, and children are checked below
+        key = (node.element_id, node.position)
+        if node.kind == "loop":
+            for idx, (k, elem) in enumerate(path):
+                if k == key:
+                    closed = [x for _, x in path[idx:]] + [e]
+                    return any(isinstance(x, AutNode) and x.accepting for x in closed)
+            return False
+        path = path + ((key, e),)
+        p = node.position
+        # the (element id, position) lists that may follow `e` in a run
+        if isinstance(e, AutNode):
+            if not _holds(e.state_formula, trace.at(p)):
+                return False
+            allowed = [[]] if e.next is EMPTY else [[(id(e.next), succ[p])]]
+        elif isinstance(e, AutConj):
+            allowed = [[(id(e.left), p), (id(e.right), p)]]
+        elif isinstance(e, AutDisj):
+            allowed = [[(id(e.left), p)], [(id(e.right), p)]]
+        else:
+            allowed = [[]]
+        children = [(c.element_id, c.position) for c in node.children]
+        return children in allowed and all(walk(c, path) for c in node.children)
+
+    return walk(tree.root, ())
+
 
 A = F.Atom("a", "")
 B = F.Atom("b", "")

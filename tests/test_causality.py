@@ -4,12 +4,13 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercause import formulas as F
 from hypercause.causality import (
-    _covers_all_larger_subsets,
+    _cause_free_sets,
+    _closed,
     actual_cause,
     all_minimal_causes,
     check_contingency_valid,
@@ -216,17 +217,23 @@ def test_each_distinct_world_evaluated_once(machine, cex, monkeypatch):
 
 
 def test_running_example_search_counters(machine, cex):
-    # a run is reused when an added reset leaves the trace unchanged;
-    # without that, the same search makes 11 counterfactual runs
     report = all_minimal_causes(machine, OD, cex, bound=3, max_contingency_size=2)
-    assert report.stats["subsets_checked"] == 16
-    # the body reads `lo` on both traces: 17 worlds with a flip and the
-    # actual world make 5 distinct pairs of `lo` words
-    assert report.stats["evaluations"] == 5
-    assert report.stats["runs"] == 9
-    # the per-subset check rules out all 14 subsets that are no cause, so
-    # only a cause ever tries a reset
-    assert report.stats["ruled_out"] == 14
+    assert report.status == "found"
+    assert report.stats["decided_by"] == "closure"
+    # the first cause leaves five candidates, which the set check cannot
+    # rule out; their part on t1 it can, so the search skips both t1
+    # events and decides the second cause next; the four events besides
+    # both causes it rules out, so no larger subset is tried
+    assert report.stats["subsets_checked"] == 2
+    # the pre-check, the five events, their parts on t1 and t2, and the four
+    assert report.stats["set_checks"] == 5
+    # the body reads `lo` on both traces: the worlds tried make 4 distinct
+    # pairs of `lo` words
+    assert report.stats["evaluations"] == 4
+    # a run is reused when an added reset leaves the trace unchanged
+    assert report.stats["runs"] == 3
+    # both subsets decided are causes, so the per-subset check rules out none
+    assert report.stats["ruled_out"] == 0
 
 
 def _rejected_subsets(machine, formula, cex, max_size=2, max_pool=8):
@@ -280,6 +287,128 @@ def test_rejected_subsets_have_no_contingency(seed):
         for i in range(len(variables))
     })
     _rejected_subsets(machine, F.HyperFormula(variables, body), cex)
+
+
+def _without_set_check(mp):
+    """Patch the set check out, so that a search enumerates every subset
+    and the candidate analysis's pre-check rules nothing out."""
+    check = InterventionTable.repairable
+    mp.setattr(InterventionTable, "repairable",
+               lambda self, cause_bits, free_bits=0: free_bits != 0 or check(self, cause_bits))
+
+
+# corpus draws where the closure needs its edge cases: a cause-free set as
+# small as the subsets left that holds a cause, or a subset that overlaps a
+# ruled-out set without lying inside it
+CLOSURE_DRAWS = (40, 49, 71, 118, 121, 340)
+
+
+@settings(max_examples=80)
+@given(st.one_of(st.sampled_from(CLOSURE_DRAWS), st.integers(min_value=1, max_value=300)),
+       st.integers(min_value=1, max_value=3))
+def test_a_closed_report_has_no_cause_above_its_bound(seed, bound):
+    # against an unbounded search that enumerates every subset, and the
+    # unbounded oracle: a report holds exactly the causes within its bound,
+    # and every cause unless it is `bounded-out`
+    instance = random_violated_instance(seed)
+    if instance is None:
+        return
+    machine, formula, cex = instance
+    report = all_minimal_causes(machine, formula, cex, bound, 2)
+    found = tuple((e.cause, e.contingency) for e in report.causes)
+    with pytest.MonkeyPatch.context() as mp:
+        _without_set_check(mp)
+        every = all_minimal_causes(machine, formula, cex, None, 2)
+    assert every.stats["decided_by"] == "search"
+    references = [tuple((e.cause, e.contingency) for e in every.causes)]
+    if len(satisfied_events(cex, machine.inputs)) <= 12:  # keeps the oracle small
+        references.append(brute_force_causes(machine, formula, cex, None, 2))
+    for causes in references:
+        assert found == tuple(c for c in causes if len(c[0]) <= bound)
+        if report.status != "bounded-out":
+            assert found == causes
+
+
+class _SetChecks:
+    """A table whose set check answers from `live`, recording each set it
+    is asked about once (the table keeps its answers); events 0 and 1 lie
+    on one trace, 2 and 3 on another."""
+
+    def __init__(self, live):
+        self.live, self.asked = live, []
+
+    def repairable(self, cause_bits, free_bits=0):
+        if free_bits not in self.asked:
+            self.asked.append(free_bits)
+        return free_bits in self.live
+
+    def split(self, footprint):
+        return [footprint & mask for mask in (0b0011, 0b1100) if footprint & mask]
+
+
+def test_closure_needs_every_cause_free_set_ruled_out():
+    # causes {0} and {1, 2} over events 0-3: the maximal cause-free sets
+    # are {1, 3} and {2, 3}
+    causes = [0b0001, 0b0110]
+    assert sorted(_cause_free_sets(0b1111, causes, 2)) == [0b1010, 0b1100]
+    assert _closed(_SetChecks(live=set()), 0b1111, causes, 2, []) is True
+    dead = []
+    assert _closed(_SetChecks(live={0b1100}), 0b1111, causes, 2, dead) is False
+    assert 0b1100 not in dead
+    # a set inside one ruled out is not asked about, one that overlaps it is
+    table = _SetChecks(live=set())
+    assert _closed(table, 0b1111, causes, 2, [0b1110]) is True
+    assert table.asked == []
+    table = _SetChecks(live={0b1100})
+    assert _closed(table, 0b1111, causes, 2, [0b1011]) is False
+    assert table.asked == [0b1100]
+    # none left of three or more events: decided without a check
+    assert _closed(_SetChecks(set()), 0b1111, causes, 3, []) is None
+
+
+def test_a_live_set_leaves_its_dead_parts_on_each_trace():
+    # {1, 3} spans both traces: it stays live, its part {3} too, and its
+    # part {1} is ruled out, so the search skips it
+    table = _SetChecks(live={0b1010, 0b1000, 0b1100})
+    dead = []
+    assert _closed(table, 0b1111, [0b0001, 0b0110], 2, dead) is False
+    assert table.asked == [0b1010, 0b0010, 0b1000]
+    assert dead == [0b0010]
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=300), st.randoms(use_true_random=False))
+def test_every_subset_of_a_dead_set_has_no_contingency(seed, rng):
+    # the sets the closure rules out, and sets drawn from every input event
+    instance = random_violated_instance(seed)
+    if instance is None:
+        return
+    machine, formula, cex = instance
+    dead = []
+    check = InterventionTable.repairable
+
+    def recording(self, cause_bits, free_bits=0):
+        verdict = check(self, cause_bits, free_bits)
+        if free_bits and not verdict:
+            dead.append(self._decode(free_bits))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InterventionTable, "repairable", recording)
+        all_minimal_causes(machine, formula, cex, 3, 2)
+        table = InterventionTable(machine, formula, cex)
+        inputs = satisfied_events(cex, machine.inputs)
+        for _ in range(4):
+            drawn = rng.sample(inputs, rng.randint(1, len(inputs)))
+            table.repairable(0, table.bits(drawn))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InterventionTable, "repairable", lambda self, cause_bits: True)
+        exact = InterventionTable(machine, formula, cex)
+        for events in dead:
+            subsets = [c for k in range(1, len(events) + 1)
+                       for c in itertools.combinations(events, k)]
+            for sub in subsets if len(subsets) <= 31 else rng.sample(subsets, 31):
+                assert least_contingency(exact, sub) is None, (events, sub)
 
 
 def test_bounded_out_status():
@@ -392,7 +521,8 @@ def test_max_contingency_size_zero_disables_contingencies(machine, cex):
 
 
 def _covers_unbounded(universe, causes, bound):
-    """`_covers_all_larger_subsets` before its enumeration was bounded."""
+    """Whether no subset above the bound can be a new minimal cause, by the
+    least hitting set of the causes, with no limit on its size."""
     if bound >= len(universe):
         return True
     if not causes:
@@ -407,6 +537,9 @@ def _covers_unbounded(universe, causes, bound):
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_bounded_cover_check_agrees_with_unbounded(seed):
+    # `_cause_free_sets` gives exactly the maximal cause-free subsets of at
+    # least the given size, and none exactly when every larger subset holds
+    # a cause
     rng = random.Random(seed)
     universe = [Event("t", pos, "i", True) for pos in range(rng.randint(1, 8))]
     causes = [
@@ -414,30 +547,34 @@ def test_bounded_cover_check_agrees_with_unbounded(seed):
         for _ in range(rng.randint(0, 4))
     ]
     bound = rng.randint(0, len(universe))
-    assert _covers_all_larger_subsets(universe, causes, bound) == _covers_unbounded(
-        universe, causes, bound
-    )
+    bit = {e: 1 << i for i, e in enumerate(universe)}
+    footprints = [sum(bit[e] for e in c) for c in causes]
+    full = (1 << len(universe)) - 1
+    free = [m for m in range(full + 1) if not any(f & m == f for f in footprints)]
+    maximal = {m for m in free if not any(m != n and m | n == n for n in free)}
+    sets = list(_cause_free_sets(full, footprints, bound + 1))
+    assert len(sets) == len(set(sets))
+    assert set(sets) == {m for m in maximal if m.bit_count() > bound}
+    assert (not sets) == _covers_unbounded(universe, causes, bound)
 
 
 def test_bounded_cover_check_stops_early():
-    # 20 disjoint pairs: the least hitting set has 20 events, so the
-    # unbounded loop would try every set of fewer than 20 of the 40 events
-    # (over 10^11) before answering; with bound 36 only sets of at most 3
-    # events can matter.  Each set tried asks at least one cause whether it
-    # holds an event, so the count of those questions bounds the sets tried.
-    class Cause(tuple):
-        asked = 0
+    # 20 disjoint pairs: the least hitting set has 20 events, so an
+    # unbounded enumeration would meet 2^20 of them; with bound 36 only
+    # hitting sets of at most 3 events can matter.  Each set grown scans the
+    # causes, so the count of those scans bounds the sets tried.
+    class Causes(list):
+        scans = 0
 
-        def __contains__(self, event):
-            Cause.asked += 1
-            if Cause.asked > 10**6:
-                raise AssertionError("more than 10^6 membership tests")
-            return tuple.__contains__(self, event)
+        def __iter__(self):
+            Causes.scans += 1
+            if Causes.scans > 10**4:
+                raise AssertionError("more than 10^4 scans of the causes")
+            return list.__iter__(self)
 
-    universe = [Event("t", pos, "i", True) for pos in range(40)]
-    causes = [Cause((universe[2 * k], universe[2 * k + 1])) for k in range(20)]
-    assert _covers_all_larger_subsets(universe, causes, 36)
-    assert 0 < Cause.asked
+    causes = Causes(0b11 << 2 * k for k in range(20))
+    assert list(_cause_free_sets((1 << 40) - 1, causes, 37)) == []
+    assert 0 < Causes.scans
 
 
 def test_search_names_the_trace_that_is_not_a_run(machine):

@@ -90,6 +90,22 @@ def test_explain_all_reports_both_causes(capsys):
     assert all(c["verified"] for c in doc["causes"])
 
 
+def test_explain_all_closes_past_the_cause_bound(capsys):
+    # both causes have one event; the set check then rules out every set of
+    # the remaining candidates, so no cause can lie above the bound
+    code, out, _ = run_cli(
+        capsys, "explain", "--system", SYSTEM, "--formula", FORMULA,
+        "--counterexample", TRACES, "--all", "--max-cause-size", "3",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "found"
+    assert doc["stats"]["decided_by"] == "closure"
+    events = [[(e["trace"], e["position"], e["prop"], e["polarity"]) for e in c["events"]]
+              for c in doc["causes"]]
+    assert events == [[("t1", 0, "hi", "negative")], [("t2", 0, "hi", "positive")]]
+
+
 def test_explain_without_counterexample_autochecks(capsys):
     code, out, _ = run_cli(
         capsys, "explain", "--system", SYSTEM, "--formula", FORMULA,

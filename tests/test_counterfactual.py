@@ -9,7 +9,6 @@ from hypercause import formulas as F
 from hypercause.counterfactual import (
     CounterfactualAutomaton,
     InterventionTable,
-    build_counterfactual_automaton,
     contingency_flag,
     controllable_outputs,
     intervene,
@@ -33,7 +32,7 @@ def test_controllable_outputs_full_for_complete_labelling(machine):
 
 
 def test_chain_structure(machine):
-    aut = build_counterfactual_automaton(machine, t2())
+    aut = CounterfactualAutomaton(machine, t2())
     assert aut.initial == ("s0", 0)
     assert aut.last_copy == 2
     assert aut.loop_to == 2
@@ -42,7 +41,7 @@ def test_chain_structure(machine):
 
 def test_reachable_fragment_transitions(machine):
     # the three documented edges out of the initial copy
-    aut = build_counterfactual_automaton(machine, t2())
+    aut = CounterfactualAutomaton(machine, t2())
     assert aut.step(("s0", 0), {"hi"}) == ("s1", 1)
     assert aut.step(("s0", 0), {"lo^C"}) == ("s0", 1)
     assert aut.step(("s0", 0), {"ho^C"}) == ("s3", 1)
@@ -56,7 +55,7 @@ def test_reachable_fragment_transitions(machine):
 
 
 def test_no_contingency_projection_matches_base_run(machine):
-    aut = build_counterfactual_automaton(machine, t2())
+    aut = CounterfactualAutomaton(machine, t2())
     word = intervention_word(aut, [], [])
     assert aut.run(word) == t2()
 
@@ -104,7 +103,7 @@ def test_intervene_rejects_unsatisfied_cause(machine, cex):
 
 
 def test_intervention_word_flip_is_involutive(machine):
-    aut = build_counterfactual_automaton(machine, t2())
+    aut = CounterfactualAutomaton(machine, t2())
     cause = [Event("t2", 0, "hi", True), Event("t2", 2, "hi", False)]
     once = intervention_word(aut, cause, [])
     # flipping the same literals on the flipped word restores the original
@@ -748,10 +747,11 @@ def test_every_reset_run_of_a_flip_set_stays_in_its_step_sets(seed):
     # trace lies between the must and may words `label_bounds` reads from
     # them
     for rng, aut, inputs, outputs in _automaton_cases(seed):
+        every = frozenset(aut.machine.input_sets)
         for _ in range(4):
             cause = rng.sample(inputs, rng.randint(0, len(inputs)))
             flipped = intervention_word(aut, cause, [])
-            letters = [a if rng.random() < 0.75 else None
+            letters = [frozenset([a]) if rng.random() < 0.75 else every
                        for a in flipped.prefix + flipped.period]
             pairs, loop = aut.step_sets(letters)
             must, may = aut.machine.label_bounds(

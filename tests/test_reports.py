@@ -4,7 +4,6 @@ from hypercause.causality import CauseEntry, CauseReport
 from hypercause.events import Event
 from hypercause.reports import (
     candidate_to_json,
-    event_from_json,
     event_to_json,
     render_report,
     render_traces,
@@ -13,6 +12,12 @@ from hypercause.reports import (
 from hypercause.satcore import CandidateSet
 
 from conftest import leaky_cex
+
+
+def event_from_json(data: dict) -> Event:
+    return Event(
+        data["trace"], data["position"], data["prop"], data["polarity"] == "positive"
+    )
 
 
 def test_event_json_roundtrip():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import warnings
 
 from hypothesis import given, settings
@@ -6,10 +7,15 @@ from hypothesis import strategies as st
 
 from hypercause import boolexpr
 from hypercause.causality import actual_cause
-from hypercause.counterfactual import controllable_outputs, intervene
+from hypercause.counterfactual import (
+    InterventionTable,
+    contingency_flag,
+    controllable_outputs,
+    intervene,
+)
 from hypercause.events import Counterexample, Event, satisfied_events, satisfies_events
 from hypercause.lasso import Lasso
-from hypercause.machine import MooreMachine
+from hypercause.machine import MooreMachine, orbit
 from hypercause.oracle import brute_force_causes
 from hypercause.parser import parse_hyperltl
 from hypercause.satcore import candidate_cause
@@ -59,7 +65,7 @@ def test_per_step_sets_are_cores(machine, cex):
 
 
 def test_formula_support_collects_input_atoms():
-    from hypercause.machine import MooreMachine
+    from hypercause.machine import MooreMachine, orbit
 
     m = MooreMachine.from_guards(
         inputs=["a"],
@@ -100,7 +106,7 @@ def test_candidate_cause_reports_no_degraded_warning():
     from hypercause.counterfactual import controllable_outputs
     from hypercause.events import Counterexample
     from hypercause.lasso import Lasso
-    from hypercause.machine import MooreMachine
+    from hypercause.machine import MooreMachine, orbit
 
     # two states share the empty label, so no output is controllable
     m = MooreMachine.from_guards(
@@ -214,3 +220,44 @@ def test_precheck_rules_out_every_world(seed, rng):
         assert brute_force_causes(machine, formula, cex) == ()
     else:
         assert brute_force_causes(machine, formula, cex, 3, 2) == ()
+
+
+def _old_feasible(formula, automata):
+    """The pre-check as a walk of each trace's automaton letter by letter:
+    from each (state set, copy), every input letter with every set of
+    auxiliary inputs; a step surely carries the outputs of every state of
+    its set and possibly any input and the outputs of some state."""
+    must, may = [], []
+    for aut in automata.values():
+        m = aut.machine
+        flags = [contingency_flag(o) for o in aut.controllable]
+        alphabet = [a.union(f) for a in m.input_sets
+                    for k in range(len(flags) + 1) for f in itertools.combinations(flags, k)]
+
+        def step(pair):
+            states, k = pair
+            succ = {aut.step((s, k), a) for s in states for a in alphabet}
+            return frozenset(s for s, _ in succ), succ.pop()[1]
+
+        pairs, loop = orbit((frozenset([m.initial]), 0), step)
+        labels = [[m.labels[s] for s in states] for states, _ in pairs]
+        sure = [frozenset.intersection(*ls) for ls in labels]
+        possible = [frozenset(m.inputs).union(*ls) for ls in labels]
+        must.append(Lasso(sure[:loop], sure[loop:]))
+        may.append(Lasso(possible[:loop], possible[loop:]))
+    return formula.program.bounds(must, may)[1]
+
+
+@settings(max_examples=150)
+@given(st.one_of(st.sampled_from(PRECHECKED_DRAWS), st.integers(1, 300)))
+def test_set_check_on_every_input_event_is_the_old_precheck(seed):
+    instance = _draw(seed)
+    if instance is None:
+        return
+    machine, formula, cex = instance
+    table = InterventionTable(machine, formula, cex)
+    old = _old_feasible(formula, table.automata)
+    assert not old or seed not in PRECHECKED_DRAWS
+    every = table.bits(satisfied_events(cex, machine.inputs))
+    assert table.repairable(0, every) == table.repairable(0, None) == old
+    assert candidate_cause(machine, formula, cex).feasible == old

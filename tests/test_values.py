@@ -24,11 +24,12 @@ from genrand import random_hyper_body, random_ltl
 from hypercause import formulas as F
 from hypercause.alternating import RunNode, RunTree, accepts_lasso, ltl_to_alternating
 from hypercause.causality import CauseEntry, CauseReport, all_minimal_causes
+from hypercause.counterfactual import InterventionTable
 from hypercause.errors import UnsupportedFragmentError, ValidationError
 from hypercause.events import Event
 from hypercause.parser import Token, parse_hyperltl, tokenize
 from hypercause.satcore import CandidateSet
-from hypercause.semantics import ZippedTrace, zip_hyper
+from hypercause.semantics import ZippedTrace, eval_hyper, zip_hyper
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hypercause.__file__)))
 
@@ -150,6 +151,23 @@ def test_traces_are_immutable_values():
     cex = leaky_cex()
     for value in [cex, *cex.lassos()]:
         assert_immutable(value)
+
+
+def test_compiled_programs_are_immutable():
+    # a formula caches its program, so an assignment that went through
+    # would change every later verdict on that formula
+    formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
+    program = formula.program
+    assert_immutable(program)
+    with pytest.raises(AttributeError):
+        program.result = 99
+    cex = leaky_cex()
+    table = InterventionTable(leaky_machine(), formula, cex)
+    assert formula.program is program
+    assert not eval_hyper(cex, formula)
+    assert not program.holds(cex.lassos())
+    assert program.bounds(cex.lassos(), cex.lassos()) == (False, False)
+    assert not table.holds(0, 0)
 
 
 def test_cause_report_equality_ignores_stats():
