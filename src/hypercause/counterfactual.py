@@ -17,7 +17,8 @@ its contingency bound, and the counterfactual tests.  It works on bit
 footprints (an int with one bit per event) and runs an automaton only for
 a footprint it has not met, and only on a trace whose outputs the body
 reads: it decides verdicts on per-trace views, what the body reads of
-each trace.  Adding a reset of output ``o`` at position
+each trace.  It checks each event once per role (cause or reset), where
+the event enters a footprint.  Adding a reset of output ``o`` at position
 ``p`` to a known footprint reuses that footprint's run when the run
 already shows ``o`` at its source value on every step into copy ``p``:
 forcing an output to the value it has enters the state the run enters
@@ -242,52 +243,54 @@ def intervention_word(
     Cause literals are flipped at their positions (recurring for loop
     positions); each contingency event raises the auxiliary input on every
     step that enters its position, so a loop event is re-applied on each
-    iteration, including the loop-back step.
+    iteration, including the loop-back step.  Each event passes
+    `_check_event` in its role first.
     """
-    machine = automaton.machine
-    source = automaton.source
-    cause = tuple(cause)
-    contingency = tuple(contingency)
-    inputs = frozenset(machine.inputs)
-    word = [set(source.at(k) & inputs) for k in range(len(source))]
-
-    for e in cause + contingency:
-        _check_position(source, e)
-
+    cause, contingency = tuple(cause), tuple(contingency)
     for e in cause:
-        if e.prop not in machine.inputs:
-            raise ValidationError(f"cause event {e} is not over an input")
-        if (e.prop in source.at(e.position)) != e.positive:
-            raise ValidationError(f"cause event {e} is not satisfied by the trace")
+        _check_event(automaton, e, reset=False)
+    for e in contingency:
+        _check_event(automaton, e, reset=True)
+    return _word(automaton, cause, contingency)
+
+
+def _word(
+    automaton: CounterfactualAutomaton, cause: Iterable[Event], contingency: Iterable[Event]
+) -> Lasso:
+    """`intervention_word` on events that have passed `_check_event`."""
+    source = automaton.source
+    inputs = frozenset(automaton.machine.inputs)
+    word = [set(source.at(k) & inputs) for k in range(len(source))]
+    for e in cause:
         if e.positive:
             word[e.position].discard(e.prop)
         else:
             word[e.position].add(e.prop)
-
     for e in contingency:
-        _check_reset(automaton, e)
         for k, entered in enumerate(automaton._successors):
             if entered == e.position:
                 word[k].add(contingency_flag(e.prop))
-
     return Lasso(word[:source.loop_start], word[source.loop_start:])
 
 
-def _check_position(source: Lasso, e: Event) -> None:
+def _check_event(automaton: CounterfactualAutomaton, e: Event, reset: bool) -> None:
+    """Raise unless `e` is a cause event of `automaton`'s trace (a satisfied
+    input event) or, with `reset`, a contingency event it can reset (a
+    satisfied event over a controllable output)."""
+    source = automaton.source
     if not 0 <= e.position < len(source):
         raise ValidationError(
             f"event {e} position out of range (trace has {len(source)} positions)"
         )
-
-
-def _check_reset(automaton: CounterfactualAutomaton, e: Event) -> None:
-    """Raise unless `e` is a contingency event that `automaton` can reset."""
-    _check_position(automaton.source, e)
-    if e.prop not in automaton.machine.outputs:
-        raise ValidationError(f"contingency event {e} is not over an output")
-    if (e.prop in automaton.source.at(e.position)) != e.positive:
-        raise ValidationError(f"contingency event {e} is not satisfied by the trace")
-    if e.prop not in automaton.controllable:
+    role, kind, props = (
+        ("contingency", "output", automaton.machine.outputs) if reset
+        else ("cause", "input", automaton.machine.inputs)
+    )
+    if e.prop not in props:
+        raise ValidationError(f"{role} event {e} is not over an {kind}")
+    if (e.prop in source.at(e.position)) != e.positive:
+        raise ValidationError(f"{role} event {e} is not satisfied by the trace")
+    if reset and e.prop not in automaton.controllable:
         raise ValidationError(
             f"output {e.prop!r} is not contingency-controllable on this machine"
         )
@@ -307,7 +310,14 @@ class InterventionTable:
     are handled as bit footprints: `bits(events)` gives each event a bit the
     first time it sees it, and `holds(cause_bits, reset_bits)` is the test
     on ints, so a search that tries many contingencies for one cause pays
-    for event handling once.
+    for event handling once.  Events are checked where they enter the
+    table, once per role: `bits` makes cause footprints and `reset_bits`
+    contingency footprints, and each passes an event to `_check_event` the
+    first time it meets it in that role.  The table keeps one mask per role
+    of the events that passed, so an input event that passed as a cause
+    still fails as a reset, and an event that fails raises on every call.
+    `holds` and `repairable` take footprints made by those two, and build
+    words without checking them again.
 
     The verdict depends only on what the body reads (the atoms of
     ``formula.program``), so each trace under a footprint is kept as a
@@ -321,22 +331,15 @@ class InterventionTable:
     `intervened` returns each footprint's own run, making the run of such
     a trace when it is asked for.
 
-    Each reset event passes `_check_reset` before a lookup uses it.  An
-    event stays valid for the table's lifetime, so the bit of one that
-    passed is remembered, while one that fails is checked, and raises, on
-    every call.  A new footprint is otherwise checked by
-    `intervention_word`: its run is made from that word, and on a trace
-    that needs no run, so is its view.  Since a footprint that raised is
-    never stored, an invalid event raises on every call.  `runs` counts
-    the runs the verdicts need.  One is skipped when the footprint is a
-    stored one plus a reset of output `o` at position `p` to its source
-    value `v`, and the stored run shows `o` at `v` on every step whose copy
-    is `p`: the stored run and its view are reused.  That is sound because
-    the forced state is chosen by the label of the state the run enters
-    anyway (`_forced_state`), so forcing `o` to the value it already has
-    enters the same state, and the letters and the point of recurrence stay
-    the same.  The check reads the stored footprint's own run, not a run of
-    another footprint with the same view.
+    `runs` counts the runs the verdicts need.  One is skipped when the
+    footprint is a stored one plus a reset of output `o` at position `p` to
+    its source value `v`, and the stored run shows `o` at `v` on every step
+    whose copy is `p`: the stored run and its view are reused.  That is
+    sound because the forced state is chosen by the label of the state the
+    run enters anyway (`_forced_state`), so forcing `o` to the value it
+    already has enters the same state, and the letters and the point of
+    recurrence stay the same.  The check reads the stored footprint's own
+    run, not a run of another footprint with the same view.
 
     `repairable` keeps the bound words of each trace per footprint on it,
     and its answer per footprint.
@@ -362,9 +365,9 @@ class InterventionTable:
         for index, prop in formula.program.atoms:
             if index < len(read):
                 read[index].add(prop)
-        self._read = {name: frozenset(props) for name, props in zip(self.names, read)}
+        self.read = {name: frozenset(props) for name, props in zip(self.names, read)}
         outputs = frozenset(machine.outputs)
-        self._word_only = {name for name, props in self._read.items() if not props & outputs}
+        self._word_only = {name for name, props in self.read.items() if not props & outputs}
         # per trace: the bits of the reset events that can change its view
         # (none where the view is the flipped input word)
         self._reset_masks = dict.fromkeys(self.names, 0)
@@ -376,7 +379,7 @@ class InterventionTable:
             name: {(0, 0): (self._view(name, cex[name]), cex[name])} for name in self.names
         }
         self._verdicts: dict[tuple[int, ...], bool] = {}
-        self._valid_resets = 0  # footprint of the reset events that passed `_check_reset`
+        self._checked = [0, 0]  # footprints of the events that passed as causes, as resets
         # per trace: (cause, free) footprints on it -> its must and may words
         self._word_bounds = {name: {(0, 0): (cex[name], cex[name])} for name in self.names}
         self._repairable: dict[tuple[int, int | None], bool] = {}
@@ -388,7 +391,7 @@ class InterventionTable:
 
     def _view(self, name: str, word: Lasso) -> int:
         """Interned id of `word` restricted to what the body reads on `name`."""
-        read = self._read[name]
+        read = self.read[name]
         view = Lasso([a & read for a in word.prefix], [a & read for a in word.period])
         vid = self._view_ids.get(view)
         if vid is None:
@@ -397,8 +400,16 @@ class InterventionTable:
         return vid
 
     def bits(self, events: Iterable[Event]) -> int:
-        """Footprint of `events`: the union of their bits."""
+        """Footprint of the cause events `events`: the union of their bits."""
+        return self._footprint(events, False)
+
+    def reset_bits(self, events: Iterable[Event]) -> int:
+        """Footprint of the contingency events `events`."""
+        return self._footprint(events, True)
+
+    def _footprint(self, events: Iterable[Event], reset: bool) -> int:
         footprint = 0
+        checked = self._checked[reset]
         for e in events:
             bit = self._bits.get(e)
             if bit is None:
@@ -409,6 +420,9 @@ class InterventionTable:
                 self._masks[e.trace] |= bit
                 if e.trace not in self._word_only:
                     self._reset_masks[e.trace] |= bit
+            if not bit & checked:
+                _check_event(self.automata[e.trace], e, reset)
+                checked = self._checked[reset] = checked | bit
             footprint |= bit
         return footprint
 
@@ -421,7 +435,7 @@ class InterventionTable:
                 for e in events_of_trace(name, self.automata[name].source,
                                          self.automata[name].controllable)
             )
-            self._resettable[traces] = (events, tuple(self.bits([e]) for e in events))
+            self._resettable[traces] = (events, tuple(self.reset_bits([e]) for e in events))
         return self._resettable[traces]
 
     def split(self, footprint: int) -> list[int]:
@@ -431,22 +445,11 @@ class InterventionTable:
     def _decode(self, footprint: int) -> list[Event]:
         return [self._events[i] for i in range(footprint.bit_length()) if footprint >> i & 1]
 
-    def _check_resets(self, reset_bits: int) -> None:
-        """`_check_reset` on each reset event in `reset_bits` not yet passed."""
-        rest = reset_bits & ~self._valid_resets
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            e = self._events[bit.bit_length() - 1]
-            _check_reset(self.automata[e.trace], e)
-            self._valid_resets |= bit
-
     def _run(self, name: str, cause_bits: int, reset_bits: int) -> tuple[int, Lasso | None]:
-        """(view id, run) of trace `name` under one footprint on it, whose
-        reset events have passed `_check_resets`."""
+        """(view id, run) of trace `name` under one footprint on it."""
         aut = self.automata[name]
         if name in self._word_only:
-            word = intervention_word(aut, self._decode(cause_bits), ())
+            word = _word(aut, self._decode(cause_bits), ())
             return self._view(name, word), None
         runs = self._runs[name]
         source = aut.source
@@ -463,15 +466,12 @@ class InterventionTable:
             steps = (p,) if p < source.loop_start else range(p, len(run), len(source.period))
             if all((e.prop in run.at(i)) == e.positive for i in steps):
                 return known
-        word = intervention_word(aut, self._decode(cause_bits), self._decode(reset_bits))
-        run = aut.run(word)
+        run = aut.run(_word(aut, self._decode(cause_bits), self._decode(reset_bits)))
         self.runs += 1
         return self._view(name, run), run
 
     def _view_key(self, cause_bits: int, reset_bits: int) -> tuple[int, ...]:
         """The view id of each trace under a footprint, in trace order."""
-        if reset_bits & ~self._valid_resets:
-            self._check_resets(reset_bits)
         ids = []
         for name in self.names:
             key = (cause_bits & self._masks[name], reset_bits & self._reset_masks[name])
@@ -485,8 +485,8 @@ class InterventionTable:
     def intervened(self, cause: Iterable[Event], contingency: Iterable[Event]) -> Counterexample:
         """The world after flipping `cause` under `contingency`: each
         trace's own run under its footprint."""
-        cause_bits, reset_bits = self.bits(cause), self.bits(contingency)
-        self._view_key(cause_bits, reset_bits)  # checks the events
+        cause_bits, reset_bits = self.bits(cause), self.reset_bits(contingency)
+        self._view_key(cause_bits, reset_bits)  # stores each footprint's run
         world = {}
         for name in self.names:
             mask = self._masks[name]
@@ -494,12 +494,12 @@ class InterventionTable:
             run = self._runs[name].get(key, (None, None))[1]
             if run is None:  # a trace whose view needed no run
                 aut = self.automata[name]
-                run = aut.run(intervention_word(aut, *map(self._decode, key)))
+                run = aut.run(_word(aut, *map(self._decode, key)))
             world[name] = run
         return Counterexample(world)
 
     def holds(self, cause_bits: int, reset_bits: int) -> bool:
-        """`satisfies_after` on footprints made by `bits`."""
+        """`satisfies_after` on footprints made by `bits` and `reset_bits`."""
         ids = self._view_key(cause_bits, reset_bits)
         verdict = self._verdicts.get(ids)
         if verdict is None:
@@ -517,7 +517,7 @@ class InterventionTable:
             aut = self.automata[name]
             letters = None
             if free_bits is not None:
-                word = intervention_word(aut, self._decode(cause_bits), ())
+                word = _word(aut, self._decode(cause_bits), ())
                 free = [frozenset()] * len(aut.source)  # per copy, the free inputs
                 for e in self._decode(free_bits):
                     free[e.position] |= {e.prop}
@@ -561,7 +561,7 @@ class InterventionTable:
         return verdict
 
     def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:
-        return self.holds(self.bits(cause), self.bits(contingency))
+        return self.holds(self.bits(cause), self.reset_bits(contingency))
 
     def require_violation(self) -> None:
         """Raise `NothingToExplain` when the counterexample itself satisfies

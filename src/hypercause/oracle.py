@@ -4,9 +4,9 @@ Independent of the candidate analysis, the alternating automata, and the
 cause-search heuristics: it shares only the intervention table
 (`counterfactual.InterventionTable`: counterfactual runs and the evaluator
 memoized on per-trace views) with the cause search, through its footprint
-interface (`bits` and `holds`).  `brute_force_causes` builds and checks
-the table; `enumerate_causes` takes a checked one, so that the CLI's
-`oracle` builds one table for the report's candidate analysis and the
+interface (`bits`, `reset_bits` and `holds`).  `brute_force_causes` builds
+and checks the table; `enumerate_causes` takes a checked one, so that the
+CLI's `oracle` builds one table for the report's candidate analysis and the
 enumeration.  Its event universe, its enumeration and its
 contingency pools are its own.  Every subset of satisfied input events
 is tried in ascending (size, event-order); a set counts as a cause when
@@ -76,7 +76,7 @@ def enumerate_causes(
             f"{len(resettable)} output events exceed the oracle guard ({MAX_OUTPUT_EVENTS})"
         )
     input_bits = [table.bits([e]) for e in input_events]
-    reset_bits = [table.bits([e]) for e in resettable]
+    reset_bits = [table.reset_bits([e]) for e in resettable]
     input_masks: dict[str, int] = {}  # trace -> footprint of its input events
     for e, bit in zip(input_events, input_bits):
         input_masks[e.trace] = input_masks.get(e.trace, 0) | bit

@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 
 from . import formulas as F
-from .counterfactual import CounterfactualAutomaton, InterventionTable
+from .counterfactual import InterventionTable
 from .events import Counterexample, Event, events_of_trace, sort_events
 from .machine import MooreMachine
 from .values import Value
@@ -95,16 +95,18 @@ def candidate_set(table: InterventionTable) -> CandidateSet:
 
     The per-step part reads the automaton's original run (`states`); a step
     at a state whose successor ignores the inputs contributes nothing.  The
-    rerouting part reads the union of its `step_sets` per copy, and the
+    formula support reads what the body reads on each trace (`table.read`).
+    The rerouting part reads the union of its `step_sets` per copy, and the
     pre-check's `feasible` flag is the table's set check on every input
     event, which walks the same step sets (see the module docstring for why
     both are sound).
     """
-    formula, automata = table.formula, table.automata
+    automata = table.automata
     relevant = functools.cache(MooreMachine.input_support)
     per_step: list[tuple[tuple[str, int], tuple[Event, ...]]] = []
     events: list[Event] = []
     rerouted: list[Event] = []
+    support: list[Event] = []
     for name, aut in automata.items():
         machine, trace, states = aut.machine, aut.source, aut.states
         pairs = aut.step_sets()[0]
@@ -121,28 +123,11 @@ def candidate_set(table: InterventionTable) -> CandidateSet:
             for held, k in pairs for s in held
             for prop in relevant(machine, s) - relevant(machine, states[k])
         )
-    support_events = formula_input_events(formula, automata)
+        support.extend(events_of_trace(name, trace, table.read[name] & set(machine.inputs)))
+    support_events = sort_events(support)
     events.extend(support_events)
     events.extend(rerouted)
     return CandidateSet(
         sort_events(events), tuple(per_step), support_events, sort_events(rerouted),
         table.repairable(0, None),
-    )
-
-
-def formula_input_events(
-    formula: F.HyperFormula, automata: dict[str, CounterfactualAutomaton]
-) -> tuple[Event, ...]:
-    """Satisfied input events whose proposition the body reads on their trace.
-
-    These complement the transition analysis: an input can steer the truth
-    of the property directly without ever being necessary for a transition.
-    """
-    binding = dict(zip(formula.variables, automata))
-    read: dict[str, set[str]] = {name: set() for name in automata}
-    for atom in F.atoms(formula.body):
-        read[binding[atom.var]].add(atom.prop)
-    return sort_events(
-        e for name, aut in automata.items()
-        for e in events_of_trace(name, aut.source, read[name].intersection(aut.machine.inputs))
     )

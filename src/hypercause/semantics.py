@@ -16,11 +16,13 @@ for position ``i``:
 * ``F`` and ``G`` are closed forms (from the loop on, every position sees
   the whole loop), ``U`` and ``R`` whole-row fixpoints.
 
-`Program.bounds` runs the same program three-valued, on a must and a may
-row per subformula, over words known only between two bounds, and reads
-both verdicts at position 0: the checker uses the must verdict to show that
-every assignment of machine traces satisfies the body, and the candidate
-analysis the may verdict to rule out every counterfactual world at once.
+`Program.bounds` is the one interpreter of the program.  It runs it
+three-valued, on a must and a may row per subformula, over words known
+only between two bounds, and reads both verdicts at position 0: the checker
+uses the must verdict to show that every assignment of machine traces
+satisfies the body, and the candidate analysis the may verdict to rule out
+every counterfactual world at once.  On exact words (both bounds the same)
+both verdicts are the body's truth, and `eval_hyper` reads it there.
 
 Zipping is the reference the program is checked against: it merges the
 assignment into a single lasso whose letters carry ``prop@var`` keys, so the
@@ -208,16 +210,6 @@ class Program(Value):
         for field, value in zip(self.__slots__, (arity, atoms, code, result)):
             object.__setattr__(self, field, value)
 
-    def _joint(self, lassos: Sequence[Lasso]) -> tuple[int, int]:
-        """(loop start, length) of the joint unrolling of `lassos`."""
-        if len(lassos) != self.arity:
-            raise ValidationError(
-                f"formula quantifies {self.arity} traces but the "
-                f"counterexample assigns {len(lassos)}"
-            )
-        loop, period = joint_shape(lassos)
-        return loop, loop + period
-
     def _atom_rows(self, lassos: Sequence[Lasso], n: int) -> list[int]:
         unrolled: dict[int, tuple[frozenset[str], ...]] = {}
         rows = []
@@ -234,29 +226,6 @@ class Program(Value):
             rows.append(row)
         return rows
 
-    def holds(self, lassos: Sequence[Lasso]) -> bool:
-        """Truth of the body at position 0 of the joint unrolling of `lassos`."""
-        loop, n = self._joint(lassos)
-        full = (1 << n) - 1
-        rows = self._atom_rows(lassos, n)
-        for op, x, y in self.code:
-            if op == _AND:
-                row = rows[x] & rows[y]
-            elif op == _OR:
-                row = rows[x] | rows[y]
-            elif op == _NOT:
-                row = full ^ rows[x]
-            elif op == _IMPLIES:
-                row = (full ^ rows[x]) | rows[y]
-            elif op == _IFF:
-                row = full ^ rows[x] ^ rows[y]
-            elif op == _CONST:
-                row = full if x else 0
-            else:
-                row = _temporal(op, rows[x], rows[y], loop, full)
-            rows.append(row)
-        return bool(rows[self.result] & 1)
-
     def bounds(self, must: Sequence[Lasso], may: Sequence[Lasso]) -> tuple[bool, bool]:
         """Does the body surely hold, and can it hold, on the assignments
         whose words lie between `must` and `may`?
@@ -269,9 +238,15 @@ class Program(Value):
         operators, being monotone, act on each row unchanged.  The answer
         reads both rows at position 0: (True, _) means every such assignment
         satisfies the body, (_, False) that none does; on exact words
-        (``must == may``) both are `holds`.
+        (``must == may``) both are the body's truth, which `eval_hyper` reads.
         """
-        loop, n = self._joint(must)
+        if len(must) != self.arity:
+            raise ValidationError(
+                f"formula quantifies {self.arity} traces but the "
+                f"counterexample assigns {len(must)}"
+            )
+        loop, period = joint_shape(must)
+        n = loop + period
         full = (1 << n) - 1
         lo = self._atom_rows(must, n)
         hi = self._atom_rows(may, n)
@@ -363,7 +338,8 @@ def eval_hyper(cex: Counterexample, formula: F.HyperFormula) -> bool:
     `zip_hyper`, and the answer is that of ``eval_ltl(zipped.lasso, body)``
     for ``body, zipped = zip_hyper(formula, cex)``.
     """
-    return formula.program.holds(cex.lassos())
+    lassos = cex.lassos()
+    return formula.program.bounds(lassos, lassos)[0]
 
 
 def falsifies(cex: Counterexample, formula: F.HyperFormula) -> bool:

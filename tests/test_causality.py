@@ -289,6 +289,17 @@ def test_rejected_subsets_have_no_contingency(seed):
     _rejected_subsets(machine, F.HyperFormula(variables, body), cex)
 
 
+# corpus draws where the per-subset check rejects 39 to 78 flip sets of at
+# most two events; the random machines above do not reach such instances
+REJECTING_DRAWS = (27, 80, 186, 248, 340)
+
+
+@pytest.mark.parametrize("seed", REJECTING_DRAWS)
+def test_rejected_subsets_of_corpus_draws_have_no_contingency(seed):
+    rejected, checked = _rejected_subsets(*random_violated_instance(seed))
+    assert checked == len(rejected) >= 39
+
+
 def _without_set_check(mp):
     """Patch the set check out, so that a search enumerates every subset
     and the candidate analysis's pre-check rules nothing out."""

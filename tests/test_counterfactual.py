@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercause import counterfactual
 from hypercause import formulas as F
+from hypercause.causality import all_minimal_causes
 from hypercause.counterfactual import (
     CounterfactualAutomaton,
     InterventionTable,
@@ -18,6 +20,7 @@ from hypercause.errors import ValidationError
 from hypercause.events import Counterexample, Event, satisfied_events, satisfies_events
 from hypercause.lasso import Lasso, joint_shape
 from hypercause.machine import MooreMachine, walk
+from hypercause.oracle import brute_force_causes
 from hypercause.parser import parse_hyperltl
 from hypercause.semantics import eval_hyper
 
@@ -465,6 +468,37 @@ def test_reset_valid_on_one_trace_does_not_pass_on_another(machine):
             with pytest.raises(ValidationError, match="not satisfied by the trace"):
                 table.satisfies_after(cause, base + [bad])
             table.satisfies_after(cause, base + [valid])
+
+
+def test_each_event_is_checked_once_per_role(machine, cex, monkeypatch):
+    # events are checked where they enter a table's footprints, so a search
+    # checks each (event, role) pair at most once however often it tries it
+    calls = []
+    check = counterfactual._check_event
+
+    def counting(automaton, e, reset):
+        calls.append((e, reset))
+        check(automaton, e, reset)
+
+    monkeypatch.setattr(counterfactual, "_check_event", counting)
+    formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
+    for search in (all_minimal_causes, brute_force_causes):
+        calls.clear()
+        search(machine, formula, cex, 3, 2)
+        assert {reset for _, reset in calls} == {False, True}
+        assert len(calls) == len(set(calls)), search
+
+
+def test_an_event_that_passed_as_a_cause_fails_as_a_reset(machine, cex):
+    formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
+    table = InterventionTable(machine, formula, cex)
+    flip = Event("t1", 0, "hi", False)
+    table.satisfies_after([flip], [])
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="is not over an output"):
+            table.satisfies_after([], [flip])
+        with pytest.raises(ValidationError, match="is not over an output"):
+            table.reset_bits([flip])
 
 
 #: reads only the input on both traces, so the table makes no run

@@ -253,14 +253,17 @@ def _reshaped(trace: Lasso, letters) -> Lasso:
 @settings(max_examples=300)
 @given(assigned_formulas(), st.data())
 def test_three_valued_evaluation_bounds_every_word_between(case, data):
-    # on exact words both three-valued verdicts are the two-valued one; a
-    # word that satisfies the body keeps every widening of it possible, and
-    # one that falsifies it keeps every widening from surely holding
+    # on exact words, passed as one sequence or as two equal ones, both
+    # three-valued verdicts are the reference's two-valued one; a word that
+    # satisfies the body keeps every widening of it possible, and one that
+    # falsifies it keeps every widening from surely holding
     formula, cex = case
     program = formula.program
     words = cex.lassos()
-    holds = program.holds(words)
-    assert program.bounds(words, words) == (holds, holds)
+    body, zipped = zip_hyper(formula, cex)
+    holds = eval_ltl(zipped.lasso, body)
+    equal = tuple(Lasso(w.prefix, w.period) for w in words)
+    assert program.bounds(words, words) == program.bounds(words, equal) == (holds, holds)
     must, may = [], []
     for word in words:
         letters = word.prefix + word.period

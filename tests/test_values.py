@@ -29,7 +29,7 @@ from hypercause.errors import UnsupportedFragmentError, ValidationError
 from hypercause.events import Event
 from hypercause.parser import Token, parse_hyperltl, tokenize
 from hypercause.satcore import CandidateSet
-from hypercause.semantics import ZippedTrace, eval_hyper, zip_hyper
+from hypercause.semantics import ZippedTrace, eval_hyper, eval_ltl, zip_hyper
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hypercause.__file__)))
 
@@ -165,8 +165,14 @@ def test_compiled_programs_are_immutable():
     table = InterventionTable(leaky_machine(), formula, cex)
     assert formula.program is program
     assert not eval_hyper(cex, formula)
-    assert not program.holds(cex.lassos())
-    assert program.bounds(cex.lassos(), cex.lassos()) == (False, False)
+    # on exact words, one sequence or two equal ones, the verdicts are the
+    # zipped reference's
+    body, zipped = zip_hyper(formula, cex)
+    assert not eval_ltl(zipped.lasso, body)
+    words = cex.lassos()
+    assert program.bounds(words, words) == program.bounds(words, leaky_cex().lassos()) == (
+        False, False
+    )
     assert not table.holds(0, 0)
 
 
