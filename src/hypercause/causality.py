@@ -12,8 +12,11 @@ supersets of causes found, each decided by one contingency search
 (`least_contingency`).  That search returns the order-least contingency:
 the empty one if the flip alone repairs the property, else the first set
 of resettable output events on the flipped traces, again by size and then
-event order.  `actual_cause` stops at the first cause, `all_minimal_causes`
-takes every cause.  All tests of one search share a
+event order.  It asks only about sets that hold a reset the flip-only
+runs do not already show at its source value (`InterventionTable.inert`):
+any other set makes the flip-only world.  `actual_cause` stops at the
+first cause, `all_minimal_causes` takes every cause.  All tests of one
+search share a
 `counterfactual.InterventionTable`, the instance's search context, and
 work on its bit footprints (an int with one bit per event): each
 contingency is a sum of the resettable events' bits, and only a witness is
@@ -105,7 +108,10 @@ def least_contingency(
     footprints (`InterventionTable.holds`); only the witness is turned back
     into events.  The flip alone is tried first; if it fails, the
     per-subset check (`InterventionTable.repairable`) may show that no reset
-    of any size repairs the property, and then no set is tried.
+    of any size repairs the property, and then no set is tried.  Otherwise
+    a set made only of resets that leave the flip-only world as it is
+    (`InterventionTable.inert`) gets the flip's verdict, False, without a
+    query; the order of the sets, and so the witness, stays the same.
     """
     cause_bits = table.bits(cause)
     if table.holds(cause_bits, 0):
@@ -114,10 +120,14 @@ def least_contingency(
         return None
     universe, bits = table.resettable(tuple(sorted({e.trace for e in cause})))
     limit = len(bits) if table.max_contingency_size is None else table.max_contingency_size
+    if not limit:
+        return None
+    pool = sum(bits)
+    live = pool & ~table.inert(cause_bits, pool)
     for size in range(1, limit + 1):
         for combo in itertools.combinations(bits, size):
             reset = sum(combo)
-            if table.holds(cause_bits, reset):
+            if reset & live and table.holds(cause_bits, reset):
                 return tuple(e for e, bit in zip(universe, bits) if bit & reset)
     return None
 

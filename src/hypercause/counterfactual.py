@@ -18,15 +18,17 @@ footprints (an int with one bit per event) and runs an automaton only for
 a footprint it has not met, and only on a trace whose outputs the body
 reads: it decides verdicts on per-trace views, what the body reads of
 each trace.  It checks each event once per role (cause or reset), where
-the event enters a footprint.  Adding a reset of output ``o`` at position
-``p`` to a known footprint reuses that footprint's run when the run
-already shows ``o`` at its source value on every step into copy ``p``:
-forcing an output to the value it has enters the state the run enters
-anyway, so the run is the same.  `InterventionTable.repairable` bounds
-many worlds at once: it walks each touched trace's `step_sets`, each copy
-allowing a set of input letters and every reset free, and asks whether
-the body can hold between the resulting must and may words (see
-`causality` for its three uses).
+the event enters a footprint.  A reset of output ``o`` at position ``p``
+is a no-op on a run that already shows ``o`` at its source value on every
+step into copy ``p`` (`_no_op`): forcing an output to the value it has
+enters the state the run enters anyway, so the run is the same.  The table
+reuses a known footprint's run for that footprint plus such a reset, and
+`InterventionTable.inert` names the resets that are no-ops on a flip's
+own runs, which the contingency searches then skip.
+`InterventionTable.repairable` bounds many worlds at once: it walks each
+touched trace's `step_sets`, each copy allowing a set of input letters and
+every reset free, and asks whether the body can hold between the resulting
+must and may words (see `causality` for its three uses).
 """
 
 from __future__ import annotations
@@ -296,6 +298,19 @@ def _check_event(automaton: CounterfactualAutomaton, e: Event, reset: bool) -> N
         )
 
 
+def _no_op(run: Lasso, source: Lasso, e: Event) -> bool:
+    """Does `run` show reset event `e`'s output at its source value on every
+    step into copy ``e.position``?  Then the reset leaves the run as it is:
+    the forced state is chosen by the label of the state the run enters
+    anyway (`_forced_state`), so forcing an output to the value it already
+    has enters the same state, and the letters and the point of recurrence
+    stay the same.  `run` is a run of `source`'s automaton (or `source`
+    itself), whose positions follow the copies."""
+    p = e.position
+    steps = (p,) if p < source.loop_start else range(p, len(run), len(source.period))
+    return all((e.prop in run.at(i)) == e.positive for i in steps)
+
+
 class InterventionTable:
     """Search context for one (machine, formula, counterexample).
 
@@ -316,8 +331,10 @@ class InterventionTable:
     first time it meets it in that role.  The table keeps one mask per role
     of the events that passed, so an input event that passed as a cause
     still fails as a reset, and an event that fails raises on every call.
-    `holds` and `repairable` take footprints made by those two, and build
-    words without checking them again.
+    `holds`, `repairable` and `inert` take footprints made by those two,
+    cause bits that passed as causes and reset bits that passed as resets
+    (one int test per call, which raises `ValidationError` otherwise), and
+    build words without checking the events again.
 
     The verdict depends only on what the body reads (the atoms of
     ``formula.program``), so each trace under a footprint is kept as a
@@ -331,15 +348,17 @@ class InterventionTable:
     `intervened` returns each footprint's own run, making the run of such
     a trace when it is asked for.
 
-    `runs` counts the runs the verdicts need.  One is skipped when the
-    footprint is a stored one plus a reset of output `o` at position `p` to
-    its source value `v`, and the stored run shows `o` at `v` on every step
-    whose copy is `p`: the stored run and its view are reused.  That is
-    sound because the forced state is chosen by the label of the state the
-    run enters anyway (`_forced_state`), so forcing `o` to the value it
-    already has enters the same state, and the letters and the point of
-    recurrence stay the same.  The check reads the stored footprint's own
-    run, not a run of another footprint with the same view.
+    `runs` counts the runs the verdicts need.  One rule spares runs and
+    queries: a reset of output `o` at position `p` to its source value `v`
+    is a no-op on a run that shows `o` at `v` on every step whose copy is
+    `p` (`_no_op`, which says why).  The table uses it at two points.  A
+    lookup of a stored footprint plus such a reset reuses the stored run
+    and its view (the check reads the stored footprint's own run, not a
+    run of another footprint with the same view).  And `inert`, once per
+    cause, names the resets that are no-ops on the flip-only runs, and
+    every reset on a trace whose view needs no run: a set of them gives
+    the flip-only world, so the contingency searches skip it without a
+    query, and its lookups would only have reached stored entries.
 
     `repairable` keeps the bound words of each trace per footprint on it,
     and its answer per footprint.
@@ -383,6 +402,8 @@ class InterventionTable:
         # per trace: (cause, free) footprints on it -> its must and may words
         self._word_bounds = {name: {(0, 0): (cex[name], cex[name])} for name in self.names}
         self._repairable: dict[tuple[int, int | None], bool] = {}
+        # per trace: (cause, reset) footprints on it -> the inert part of the resets
+        self._inert: dict[str, dict[tuple[int, int], int]] = {name: {} for name in self.names}
         self._resettable: dict[tuple[str, ...], tuple[tuple[Event, ...], tuple[int, ...]]] = {}
         self.evaluations = 0
         self.runs = 0
@@ -445,6 +466,24 @@ class InterventionTable:
     def _decode(self, footprint: int) -> list[Event]:
         return [self._events[i] for i in range(footprint.bit_length()) if footprint >> i & 1]
 
+    def _event(self, bit: int) -> Event:
+        return self._events[bit.bit_length() - 1]
+
+    def _refuse(self, footprint: int, reset: bool) -> None:
+        """Raise for the bits of `footprint` that did not pass in its role
+        (a cause footprint for `reset` False, a reset footprint otherwise):
+        the role's `_check_event` error for an event it fails."""
+        stray = footprint & ~self._checked[reset]
+        if not stray:
+            return
+        bit = stray & -stray
+        role = "contingency" if reset else "cause"
+        if bit.bit_length() <= len(self._events):
+            e = self._event(bit)
+            _check_event(self.automata[e.trace], e, reset)
+            raise ValidationError(f"{role} event {e} did not enter the table as one")
+        raise ValidationError(f"{role} footprint {footprint:#x} holds bits of no event")
+
     def _run(self, name: str, cause_bits: int, reset_bits: int) -> tuple[int, Lasso | None]:
         """(view id, run) of trace `name` under one footprint on it."""
         aut = self.automata[name]
@@ -452,19 +491,12 @@ class InterventionTable:
             word = _word(aut, self._decode(cause_bits), ())
             return self._view(name, word), None
         runs = self._runs[name]
-        source = aut.source
         rest = reset_bits
         while rest:
             bit = rest & -rest
             rest ^= bit
             known = runs.get((cause_bits, reset_bits ^ bit))
-            if known is None:
-                continue
-            e = self._events[bit.bit_length() - 1]
-            p = e.position
-            run = known[1]
-            steps = (p,) if p < source.loop_start else range(p, len(run), len(source.period))
-            if all((e.prop in run.at(i)) == e.positive for i in steps):
+            if known is not None and _no_op(known[1], aut.source, self._event(bit)):
                 return known
         run = aut.run(_word(aut, self._decode(cause_bits), self._decode(reset_bits)))
         self.runs += 1
@@ -500,6 +532,9 @@ class InterventionTable:
 
     def holds(self, cause_bits: int, reset_bits: int) -> bool:
         """`satisfies_after` on footprints made by `bits` and `reset_bits`."""
+        if cause_bits & ~self._checked[0] or reset_bits & ~self._checked[1]:
+            self._refuse(cause_bits, False)
+            self._refuse(reset_bits, True)
         ids = self._view_key(cause_bits, reset_bits)
         verdict = self._verdicts.get(ids)
         if verdict is None:
@@ -546,6 +581,8 @@ class InterventionTable:
         `set_checks` the free sets it decides; `free_bits` None frees every
         input event on every trace (the candidate analysis's pre-check).
         """
+        self._refuse(cause_bits, False)
+        self._refuse(free_bits or 0, False)
         verdict = self._repairable.get((cause_bits, free_bits))
         if verdict is None:
             must, may = zip(*(
@@ -559,6 +596,39 @@ class InterventionTable:
             else:
                 self.set_checks += 1
         return verdict
+
+    def inert(self, cause_bits: int, reset_bits: int) -> int:
+        """The resets of `reset_bits` that leave the flip-only world of
+        `cause_bits` as it is: each one on a trace whose view needs no run,
+        and each one that the trace's flip-only run (its footprint
+        ``(cause part, 0)``, which `holds(cause_bits, 0)` stores) already
+        shows at its source value (`_no_op`).  By induction on the size of a
+        set, a set of such resets gives the flip-only run on every trace, so
+        its verdict is the flip's own.  Kept per trace and (cause part,
+        reset part)."""
+        self._refuse(cause_bits, False)
+        self._refuse(reset_bits, True)
+        self._view_key(cause_bits, 0)  # stores each trace's flip-only run
+        inert = 0
+        for name, mask in self._masks.items():
+            part = reset_bits & mask
+            if not part:
+                continue
+            key = (cause_bits & mask, part)
+            found = self._inert[name].get(key)
+            if found is None:
+                found = part & ~self._reset_masks[name]
+                rest = part ^ found
+                run = self._runs[name][(key[0], 0)][1]
+                source = self.automata[name].source
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if _no_op(run, source, self._event(bit)):
+                        found |= bit
+                self._inert[name][key] = found
+            inert |= found
+        return inert
 
     def satisfies_after(self, cause: Iterable[Event], contingency: Iterable[Event]) -> bool:
         return self.holds(self.bits(cause), self.reset_bits(contingency))

@@ -19,8 +19,8 @@ class Lasso(Value):
     __slots__ = ("prefix", "period", "_ckey")
 
     def __init__(self, prefix, period):
-        prefix = tuple(frozenset(p) for p in prefix)
-        period = tuple(frozenset(p) for p in period)
+        prefix = tuple(map(frozenset, prefix))
+        period = tuple(map(frozenset, period))
         if not period:
             raise ValidationError("lasso period must be non-empty")
         object.__setattr__(self, "prefix", prefix)

@@ -4,23 +4,26 @@ Independent of the candidate analysis, the alternating automata, and the
 cause-search heuristics: it shares only the intervention table
 (`counterfactual.InterventionTable`: counterfactual runs and the evaluator
 memoized on per-trace views) with the cause search, through its footprint
-interface (`bits`, `reset_bits` and `holds`).  `brute_force_causes` builds
-and checks the table; `enumerate_causes` takes a checked one, so that the
-CLI's `oracle` builds one table for the report's candidate analysis and the
-enumeration.  Its event universe, its enumeration and its
-contingency pools are its own.  Every subset of satisfied input events
-is tried in ascending (size, event-order); a set counts as a cause when
-flipping some part of it under some output-event reset satisfies the
-property and no smaller set already qualified.  Witness contingencies are
-reported as the order-least valid reset, searched over every resettable
-output event on the flipped traces.
+interface (`bits`, `reset_bits`, `holds` and `inert`).
+`brute_force_causes` builds and checks the table; `enumerate_causes` takes
+a checked one, so that the CLI's `oracle` builds one table for the
+report's candidate analysis and the enumeration.  Its event universe, its
+enumeration and its contingency pools are its own.  Every subset of
+satisfied input events is tried in ascending (size, event-order); a set
+counts as a cause when flipping some part of it under some output-event
+reset satisfies the property and no smaller set already qualified.
+Witness contingencies are reported as the order-least valid reset,
+searched over every resettable output event on the flipped traces.
 
 The enumeration runs on bit footprints: each satisfied input event and
 each resettable output event gets its bit from the table once, a subset
 is the sum of a combination of those bits, a superset of a cause found is
 skipped by a footprint test, and each set of flipped traces gets its
 contingency pool once.  Only causes and witnesses are turned back into
-events.
+events.  Once per cause whose flip alone fails, the table names the resets
+of the pool that leave the flip-only world as it is (`inert`); a reset set
+made only of those gets the flip's verdict without a query, and the order
+of the sets stays the same.
 """
 
 from __future__ import annotations
@@ -93,10 +96,14 @@ def enumerate_causes(
                 bit for e, bit in zip(resettable, reset_bits) if e.trace in touched
             ]
         limit = len(pool) if max_contingency_size is None else min(max_contingency_size, len(pool))
+        if not limit:
+            return None
+        every = sum(pool)
+        live = every & ~table.inert(cause_bits, every)
         for size in range(1, limit + 1):
             for combo in itertools.combinations(pool, size):
                 reset = sum(combo)
-                if table.holds(cause_bits, reset):
+                if reset & live and table.holds(cause_bits, reset):
                     return reset
         return None
 

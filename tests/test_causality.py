@@ -18,7 +18,7 @@ from hypercause.causality import (
     verify_actual_cause,
 )
 from hypercause.cli import main
-from hypercause.counterfactual import InterventionTable
+from hypercause.counterfactual import InterventionTable, intervene
 from hypercause.errors import NothingToExplain, ValidationError
 from hypercause.events import (
     Counterexample,
@@ -32,6 +32,7 @@ from hypercause.machine import MooreMachine, traces_to_json
 from hypercause.oracle import brute_force_causes
 from hypercause.parser import parse_hyperltl
 from hypercause.satcore import candidate_cause
+from hypercause.semantics import eval_hyper
 
 from genrand import random_hyper_body, random_lasso, random_machine, random_violated_instance
 
@@ -236,12 +237,38 @@ def test_running_example_search_counters(machine, cex):
     assert report.stats["ruled_out"] == 0
 
 
+def test_draw_217_search_asks_only_live_reset_sets(monkeypatch):
+    # acceptance draw 217 at bounds 3/2: a reset set made only of resets
+    # that leave the flip-only world as it is (`InterventionTable.inert`)
+    # gets the flip's verdict without a query, so the search asks 197
+    # queries, against 401 when it asks every reset set; the report and
+    # its counters are the same
+    machine, formula, cex = random_violated_instance(217)
+    queries = []
+    holds = InterventionTable.holds
+
+    def counting(self, cause_bits, reset_bits):
+        queries.append((cause_bits, reset_bits))
+        return holds(self, cause_bits, reset_bits)
+
+    monkeypatch.setattr(InterventionTable, "holds", counting)
+    report = all_minimal_causes(machine, formula, cex, 3, 2)
+    assert len(queries) == 197
+    queries.clear()
+    monkeypatch.setattr(InterventionTable, "inert", lambda self, cause_bits, reset_bits: 0)
+    asked = all_minimal_causes(machine, formula, cex, 3, 2)
+    assert len(queries) == 401
+    assert asked == report and len(report.causes) == 4
+    assert {**asked.stats, "time_ms": 0} == {**report.stats, "time_ms": 0}
+
+
 def _rejected_subsets(machine, formula, cex, max_size=2, max_pool=8):
     """(subsets, checked): every flip set of at most `max_size` satisfied
     input events that the per-subset check rejects, and how many of them
-    were confirmed: an unbounded `least_contingency` with the check
-    disabled, which tries every reset of the flipped traces, finds none.
-    Sets with more than `max_pool` resettable events are not confirmed."""
+    were confirmed: an unbounded `least_contingency` with the check and
+    the skip of inert resets disabled, which tries every reset of the
+    flipped traces, finds none.  Sets with more than `max_pool` resettable
+    events are not confirmed."""
     table = InterventionTable(machine, formula, cex)
     events = satisfied_events(cex, machine.inputs)
     rejected = [
@@ -253,6 +280,7 @@ def _rejected_subsets(machine, formula, cex, max_size=2, max_pool=8):
     checked = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(InterventionTable, "repairable", lambda self, cause_bits: True)
+        mp.setattr(InterventionTable, "inert", lambda self, cause_bits, reset_bits: 0)
         exact = InterventionTable(machine, formula, cex)
         for combo in rejected:
             if len(exact.resettable(tuple(sorted({e.trace for e in combo})))[0]) <= max_pool:
@@ -298,6 +326,31 @@ REJECTING_DRAWS = (27, 80, 186, 248, 340)
 def test_rejected_subsets_of_corpus_draws_have_no_contingency(seed):
     rejected, checked = _rejected_subsets(*random_violated_instance(seed))
     assert checked == len(rejected) >= 39
+
+
+@pytest.mark.parametrize("seed", [None, *REJECTING_DRAWS, 217, 500])
+def test_inert_resets_keep_the_flip_only_verdict(seed, machine, cex):
+    # the resets `inert` names, in sets of at most two, leave the world of
+    # every flip set of at most two events as the flip alone makes it; the
+    # worlds come from `intervene`, which builds each run anew, outside the
+    # table.  The seed None is the running example; draws 27, 186, 248 and
+    # 340 have no controllable output, so nothing is reset there
+    formula = OD
+    if seed is not None:
+        machine, formula, cex = random_violated_instance(seed)
+    table = InterventionTable(machine, formula, cex)
+    tried = 0
+    events = satisfied_events(cex, machine.inputs)
+    for cause in (c for k in (1, 2) for c in itertools.combinations(events, k)):
+        cause_bits = table.bits(cause)
+        resets, bits = table.resettable(tuple(sorted({e.trace for e in cause})))
+        inert = table.inert(cause_bits, sum(bits))
+        inert_resets = [e for e, bit in zip(resets, bits) if bit & inert]
+        flipped = eval_hyper(intervene(machine, cex, cause, ()), formula)
+        for reset in (w for k in (1, 2) for w in itertools.combinations(inert_resets, k)):
+            assert eval_hyper(intervene(machine, cex, cause, reset), formula) == flipped
+            tried += 1
+    assert tried or not table.resettable(cex.names())[0]
 
 
 def _without_set_check(mp):
@@ -414,6 +467,7 @@ def test_every_subset_of_a_dead_set_has_no_contingency(seed, rng):
             table.repairable(0, table.bits(drawn))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(InterventionTable, "repairable", lambda self, cause_bits: True)
+        mp.setattr(InterventionTable, "inert", lambda self, cause_bits, reset_bits: 0)
         exact = InterventionTable(machine, formula, cex)
         for events in dead:
             subsets = [c for k in range(1, len(events) + 1)

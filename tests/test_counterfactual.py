@@ -501,6 +501,39 @@ def test_an_event_that_passed_as_a_cause_fails_as_a_reset(machine, cex):
             table.reset_bits([flip])
 
 
+def test_footprint_entry_points_refuse_bits_outside_their_role(machine, cex):
+    # `holds`, `repairable` and `inert` take cause bits that passed as
+    # causes and reset bits that passed as resets, and raise otherwise
+    formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
+    table = InterventionTable(machine, formula, cex)
+    flip = table.bits([Event("t1", 0, "hi", False)])
+    reset = table.reset_bits([Event("t1", 1, "lo", True)])
+    with pytest.raises(ValidationError, match="is not over an input"):
+        table.bits([Event("t2", 2, "lo", True)])  # a reset, which gets a bit
+    unentered = table._bits[Event("t2", 2, "lo", True)]
+    for _ in range(2):
+        for call in (table.holds, table.inert):
+            with pytest.raises(ValidationError, match="is not over an output"):
+                call(0, flip)
+            with pytest.raises(ValidationError, match="is not over an input"):
+                call(reset, 0)
+            with pytest.raises(ValidationError, match="did not enter the table as one"):
+                call(0, unentered)
+            with pytest.raises(ValidationError, match="holds bits of no event"):
+                call(1 << 40, 0)
+        with pytest.raises(ValidationError, match="is not over an input"):
+            table.repairable(reset)
+        with pytest.raises(ValidationError, match="is not over an input"):
+            table.repairable(0, reset)
+    # in their roles the same bits are answered; flipping `hi` at 0 takes
+    # t1 through s1, which does not carry `lo` at 1, but s3 carries it at 2
+    assert table.holds(flip, 0)
+    assert not table.holds(0, reset)
+    loop = table.reset_bits([Event("t1", 2, "lo", True)])
+    assert table.inert(flip, reset | loop) == loop
+    assert table.repairable(flip) and table.repairable(0, flip)
+
+
 #: reads only the input on both traces, so the table makes no run
 INPUTS_ONLY = 'Forall (Forall (G (Eq (AP "hi" 0) (AP "hi" 1))))'
 #: reads an output on t1 and only the input on t2

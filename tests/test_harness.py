@@ -58,3 +58,19 @@ def test_report_snapshot_prints_one_line_per_instance_and_operation(monkeypatch,
     assert len(tail) == len(report_snapshot.ERROR_CASES) * 6 == 18
     assert all(set(line) == {"case", "op", "exit", "stderr", "report"} for line in tail)
     assert {line["exit"] for line in tail if line["op"] != "check"} == {0, 1, 2}
+
+
+def test_report_snapshot_counters_total_the_integer_stats_per_operation(monkeypatch, capsys):
+    monkeypatch.setattr(report_snapshot, "SUITE_SIZE", 3)
+    report_snapshot.main(["--counters"])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    # one line per operation, in the order first run, the error tail's
+    # `validate` last
+    assert [line["op"] for line in lines] == [*report_snapshot.OPERATIONS, "validate"]
+    totals = {line.pop("op"): line for line in lines}
+    assert all(type(v) is int for total in totals.values() for v in total.values())
+    assert totals["check"] == totals["candidates"] == totals["validate"] == {}
+    assert set(totals["oracle"]) == {"evaluations", "runs"}
+    search = {"subsets_checked", "evaluations", "runs", "ruled_out", "set_checks"}
+    assert set(totals["explain"]) == set(totals["explain --all"]) == search
+    assert totals["explain --all"]["subsets_checked"] > 0
