@@ -605,7 +605,7 @@ class InterventionTable:
         shows at its source value (`_no_op`).  By induction on the size of a
         set, a set of such resets gives the flip-only run on every trace, so
         its verdict is the flip's own.  Kept per trace and (cause part,
-        reset part)."""
+        reset part), which repeat across the oracle's cause subsets."""
         self._refuse(cause_bits, False)
         self._refuse(reset_bits, True)
         self._view_key(cause_bits, 0)  # stores each trace's flip-only run

@@ -328,13 +328,13 @@ def test_rejected_subsets_of_corpus_draws_have_no_contingency(seed):
     assert checked == len(rejected) >= 39
 
 
-@pytest.mark.parametrize("seed", [None, *REJECTING_DRAWS, 217, 500])
+@pytest.mark.parametrize("seed", [None, 80, 217, 350, 500])
 def test_inert_resets_keep_the_flip_only_verdict(seed, machine, cex):
     # the resets `inert` names, in sets of at most two, leave the world of
     # every flip set of at most two events as the flip alone makes it; the
     # worlds come from `intervene`, which builds each run anew, outside the
-    # table.  The seed None is the running example; draws 27, 186, 248 and
-    # 340 have no controllable output, so nothing is reset there
+    # table.  The seed None is the running example; each corpus draw here
+    # has controllable outputs and inert resets (314 to 1,458 sets tried)
     formula = OD
     if seed is not None:
         machine, formula, cex = random_violated_instance(seed)
@@ -350,7 +350,7 @@ def test_inert_resets_keep_the_flip_only_verdict(seed, machine, cex):
         for reset in (w for k in (1, 2) for w in itertools.combinations(inert_resets, k)):
             assert eval_hyper(intervene(machine, cex, cause, reset), formula) == flipped
             tried += 1
-    assert tried or not table.resettable(cex.names())[0]
+    assert tried > 0
 
 
 def _without_set_check(mp):
