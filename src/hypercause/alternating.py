@@ -121,22 +121,6 @@ def ltl_to_alternating(formula: F.Formula) -> AutExpr:
     return build(formula)
 
 
-def elements(aut: AutExpr) -> list[AutExpr]:
-    seen: dict[int, AutExpr] = {}
-    stack = [aut]
-    while stack:
-        e = stack.pop()
-        if id(e) in seen:
-            continue
-        seen[id(e)] = e
-        if isinstance(e, AutNode) and e.next is not None:
-            stack.append(e.next)
-        elif isinstance(e, (AutConj, AutDisj)):
-            stack.append(e.left)
-            stack.append(e.right)
-    return list(seen.values())
-
-
 def _holds(state_formula: F.Formula, letter: frozenset[str]) -> bool:
     if isinstance(state_formula, F.Const):
         return state_formula.value

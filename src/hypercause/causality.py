@@ -29,9 +29,11 @@ repairs the property is an existential query over them.  It leaves every
 reset on a touched trace free and each input fixed or free.  It is sound,
 so it changes no answer, only the work, in three places:
 
-* the pre-check, with every input free: when the body cannot hold, nothing
-  is a cause (`CandidateSet.feasible`, see `satcore`): `no-actual-cause`
-  at once, whatever the bounds, with `decided_by` "precheck";
+* the pre-check, the search's first question, with every input free: the
+  step sets bound every world any flips and resets make of a trace, so
+  when the body cannot hold between their must and may words, nothing is
+  a cause: `no-actual-cause` at once, whatever the bounds, with
+  `decided_by` "precheck";
 * per subset whose flip alone does not repair the property, with the flip
   fixed: when the body cannot hold, no reset is tried;
 * the set check, which closes `all_minimal_causes`: a cause not yet found
@@ -258,10 +260,12 @@ def _search(
     # only a violation has a cause
     table = InterventionTable(machine, formula, cex, max_contingency_size)
     table.require_violation()
+    # after the candidate analysis, so that the pre-check reuses its walk
+    # with every input free
     candidate = candidate_set(table)
     events = candidate.events
     limit = len(events) if bound is None else min(bound, len(events))
-    if candidate.feasible:
+    if table.repairable(0, None):
         found, subsets_checked, closed = _minimal_causes(table, events, limit, first)
         decided_by = "closure" if closed else "search"
     else:

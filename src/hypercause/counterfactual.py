@@ -128,7 +128,6 @@ class CounterfactualAutomaton:
         self.states = machine.state_sequence(source)
         self.machine = machine
         self.source = source
-        self.last_copy = len(source) - 1
         self.loop_to = source.loop_start
         controllable, excluded = controllable_outputs(machine)
         self.controllable = controllable
@@ -577,9 +576,17 @@ class InterventionTable:
         combination, and every reset free; the other traces are exact
         (contingencies reset events on flipped traces only).  The body is
         evaluated three-valued on those words (`semantics.Program.bounds`).
+        Step ``i`` of any run such flips and resets make of a trace is in a
+        state of step set ``i``, so an output is surely present where every
+        state of the set carries it and possibly present where some state
+        does, and a proposition the machine lacks is absent
+        (`MooreMachine.label_bounds`).  Every world's word lies between these
+        must and may words, literal by literal, and LTL is monotone in its
+        literals, so a body that cannot hold on them holds on no world.
         `ruled_out` counts the flip sets (`free_bits` empty) it rules out,
         `set_checks` the free sets it decides; `free_bits` None frees every
-        input event on every trace (the candidate analysis's pre-check).
+        input event on every trace (the cause search's pre-check), on the
+        automata's kept walk with every input free.
         """
         self._refuse(cause_bits, False)
         self._refuse(free_bits or 0, False)

@@ -18,8 +18,6 @@ class Formula(Value):
     __slots__ = ()
 
     def __str__(self) -> str:
-        from .printer import infix
-
         return infix(self)
 
 
@@ -153,6 +151,7 @@ INFIX_BINARY = {
     Release: ("R", 5, True),
 }
 INFIX_UNARY = {Not: "!", Next: "X", Eventually: "F", Always: "G"}
+_UNARY_PREC = 1 + max(prec for _, prec, _ in INFIX_BINARY.values())
 
 # Canonical s-expression heads; ``(Neq a b)`` stands for ``Not(Iff(a, b))``.
 SEXPR_HEADS = {
@@ -179,8 +178,6 @@ class HyperFormula(Value):
             raise ValidationError(f"atoms reference unbound trace variables {sorted(unbound)}")
 
     def __str__(self) -> str:
-        from .printer import infix
-
         return f"forall {' '.join(self.variables)}. {infix(self.body)}"
 
     @property
@@ -191,6 +188,31 @@ class HyperFormula(Value):
 
             object.__setattr__(self, "_program", compile_body(self))
         return self._program
+
+
+def infix(f: Formula) -> str:
+    """`f` in infix syntax, with the parentheses its precedences need."""
+
+    def render(node, parent_prec):
+        if isinstance(node, Atom):
+            return f"{node.prop}[{node.var}]" if node.var else node.prop
+        if isinstance(node, Const):
+            return "true" if node.value else "false"
+        if isinstance(node, UNARY):
+            sym, prec = INFIX_UNARY[type(node)], _UNARY_PREC
+            sep = " " if sym.isalpha() else ""
+            # the operand one level lower, so that a unary chain stays bare
+            text = f"{sym}{sep}{render(node.arg, prec - 1)}"
+        else:
+            sym, prec, right_assoc = INFIX_BINARY[type(node)]
+            lp = prec if right_assoc else prec - 1
+            rp = prec - 1 if right_assoc else prec
+            text = f"{render(node.left, lp)} {sym} {render(node.right, rp)}"
+        if prec <= parent_prec:
+            return f"({text})"
+        return text
+
+    return render(f, 0)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 from .errors import ValidationError
 from .values import Value
@@ -85,10 +85,6 @@ class Lasso(Value):
         head = " ".join(fmt(s) for s in self.prefix)
         loop = " ".join(fmt(s) for s in self.period)
         return (head + " " if head else "") + f"({loop})^w"
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def joint_shape(lassos) -> tuple[int, int]:

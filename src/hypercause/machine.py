@@ -219,9 +219,6 @@ class MooreMachine:
     def states(self) -> tuple[str, ...]:
         return tuple(self.labels)
 
-    def label(self, state: str) -> frozenset[str]:
-        return self.labels[state]
-
     def state_labelled(self, label: frozenset[str]) -> str | None:
         """The only state labelled `label`; None when no state or several do."""
         return self._by_label.get(label)

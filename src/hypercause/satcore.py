@@ -26,25 +26,8 @@ Soundness: an event outside all three parts changes, when flipped, only its
 own input letter, whatever else is flipped or reset, because no state the
 run can be in at that copy branches on it.  The formula does not read that
 letter, so flipping it never changes the verdict: a set containing it is
-either no cause or not a minimal one.
-
-Pre-check: the same step sets also bound every counterfactual world.
-Step ``i`` of any run the intervention function can make of a trace, under
-any flips and resets, is in a state of step set ``i`` (`machine.orbit`
-order: wrapped around the loop the sets close).  So at each step an output
-is surely present when every such state carries it and possibly present
-when some state does; inputs may take either value, and a proposition the
-machine lacks is absent (`MooreMachine.label_bounds`, which the checker
-also uses on the machine's own step sets).  Every world's word lies
-between these must and may words, literal by literal, and LTL is monotone
-in its literals, so when the three-valued evaluation of the body
-(`semantics.Program.bounds`) says the body cannot hold, no world satisfies
-it and nothing is a cause: ``CandidateSet.feasible`` is False and the
-cause search reports ``no-actual-cause`` without trying a subset.  The
-check is sound but not complete: a "may" answer leaves it to the search.
-It is the table's set check (`InterventionTable.repairable`) on every
-input event, so it walks the step sets the rerouting part walked; the
-cause search asks the same check with fewer inputs free or fixed.
+either no cause or not a minimal one.  Whether any intervention repairs the
+violation at all is the cause search's first question (`causality`).
 """
 
 from __future__ import annotations
@@ -59,7 +42,7 @@ from .values import Value
 
 
 class CandidateSet(Value):
-    __slots__ = ("events", "per_step", "formula_support", "rerouted", "feasible")
+    __slots__ = ("events", "per_step", "formula_support", "rerouted")
 
     def __init__(
         self,
@@ -68,17 +51,11 @@ class CandidateSet(Value):
         formula_support: tuple[Event, ...],
         # inputs relevant only on runs rerouted by flips or resets
         rerouted: tuple[Event, ...] = (),
-        # False when no flip and no reset can satisfy the body (module docstring)
-        feasible: bool = True,
     ):
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "per_step", per_step)
         object.__setattr__(self, "formula_support", formula_support)
         object.__setattr__(self, "rerouted", rerouted)
-        object.__setattr__(self, "feasible", feasible)
-
-    def step_events(self, trace: str, step: int) -> tuple[Event, ...]:
-        return dict(self.per_step).get((trace, step), ())
 
 
 def candidate_cause(
@@ -96,10 +73,10 @@ def candidate_set(table: InterventionTable) -> CandidateSet:
     The per-step part reads the automaton's original run (`states`); a step
     at a state whose successor ignores the inputs contributes nothing.  The
     formula support reads what the body reads on each trace (`table.read`).
-    The rerouting part reads the union of its `step_sets` per copy, and the
-    pre-check's `feasible` flag is the table's set check on every input
-    event, which walks the same step sets (see the module docstring for why
-    both are sound).
+    The rerouting part reads the union of its `step_sets` per copy (see the
+    module docstring for why the three parts are sound).  The walk with
+    every input free stays on the automaton, for the cause search's
+    pre-check (`InterventionTable.repairable`).
     """
     automata = table.automata
     relevant = functools.cache(MooreMachine.input_support)
@@ -127,7 +104,4 @@ def candidate_set(table: InterventionTable) -> CandidateSet:
     support_events = sort_events(support)
     events.extend(support_events)
     events.extend(rerouted)
-    return CandidateSet(
-        sort_events(events), tuple(per_step), support_events, sort_events(rerouted),
-        table.repairable(0, None),
-    )
+    return CandidateSet(sort_events(events), tuple(per_step), support_events, sort_events(rerouted))

@@ -32,8 +32,9 @@ about 10 s on a 2-vCPU host.
 With ``--counters`` it prints, in place of those lines, one JSON line per
 operation in the order first run: the totals over every line of each
 integer ``stats`` field but ``time_ms`` (``evaluations``, ``runs``,
-``subsets_checked``, ...).  A change that claims to keep the work the same
-compares them the same way:
+``subsets_checked``, ...), and for each string ``stats`` field the number
+of lines per value (``"decided_by.precheck": 104``).  A change that claims
+to keep the work the same compares them the same way:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/report_snapshot.py --counters
 """
@@ -108,7 +109,8 @@ def _operations(paths: list[str], operations: dict[str, list[str]]):
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--counters", action="store_true",
-                        help="print per operation the totals of the integer stats but time_ms")
+                        help="print per operation the totals of the integer stats but "
+                             "time_ms, and the lines per value of each string stat")
     counters = parser.parse_args(argv or []).counters
     totals: dict[str, dict[str, int]] = {}
 
@@ -118,6 +120,8 @@ def main(argv: list[str] | None = None) -> None:
             return
         total = totals.setdefault(line["op"], {})
         for field, value in stats.items():
+            if type(value) is str:  # one line with this value
+                field, value = f"{field}.{value}", 1
             if type(value) is int and field != "time_ms":
                 total[field] = total.get(field, 0) + value
 

@@ -179,7 +179,9 @@ def test_precheck_decides_only_cause_free_instances(suite_results):
     with _verdict("pre-check (instances it decides have no oracle cause)"):
         decided = []
         for seed, machine, formula, cex, candidate, report, pairs in suite_results:
-            if not candidate.feasible:
+            ruled_out = not InterventionTable(machine, formula, cex).repairable(0, None)
+            assert ruled_out == (report.stats["decided_by"] == "precheck"), f"seed {seed}"
+            if ruled_out:
                 assert pairs == (), f"seed {seed}: the pre-check ruled out {pairs}"
                 assert report.status == "no-actual-cause", f"seed {seed}"
                 decided.append(seed)

@@ -9,6 +9,7 @@ from hypercause.alternating import (
     EMPTY,
     AutConj,
     AutDisj,
+    AutExpr,
     AutNode,
     RunNode,
     RunTree,
@@ -18,7 +19,6 @@ from hypercause.alternating import (
     accepts_lasso,
     annotated_events,
     dump_automaton,
-    elements,
     ltl_to_alternating,
 )
 from hypercause.errors import ValidationError
@@ -29,6 +29,23 @@ from hypercause.semantics import eval_ltl, zip_hyper
 
 from conftest import leaky_cex
 from genrand import random_lasso, random_ltl
+
+
+def elements(aut: AutExpr) -> list[AutExpr]:
+    """Every element reachable from `aut`, once each (by identity)."""
+    seen: dict[int, AutExpr] = {}
+    stack = [aut]
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen[id(e)] = e
+        if isinstance(e, AutNode) and e.next is not None:
+            stack.append(e.next)
+        elif isinstance(e, (AutConj, AutDisj)):
+            stack.append(e.left)
+            stack.append(e.right)
+    return list(seen.values())
 
 
 def replay(tree: RunTree, aut, trace: Lasso) -> bool:

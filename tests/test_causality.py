@@ -116,7 +116,7 @@ def test_no_actual_cause_when_effect_is_universal():
     assert report.status == "no-actual-cause"
     assert report.causes == ()
     # bad is surely present from position 1 on, whatever is flipped or reset
-    assert not candidate.feasible
+    assert not InterventionTable(machine, formula, cex).repairable(0, None)
     assert report.stats["decided_by"] == "precheck"
     assert report.stats["subsets_checked"] == 0
 
@@ -482,7 +482,7 @@ def test_bounded_out_status():
     assert report.status == "bounded-out"
     assert report.causes == ()
     # the pre-check cannot rule out the two-event cause, so the search ran
-    assert report.candidate.feasible
+    assert InterventionTable(machine, formula, cex).repairable(0, None)
     assert report.stats["decided_by"] == "search"
 
 

@@ -37,7 +37,7 @@ def test_controllable_outputs_full_for_complete_labelling(machine):
 def test_chain_structure(machine):
     aut = CounterfactualAutomaton(machine, t2())
     assert aut.initial == ("s0", 0)
-    assert aut.last_copy == 2
+    assert len(aut.source) - 1 == 2
     assert aut.loop_to == 2
     assert set(_alphabet(aut)) == {"hi", "ho^C", "lo^C"}
 
@@ -669,7 +669,7 @@ def _ref_override(label, controlled, values):
 def _ref_states_by_label(machine):
     by_label = {}
     for s in machine.states():
-        by_label.setdefault(machine.label(s), []).append(s)
+        by_label.setdefault(machine.labels[s], []).append(s)
     return by_label
 
 
@@ -691,7 +691,7 @@ def _ref_largest_controllable(machine):
             s = frontier.pop()
             for a in machine.input_sets:
                 succ = machine.delta[(s, a)]
-                label = machine.label(succ)
+                label = machine.labels[succ]
                 targets = [succ]
                 for chosen in overrides:
                     forced = _ref_override(label, candidate, chosen)

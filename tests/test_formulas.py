@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypercause import formulas as F
 from hypercause.errors import ParseError, UnsupportedFragmentError, ValidationError
 from hypercause.parser import _Tokens, detect_syntax, parse_hyperltl
-from hypercause.printer import infix, sexpr_hyper
 from hypercause.semantics import eval_ltl
 
 from genrand import random_lasso, random_ltl
@@ -100,7 +99,7 @@ def test_print_parse_roundtrip_fixture():
 def test_sexpr_print_roundtrip():
     for text in (RUNNING_EXAMPLE_SEXPR, ARBITER_SEXPR):
         h = parse_hyperltl(text)
-        assert parse_hyperltl(sexpr_hyper(h)) == h
+        assert parse_hyperltl(_ref_sexpr_hyper(h)) == h
 
 
 def test_print_parse_roundtrip_random():
@@ -150,9 +149,9 @@ def test_nnf_semantics_random():
 
 def test_infix_printer_precedence():
     f = F.Or(F.And(F.Atom("a", "p"), F.Atom("b", "p")), F.Atom("c", "p"))
-    assert infix(f) == "a[p] & b[p] | c[p]"
+    assert F.infix(f) == "a[p] & b[p] | c[p]"
     g = F.And(F.Or(F.Atom("a", "p"), F.Atom("b", "p")), F.Atom("c", "p"))
-    assert infix(g) == "(a[p] | b[p]) & c[p]"
+    assert F.infix(g) == "(a[p] | b[p]) & c[p]"
 
 
 def test_unary_chain_prints_without_parentheses():
@@ -161,7 +160,7 @@ def test_unary_chain_prints_without_parentheses():
     assert isinstance(h.body, F.Until)
     assert str(h) == text
     # a binary operand of a unary operator keeps its parentheses
-    assert infix(F.Not(F.And(F.Atom("a", "p"), F.Atom("b", "p")))) == "!(a[p] & b[p])"
+    assert F.infix(F.Not(F.And(F.Atom("a", "p"), F.Atom("b", "p")))) == "!(a[p] & b[p])"
 
 
 def test_all_bundled_formula_fixtures_parse():
@@ -173,7 +172,7 @@ def test_all_bundled_formula_fixtures_parse():
     for path in files:
         h = parse_hyperltl(path.read_text())
         assert len(h.variables) in (1, 2)
-        assert parse_hyperltl(sexpr_hyper(h)) == h
+        assert parse_hyperltl(_ref_sexpr_hyper(h)) == h
 
 
 def test_atom_index_error_names_the_first_atom_under_any_hash_seed():
@@ -202,8 +201,9 @@ def test_atoms_are_distinct_and_in_text_order():
 
 
 # -- reference formula layer ------------------------------------------------
-# NNF, the node walks, both printers and both parsers as separate case lists,
-# as they were before the operator tables of `formulas` replaced them.  The
+# NNF, the node walks, the infix printer and both parsers as separate case
+# lists, as they were before the operator tables of `formulas` replaced them,
+# and an s-expression printer, which the round trips print with.  The
 # reference s-expression parser reads atoms as a set, so which out-of-range
 # index its error names depends on the hash seed; the edge inputs below have
 # at most one such index.
@@ -602,11 +602,10 @@ def test_formula_layer_agrees_with_reference(rng, depth):
         assert F.is_nnf(f) == _ref_is_nnf(f)
         assert F.subformulas(f) == _ref_subformulas(f)
         assert set(F.atoms(f)) == _ref_atoms(f)
-        assert infix(f) == _ref_infix(f)
+        assert F.infix(f) == _ref_infix(f)
         h = F.HyperFormula(("0", "1"), f)
-        assert sexpr_hyper(h) == _ref_sexpr_hyper(h)
         assert parse_hyperltl(str(h)) == _ref_parse_infix(str(h)) == h
-        assert parse_hyperltl(sexpr_hyper(h)) == _ref_parse_sexpr(sexpr_hyper(h)) == h
+        assert parse_hyperltl(_ref_sexpr_hyper(h)) == _ref_parse_sexpr(_ref_sexpr_hyper(h)) == h
 
 
 INFIX_EDGE_INPUTS = [
@@ -694,4 +693,4 @@ def test_printed_formula_parses_back_whatever_the_names(rng, depth):
     body = _index_atoms(random_ltl(rng, KEYWORD_NAMES, depth), lambda: rng.choice("01"))
     h = F.HyperFormula(("0", "1"), body)
     assert parse_hyperltl(str(h)) == h
-    assert parse_hyperltl(sexpr_hyper(h)) == h
+    assert parse_hyperltl(_ref_sexpr_hyper(h)) == h

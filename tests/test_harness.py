@@ -72,5 +72,11 @@ def test_report_snapshot_counters_total_the_integer_stats_per_operation(monkeypa
     assert totals["check"] == totals["candidates"] == totals["validate"] == {}
     assert set(totals["oracle"]) == {"evaluations", "runs"}
     search = {"subsets_checked", "evaluations", "runs", "ruled_out", "set_checks"}
-    assert set(totals["explain"]) == set(totals["explain --all"]) == search
+    for op in ("explain", "explain --all"):
+        # the string stat `decided_by` as the number of reports per value:
+        # one per corpus instance, the error tail's reports have no stats
+        decided = {k: v for k, v in totals[op].items() if k.startswith("decided_by.")}
+        assert set(totals[op]) - set(decided) == search
+        assert set(decided) <= {f"decided_by.{v}" for v in ("precheck", "search", "closure")}
+        assert sum(decided.values()) == report_snapshot.SUITE_SIZE
     assert totals["explain --all"]["subsets_checked"] > 0

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypercause.errors import ValidationError
-from hypercause.lasso import Lasso, lcm
+from hypercause.lasso import Lasso
 
 
 def L(prefix, period):
@@ -60,11 +60,6 @@ def test_successors_step_forward_and_loop_back():
     assert L([["a"]], [[]]).successors() == (1, 1)
     assert L([], [["a"]]).successors() == (0,)
     assert L([], [["a"], []]).successors() == (1, 0)
-
-
-def test_lcm():
-    assert lcm(2, 3) == 6
-    assert lcm(4, 6) == 12
 
 
 letters = st.frozensets(st.sampled_from("abc"))

@@ -1,8 +1,9 @@
 import functools
 import itertools
+import random
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercause import boolexpr
@@ -18,7 +19,7 @@ from hypercause.lasso import Lasso
 from hypercause.machine import MooreMachine, orbit
 from hypercause.oracle import brute_force_causes
 from hypercause.parser import parse_hyperltl
-from hypercause.satcore import candidate_cause
+from hypercause.satcore import candidate_cause, candidate_set
 from hypercause.semantics import eval_hyper
 
 from conftest import leaky_cex
@@ -34,8 +35,8 @@ def test_candidate_cause_running_example(machine):
     # the second low branch also guards on the high input
     assert Event("t1", 1, "hi", False) in cand.events
     # no events on input-insensitive steps, no formula-support inputs
-    assert cand.step_events("t2", 1) == ()
-    assert cand.step_events("t2", 2) == ()
+    assert ("t2", 1) not in dict(cand.per_step)
+    assert ("t2", 2) not in dict(cand.per_step)
     assert cand.formula_support == ()
     assert satisfies_events(leaky_cex(), cand.events)
 
@@ -49,12 +50,12 @@ def test_candidate_events_sorted_and_satisfied(machine, cex):
 def test_per_step_sets_are_cores(machine, cex):
     # every per-step event set fixes the transition: each input set that
     # agrees with its literals moves the run to the state it took there
-    cand = candidate_cause(machine, OD, cex)
+    per_step = dict(candidate_cause(machine, OD, cex).per_step)
     checked = 0
     for name, trace in cex.traces.items():
         states = machine.state_sequence(trace)
         for n in range(len(trace)):
-            step = cand.step_events(name, n)
+            step = per_step.get((name, n), ())
             if not step:
                 continue
             for inputs in boolexpr.assignments(machine.inputs):
@@ -147,7 +148,8 @@ def _decided(machine, text, trace):
     formula = parse_hyperltl(text)
     cex = Counterexample({"t": trace})
     report = actual_cause(machine, formula, cex)
-    assert report.candidate.feasible == (report.stats["decided_by"] == "search")
+    repairable = InterventionTable(machine, formula, cex).repairable(0, None)
+    assert repairable == (report.stats["decided_by"] == "search")
     oracle_causes = tuple(c for c, _ in brute_force_causes(machine, formula, cex))
     assert tuple(entry.cause for entry in report.causes) == oracle_causes[:1]
     return report
@@ -186,13 +188,17 @@ def test_precheck_keeps_uncontrollable_outputs_a_flip_reaches():
     m = _two_state_machine(("u",), duplicate=True)
     assert controllable_outputs(m) == ((), ("u",))
     report = _decided(m, "forall t. F u[t]", Lasso([frozenset()], [frozenset()]))
-    assert report.candidate.feasible
+    assert report.stats["decided_by"] == "search"
     assert report.status == "found"
     assert report.causes[0].cause == (Event("t", 0, "a", False),)
 
 
-# acceptance-corpus draws (tests/genrand.py) the pre-check decides
-PRECHECKED_DRAWS = (7, 12, 15, 22, 26, 27, 28, 39, 74, 77, 80, 83, 87, 97, 114, 115, 166, 784)
+# acceptance-corpus draws (tests/genrand.py) whose candidate set is empty;
+# the pre-check decides each of them
+EMPTY_CANDIDATE_DRAWS = (15, 143, 233, 238, 294, 373, 427, 486, 614, 768, 828, 831)
+# acceptance-corpus draws the pre-check decides
+PRECHECKED_DRAWS = (7, 12, 22, 26, 27, 28, 39, 74, 77, 80, 83, 87, 97, 114, 115, 166, 784,
+                    *EMPTY_CANDIDATE_DRAWS)
 
 
 @functools.cache
@@ -200,6 +206,19 @@ def _draw(seed):
     return random_violated_instance(seed)
 
 
+def _examples(cases):
+    """Run each case as an explicit example of a `given` test: a
+    derandomized draw from a long list reaches few of its entries."""
+
+    def wrap(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return wrap
+
+
+@_examples((seed, random.Random(seed)) for seed in EMPTY_CANDIDATE_DRAWS)
 @settings(max_examples=150)
 @given(st.one_of(st.sampled_from(PRECHECKED_DRAWS), st.integers(1, 120)), st.randoms())
 def test_precheck_rules_out_every_world(seed, rng):
@@ -207,7 +226,7 @@ def test_precheck_rules_out_every_world(seed, rng):
     if instance is None:
         return
     machine, formula, cex = instance
-    if candidate_cause(machine, formula, cex).feasible:
+    if InterventionTable(machine, formula, cex).repairable(0, None):
         assert seed not in PRECHECKED_DRAWS
         return
     inputs = satisfied_events(cex, machine.inputs)
@@ -260,4 +279,24 @@ def test_set_check_on_every_input_event_is_the_old_precheck(seed):
     assert not old or seed not in PRECHECKED_DRAWS
     every = table.bits(satisfied_events(cex, machine.inputs))
     assert table.repairable(0, every) == table.repairable(0, None) == old
-    assert candidate_cause(machine, formula, cex).feasible == old
+    # in the search's order: the pre-check after the candidate analysis,
+    # whose walk with every input free it reuses
+    fresh = InterventionTable(machine, formula, cex)
+    candidate_set(fresh)
+    assert fresh.repairable(0, None) == old
+
+
+def test_candidate_analysis_leaves_the_precheck_to_the_search(machine, cex):
+    # the running example, where the search decides, and draw 143, whose
+    # candidate set is empty and which the pre-check decides
+    cases = [(machine, OD, cex, "search"), (*_draw(143), "precheck")]
+    for m, formula, trace, decided_by in cases:
+        table = InterventionTable(m, formula, trace)
+        table.require_violation()
+        evaluations, runs = table.evaluations, table.runs
+        candidate = candidate_set(table)
+        assert (table.set_checks, table.evaluations, table.runs) == (0, evaluations, runs)
+        assert (candidate.events == ()) == (decided_by == "precheck")
+        report = actual_cause(m, formula, trace)
+        assert report.stats["set_checks"] >= 1
+        assert report.stats["decided_by"] == decided_by

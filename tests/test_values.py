@@ -40,7 +40,7 @@ FIELDS = {
     **{cls: ("arg",) for cls in F.UNARY}, **{cls: ("left", "right") for cls in F.BINARY},
     Event: ("trace", "position", "prop", "positive"), Token: ("kind", "text", "pos"),
     CauseEntry: ("cause", "contingency", "verified"),
-    CandidateSet: ("events", "per_step", "formula_support", "rerouted", "feasible"),
+    CandidateSet: ("events", "per_step", "formula_support", "rerouted"),
     ZippedTrace: ("lasso", "variables", "binding", "shapes"),
     RunNode: ("kind", "element_id", "position", "label", "children"),
     RunTree: ("root", "annotations"),
@@ -102,7 +102,7 @@ def test_values_of_different_classes_with_equal_fields_differ():
     a, b = F.Atom("a", "0"), F.Atom("b", "0")
     assert F.Not(a) != F.Next(a) and F.And(a, b) != F.Or(a, b)
     assert len({F.Not(a), F.Next(a), F.Not(F.Atom("a", "0"))}) == 2
-    args = {1: (a,), 2: (("0",), a), 3: (1, 2, 3), 4: ((), (), "found", None), 5: (1, 2, 3, 4, 5)}
+    args = {1: (a,), 2: (("0",), a), 3: (1, 2, 3), 4: ((), (), "found", None)}
     for n, fields in args.items():
         values = [cls(*fields) for cls in FIELDS if len(FIELDS[cls]) == n]
         assert len({type(v) for v in values}) > 1
