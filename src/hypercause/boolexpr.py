@@ -1,17 +1,20 @@
 """Transition guards of Moore machines, as truth tables.
 
-A guard is a propositional formula over input names.  `guard_table`
-evaluates it while parsing: the value of every subformula is its truth
+A guard is a propositional formula over input names.  `evaluate` reads it
+in one pass: one regular-expression scan splits the text into tokens, and
+a loop evaluates them by operator precedence (``!`` over ``&`` over ``|``,
+parentheses on a stack).  The value of every subformula is its truth
 table, an int with bit ``i`` set when the ``i``-th input set of
 `assignments(inputs)` satisfies it.  So ``!`` is XOR with the full row,
 ``&`` and ``|`` are AND and OR, and ``true``/``false`` are the full row and
-0.  `guard_text` prints a set of input sets back as a guard in DNF.  Desk
-scale only: a table has one bit per subset of the inputs.
-"""
+0; `guard_rows` gives the table of each name.
+`guard_text` prints a set of input sets back as a guard in DNF.  Desk
+scale only: a table has one bit per subset of the inputs."""
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Iterable, Iterator
 
 from .errors import ParseError
@@ -26,101 +29,18 @@ def assignments(variables: Iterable[str]) -> Iterator[frozenset[str]]:
 
 # -- guard syntax: identifiers, !, &, |, parentheses, true/false ------------
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789'")
 CONSTANTS = ("true", "false")  # read as constants, so no input may have these names
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()!&|":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c in _IDENT_START:
-            j = i + 1
-            while j < len(text) and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            kind = "const" if word in CONSTANTS else "ident"
-            tokens.append((kind, word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r} in guard", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+# a token is a name or any other character but whitespace, which separates
+# tokens; of those characters only the operators are valid
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|\S")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_OPERATORS = frozenset("()!&|")
+_NO_NAMES: frozenset[str] = frozenset()
 
 
-class _GuardParser:
-    def __init__(self, text: str, rows: dict[str, int], full: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.rows = rows
-        self.full = full
-        self.unknown: set[str] = set()
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind: str):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self) -> int:
-        table = self.disjunction()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return table
-
-    def disjunction(self) -> int:
-        table = self.conjunction()
-        while self.peek()[0] == "|":
-            self.take("|")
-            table |= self.conjunction()
-        return table
-
-    def conjunction(self) -> int:
-        table = self.unary()
-        while self.peek()[0] == "&":
-            self.take("&")
-            table &= self.unary()
-        return table
-
-    def unary(self) -> int:
-        kind, value, pos = self.peek()
-        if kind == "!":
-            self.take("!")
-            return self.unary() ^ self.full
-        if kind == "(":
-            self.take("(")
-            inner = self.disjunction()
-            self.take(")")
-            return inner
-        if kind == "const":
-            self.take("const")
-            return self.full if value == "true" else 0
-        if kind == "ident":
-            self.take("ident")
-            if value not in self.rows:
-                self.unknown.add(value)
-                return 0
-            return self.rows[value]
-        raise ParseError(f"unexpected token {value!r} in guard", pos)
-
-
-def guard_table(text: str, inputs: Iterable[str]) -> tuple[int, frozenset[str]]:
-    """Truth table of guard `text` over `inputs`, and the names it uses that
-    are not inputs (read as false)."""
+def guard_rows(inputs: Iterable[str]) -> dict[str, int]:
+    """The truth table of each input name and of ``true`` and ``false``."""
     rows: dict[str, int] = {}
     size = 1
     # each name becomes the slowest-varying one so far (`assignments` varies
@@ -130,9 +50,78 @@ def guard_table(text: str, inputs: Iterable[str]) -> tuple[int, frozenset[str]]:
             rows[other] |= rows[other] << size
         rows[name] = ((1 << size) - 1) << size
         size *= 2
-    parser = _GuardParser(text, rows, (1 << size) - 1)
-    table = parser.parse()
-    return table, frozenset(parser.unknown)
+    rows["true"] = (1 << size) - 1
+    rows["false"] = 0
+    return rows
+
+
+def evaluate(text: str, rows: dict[str, int]) -> tuple[int, frozenset[str]]:
+    """Truth table of guard `text` over the names of `rows` (`guard_rows`),
+    and the names it uses that `rows` lacks (read as false).
+
+    One pass over the tokens: a conjunction being read is ANDed into
+    `conj`, and each ``|`` ORs it into `ors`; ``!`` flips a pending
+    negation of the next operand, and ``(`` saves the three on a stack
+    until its ``)`` delivers the group's value as an operand.
+    """
+    value = rows.get(text)
+    if value is not None:  # a lone name, the commonest guard
+        return value, _NO_NAMES
+    tokens = _TOKEN.findall(text)
+    full = rows["true"]
+    unknown = set()
+    stack = []  # (ors, conj, negate) outside each open parenthesis
+    ors, conj, negate = 0, full, False
+    operand = True  # whether an operand comes next, not an operator
+    for k, token in enumerate(tokens):
+        if operand:
+            if token == "!":
+                negate = not negate
+            elif token == "(":
+                stack.append((ors, conj, negate))
+                ors, conj, negate = 0, full, False
+            else:
+                value = rows.get(token)
+                if value is None:
+                    if token[0] not in _NAME_START:
+                        _fail(text, tokens, k, f"unexpected token {token!r} in guard")
+                    unknown.add(token)
+                    value = 0
+                conj &= value ^ full if negate else value
+                negate = operand = False
+        elif token == "&":
+            operand = True
+        elif token == "|":
+            ors |= conj
+            conj = full
+            operand = True
+        elif token == ")" and stack:
+            value = ors | conj
+            ors, conj, negate = stack.pop()
+            conj &= value ^ full if negate else value
+            negate = False
+        else:
+            _fail(text, tokens, k,
+                  f"expected ), found {token!r}" if stack else f"trailing input {token!r}")
+    if operand:
+        _fail(text, tokens, len(tokens), "unexpected token '' in guard")
+    if stack:
+        _fail(text, tokens, len(tokens), "expected ), found ''")
+    return ors | conj, frozenset(unknown)
+
+
+def _fail(text: str, tokens: list[str], k: int, message: str):
+    """Raise `message` at token `k` (the end of `text` past the last one),
+    unless a character that is neither a name nor an operator comes at or
+    after it: the first such character is the error then, as if the text
+    were read in full before it is evaluated."""
+    for j in range(k, len(tokens)):
+        token = tokens[j]
+        if token[0] not in _NAME_START and token not in _OPERATORS:
+            k, message = j, f"unexpected character {token!r} in guard"
+            break
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    raise ParseError(message, starts[k] if k < len(starts) else len(text))
 
 
 def guard_text(inputs: Iterable[str], input_sets: Iterable[frozenset[str]]) -> str:

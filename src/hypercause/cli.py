@@ -24,12 +24,11 @@ import sys
 from collections.abc import Callable
 
 from . import causality, checker, oracle, reports, satcore
-from .alternating import accepts_lasso, dump_automaton, ltl_to_alternating
 from .counterfactual import InterventionTable, trace_automata
 from .errors import NothingToExplain, SizeGuardError, ValidationError
 from .events import Counterexample
 from .formulas import HyperFormula, negate_to_nnf
-from .machine import MooreMachine, load_machine, load_traces, traces_to_json
+from .machine import MooreMachine, load_machine, load_traces, read_text, traces_to_json
 from .parser import parse_hyperltl
 from .semantics import falsifies, zip_hyper
 
@@ -59,6 +58,11 @@ PERIOD = _at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each command by its name."""
     parser = argparse.ArgumentParser(
         prog="hypercause",
         description="explain violations of universally quantified HyperLTL formulas "
@@ -105,18 +109,32 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--system", required=True)
     validate.add_argument("--formula", default=None)
     validate.add_argument("--counterexample", default=None)
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built once: parsing keeps no state in it."""
-    return build_parser()
+def _shared_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers `main` uses, built once: parsing keeps no state in them."""
+    return _build_parsers()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with less work when ``argv[0]``
+    names a command: that command's parser reads the rest of `argv`
+    directly, as the top-level parser would hand it over.  Everything else,
+    and arguments the command's parser leaves over, goes to the top-level
+    parser, so that its errors and help are printed as they were."""
+    parser, commands = _shared_parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _load_formula(path: str) -> HyperFormula:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hyperltl(fh.read())
+    return parse_hyperltl(read_text(path))
 
 
 _encode_string = json.encoder.encode_basestring_ascii
@@ -210,6 +228,8 @@ def cmd_explain(args) -> int:
         bound=args.max_cause_size, max_contingency_size=args.max_contingency_size,
     )
     if args.dump_aa:  # after the search, which checks the instance
+        from .alternating import accepts_lasso, dump_automaton, ltl_to_alternating
+
         body, zipped = zip_hyper(formula, cex)
         automaton = ltl_to_alternating(negate_to_nnf(body))
         sys.stderr.write(dump_automaton(automaton) + "\n")
@@ -286,7 +306,10 @@ def cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    """Run the command `argv` names (by default ``sys.argv[1:]``) and return
+    its exit code; argparse exits with 0 after help and 2 on a usage error.
+    See `_parse_args` for how the arguments reach the command's parser."""
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     handlers = {
         "check": cmd_check,
         "explain": cmd_explain,

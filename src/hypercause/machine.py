@@ -12,10 +12,12 @@ File format (JSON, version 1):
     }
 
 Guards are Boolean expressions over input names with ``& | ! ( ) true
-false``.  Loading parses each guard to its truth table over the subsets of
-the inputs (`boolexpr.guard_table`) and checks that every state has exactly
-one true guard for every subset (deterministic and total); `to_json` writes
-each state's guards back in DNF (`boolexpr.guard_text`).
+false``.  Loading evaluates each distinct guard text once to its truth
+table over the subsets of the inputs (`boolexpr.evaluate`) and checks that
+every state has exactly one true guard for every subset (deterministic and
+total); `to_json` writes each state's guards back in DNF
+(`boolexpr.guard_text`).  Files are read as bytes and decoded once
+(`read_text`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from . import boolexpr
@@ -31,15 +34,14 @@ from .lasso import Lasso
 
 MAX_INPUTS = 12
 
-_IDENT_OK = boolexpr._IDENT_START
-_IDENT_CONT_OK = boolexpr._IDENT_CONT
+# a guard name (`boolexpr`), which may also contain '@': zipped traces split
+# their keys at the last '@', so such names stay unambiguous, and guard
+# syntax cannot produce it
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_'@]*")
 
 
 def _check_name(name: str, what: str) -> None:
-    # names may contain '@' (zipped traces split their keys at the last
-    # '@', so such names stay unambiguous); guard syntax cannot produce it
-    allowed = _IDENT_CONT_OK | {"@"}
-    if not name or name[0] not in _IDENT_OK or any(c not in allowed for c in name[1:]):
+    if not _NAME.fullmatch(name):
         raise ValidationError(f"invalid {what} name {name!r}")
     if what == "input" and name in boolexpr.CONSTANTS:
         raise ValidationError(f"input name {name!r} is a guard constant")
@@ -150,10 +152,11 @@ class MooreMachine:
     ) -> "MooreMachine":
         """Build from (from_state, guard_text, to_state) triples.
 
-        Each guard is parsed to its truth table over the input sets.  Per
-        state, one mask holds the input sets some guard covers and another
-        those covered twice, so gaps and overlaps show without evaluating a
-        guard per input set.
+        Each distinct guard text is evaluated once to its truth table over
+        the input sets, and an error in it names the first transition that
+        carries it.  Per state, one mask holds the input sets some guard
+        covers and another those covered twice, so gaps and overlaps show
+        without evaluating a guard per input set.
         """
         inputs = tuple(inputs)
         if len(inputs) > MAX_INPUTS:
@@ -164,12 +167,17 @@ class MooreMachine:
         covered = dict.fromkeys(labels, 0)
         twice = dict.fromkeys(labels, 0)
         parsed = []
+        rows = boolexpr.guard_rows(inputs)
+        tables: dict[str, int] = {}  # guard text -> truth table
         for src, guard, dst in transitions:
-            table, bad = boolexpr.guard_table(guard, inputs)
-            if bad:
-                raise ValidationError(
-                    f"guard {guard!r} on {src!r} uses non-input names {sorted(bad)}"
-                )
+            table = tables.get(guard)
+            if table is None:
+                table, bad = boolexpr.evaluate(guard, rows)
+                if bad:
+                    raise ValidationError(
+                        f"guard {guard!r} on {src!r} uses non-input names {sorted(bad)}"
+                    )
+                tables[guard] = table
             if src not in covered:
                 raise ValidationError(f"transition from unknown state {src!r}")
             if dst not in covered:
@@ -333,11 +341,21 @@ class MooreMachine:
         }
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path`, line ends read as text mode
+    reads them (``\\r\\n`` and ``\\r`` as ``\\n``), so error offsets are the
+    same; the bytes are read in one go and decoded once."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_json(source):
     """The parsed JSON of a file path or file object; any other value as is."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(read_text(source))
     if hasattr(source, "read"):
         return json.load(source)
     return source

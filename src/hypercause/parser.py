@@ -17,24 +17,27 @@ from . import formulas as F
 from .errors import ParseError, UnsupportedFragmentError
 from .values import Value
 
-_TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<dot>\.)
-      | (?P<lbrack>\[)
-      | (?P<rbrack>\])
-      | (?P<iff><->)
-      | (?P<implies>->)
-      | (?P<and>&&?)
-      | (?P<or>\|\|?)
-      | (?P<not>!)
-      | (?P<string>"[^"]*")
-      | (?P<number>\d+)
-      | (?P<word>[A-Za-z_][A-Za-z_0-9'@]*)
-    )""",
-    re.VERBOSE,
-)
+# token kinds and their patterns; no two start with the same character, so
+# the order only sets which alternative the scanner tries first
+_KINDS = {
+    "word": r"[A-Za-z_][A-Za-z_0-9'@]*",
+    "lbrack": r"\[",
+    "rbrack": r"\]",
+    "number": r"\d+",
+    "lpar": r"\(",
+    "rpar": r"\)",
+    "dot": r"\.",
+    "iff": r"<->",
+    "implies": r"->",
+    "and": r"&&?",
+    "or": r"\|\|?",
+    "not": r"!",
+    "string": r'"[^"]*"',
+}
+# one token per match, whitespace before it skipped; group ``i`` is the
+# ``i``-th kind
+_TOKEN = re.compile(r"\s*(?:" + "|".join(f"({p})" for p in _KINDS.values()) + ")")
+_KIND_OF_GROUP = (None, *_KINDS)
 
 
 class Token(Value):
@@ -47,18 +50,23 @@ class Token(Value):
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, then an ``end`` token at its length.
+
+    One `finditer` pass: each match skips the whitespace before its token,
+    so the matches run on without a gap up to the first character no token
+    starts with, which is the error, or up to trailing whitespace.
+    """
     tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup
-        tokens.append(Token(kind, m.group().strip(), m.start()))
-        i = m.end()
+    end = 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != end:
+            break
+        i = m.lastindex
+        tokens.append(Token(_KIND_OF_GROUP[i], m.group(i), m.start(i)))
+        end = m.end()
+    rest = text[end:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
     tokens.append(Token("end", "", len(text)))
     return tokens
 

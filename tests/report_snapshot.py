@@ -17,8 +17,14 @@ code, stderr, and the report with its ``stats`` removed (they count work,
 which a refactor may change).  A fixed tail of error paths follows: every
 operation, and ``validate``, on the running example with a trace that is
 not a run of the machine, with an assignment that satisfies the formula
-(``t1`` twice), and with one trace for the two-variable formula; these
-lines carry the case's name instead of a seed, and text output as it is.
+(``t1`` twice), and with one trace for the two-variable formula; then
+every operation with a front-end error in its input files (a guard with an
+unexpected character, an unclosed ``(`` or a non-input name, a formula
+with an unexpected character, files with ``\\r\\n`` line ends and an error
+after them), and command lines argparse refuses (an unknown command, an
+unrecognized option), whose exit code is the one ``SystemExit`` carries.
+These lines carry the case's name instead of a seed, and text output as
+it is.
 A refactor that keeps the outputs gives byte-identical output:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/report_snapshot.py > after.jsonl
@@ -75,12 +81,36 @@ ERROR_CASES = {
     "satisfied assignment": {"t1": T1, "t2": T1},
     "one trace for two variables": {"t1": T1},
 }
+RUNNING_MACHINE = (ROOT / "benchmarks" / "running_example.machine.json").read_text()
+RUNNING_FORMULA = "forall p1 p2. G (lo[p1] <-> lo[p2])"
+# the machine text and formula text of each front-end error case
+FILE_ERROR_CASES = {
+    "guard with an unexpected character":
+        (RUNNING_MACHINE.replace('"guard": "!hi"', '"guard": "!hi $"'), RUNNING_FORMULA),
+    "guard with an unclosed parenthesis":
+        (RUNNING_MACHINE.replace('"guard": "!hi"', '"guard": "!(hi"'), RUNNING_FORMULA),
+    "guard with a non-input name on two states":
+        (RUNNING_MACHINE.replace('"guard": "hi"', '"guard": "hi | zz"'), RUNNING_FORMULA),
+    "formula with an unexpected character": (RUNNING_MACHINE, RUNNING_FORMULA + " $"),
+    "formula error after a CRLF line end":
+        (RUNNING_MACHINE, RUNNING_FORMULA.replace(". ", ".\r\n") + " $"),
+    "machine JSON error after CRLF line ends":
+        (RUNNING_MACHINE.replace("\n", "\r\n").replace('"s0", "label": []', '"s0", "label": ]'),
+         RUNNING_FORMULA),
+}
+USAGE_ERROR_CASES = {
+    "unknown command": ["nope", *RUNNING_EXAMPLE],
+    "unrecognized option": ["check", *RUNNING_EXAMPLE, "--bogus"],
+}
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -150,6 +180,19 @@ def main(argv: list[str] | None = None) -> None:
             paths = [*RUNNING_EXAMPLE, f"--counterexample={traces}"]
             for line, stats in _operations(paths, {**OPERATIONS, "validate": ["validate"]}):
                 emit({"case": case}, line, stats)
+        paths = [f"--{name}={path}" for name, path in files.items()]
+        Path(traces).write_text((ROOT / "benchmarks" / "running_example.traces.json").read_text())
+        for case, (machine_text, formula_text) in FILE_ERROR_CASES.items():
+            # bytes, so that the line ends stay as written
+            Path(files["system"]).write_bytes(machine_text.encode())
+            Path(files["formula"]).write_bytes(formula_text.encode())
+            for line, stats in _operations(paths, {**OPERATIONS, "validate": ["validate"]}):
+                emit({"case": case}, line, stats)
+        for case, argv in USAGE_ERROR_CASES.items():
+            code, out, err = _run(argv)
+            if not counters:  # no stats to count, and "nope" is no operation
+                emit({"case": case}, {"op": argv[0], "exit": code, "stderr": err,
+                                      "report": _report(out)[0]}, {})
     for op, total in totals.items():
         print(json.dumps({"op": op, **total}, sort_keys=True))
 

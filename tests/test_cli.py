@@ -180,6 +180,22 @@ def test_dump_aa(capsys):
     assert report == plain
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def test_importing_the_cli_leaves_the_alternating_automaton_out():
+    # only --dump-aa reads it, so it is imported there
+    probe = "import sys, hypercause.cli; print('hypercause.alternating' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_src_env(), timeout=120, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_usage_error_on_missing_file(capsys):
     code, _, err = run_cli(
         capsys, "explain", "--system", "/nonexistent.json", "--formula", FORMULA,
@@ -233,6 +249,47 @@ def test_main_twice_carries_no_option_over(capsys, monkeypatch):
     assert len(json.loads(out_default)["causes"]) == 1
 
 
+# argvs the command's own parser reads, and argvs left to the top-level one
+DISPATCH_ARGVS = [
+    pytest.param([], id="no arguments"),
+    pytest.param(["-h"], id="help"),
+    pytest.param(["nope"], id="unknown command"),
+    pytest.param(["check"], id="missing options"),
+    pytest.param(["check", "-h"], id="command help"),
+    pytest.param(["check", "--system", SYSTEM, "--formula", FORMULA, "--bogus"],
+                 id="unrecognized option"),
+    pytest.param(["check", "--system", SYSTEM, "--formula", FORMULA, "extra"],
+                 id="unrecognized argument"),
+    pytest.param(["--bogus", "check", "--system", SYSTEM, "--formula", FORMULA],
+                 id="option before the command"),
+    pytest.param(["explain", "--system", SYSTEM, "--formula", FORMULA,
+                  "--max-cause-size", "-1"], id="negative bound"),
+    pytest.param(["check", f"--system={SYSTEM}", f"--formula={FORMULA}", "--prefix-bound=2"],
+                 id="option=value"),
+    pytest.param(["validate", "--system", SYSTEM, "--", "x"], id="double dash"),
+]
+
+
+def _parsed(parse, argv, capsys):
+    """The options `parse(argv)` gives, or its exit code; and what it printed."""
+    try:
+        value = vars(parse(argv))
+    except SystemExit as exc:
+        value = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return value, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS)
+def test_commands_parse_as_the_top_level_parser_parses_them(capsys, argv):
+    from hypercause import cli
+
+    expected = _parsed(cli.build_parser().parse_args, argv, capsys)
+    assert _parsed(cli._parse_args, argv, capsys) == expected
+    if isinstance(expected[0], tuple):  # main exits as the parser does
+        assert _parsed(main, argv, capsys) == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--period-bound", "0"],
     ["oracle", "--counterexample", TRACES, "--max-cause-size", "-1"],
@@ -250,15 +307,11 @@ def test_bound_that_searches_nothing_is_a_usage_error(capsys, argv):
 def test_closed_stdout_ends_quietly():
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to the pipe now fails
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     try:
         done = subprocess.run(
             [sys.executable, "-m", "hypercause.cli", "explain", "--system", SYSTEM,
              "--formula", FORMULA, "--counterexample", TRACES, "--all"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=_src_env(), timeout=120,
         )
     finally:
         os.close(write_end)

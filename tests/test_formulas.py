@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from hypercause import formulas as F
 from hypercause.errors import ParseError, UnsupportedFragmentError, ValidationError
-from hypercause.parser import _Tokens, detect_syntax, parse_hyperltl
+from hypercause.parser import Token, _Tokens, detect_syntax, parse_hyperltl, tokenize
 from hypercause.semantics import eval_ltl
 
 from genrand import random_lasso, random_ltl
@@ -674,6 +675,57 @@ def test_edge_inputs_agree_with_reference():
                               (SEXPR_EDGE_INPUTS, _ref_parse_sexpr)):
         for text in inputs:
             assert _parse_outcome(parse_hyperltl, text) == _parse_outcome(reference, text), text
+
+
+_REF_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<lpar>\()
+      | (?P<rpar>\))
+      | (?P<dot>\.)
+      | (?P<lbrack>\[)
+      | (?P<rbrack>\])
+      | (?P<iff><->)
+      | (?P<implies>->)
+      | (?P<and>&&?)
+      | (?P<or>\|\|?)
+      | (?P<not>!)
+      | (?P<string>"[^"]*")
+      | (?P<number>\d+)
+      | (?P<word>[A-Za-z_][A-Za-z_0-9'@]*)
+    )""",
+    re.VERBOSE,
+)
+
+
+def _ref_tokenize(text):
+    """`tokenize` as it was: skip whitespace a character at a time, match a
+    token there, strip it."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        m = _REF_TOKEN.match(text, i)
+        if not m:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        tokens.append(Token(m.lastgroup, m.group().strip(), m.start()))
+        i = m.end()
+    tokens.append(Token("end", "", len(text)))
+    return tokens
+
+
+def test_tokens_agree_with_reference():
+    rng = random.Random(7)
+    texts = [*INFIX_EDGE_INPUTS, *SEXPR_EDGE_INPUTS, "", "  ", " $", "a\u00a0b", '"a b" "c']
+    texts += [str(F.HyperFormula(("0", "1"), _index_atoms(
+        random_ltl(rng, KEYWORD_NAMES, 4), lambda: rng.choice("01")))) for _ in range(100)]
+    for text in list(texts):
+        for _ in range(5):  # single-character edits
+            i = rng.randrange(len(text) + 1)
+            texts.append(text[:i] + rng.choice(' \t()[]."$~<->&|!1a@') + text[i + 1:])
+    for text in texts:
+        assert _parse_outcome(tokenize, text) == _parse_outcome(_ref_tokenize, text), text
 
 
 def test_word_before_bracket_names_a_proposition():

@@ -54,10 +54,15 @@ def test_report_snapshot_prints_one_line_per_instance_and_operation(monkeypatch,
     # the draws the corpus skips: no violation (exit 1), and the size guard (exit 3)
     assert [line["exit"] for line in corpus if len(ops[line["seed"]]) == 1] == [1, 1, 3, 3]
     assert not any("stats" in (line["report"] or {}) for line in corpus)
-    # the error tail: every operation and validate on each broken case
-    assert len(tail) == len(report_snapshot.ERROR_CASES) * 6 == 18
+    # the error tail: every operation and validate on each broken case,
+    # then each command line argparse refuses
+    cases = len(report_snapshot.ERROR_CASES) + len(report_snapshot.FILE_ERROR_CASES)
+    assert len(tail) == cases * 6 + len(report_snapshot.USAGE_ERROR_CASES) == 56
     assert all(set(line) == {"case", "op", "exit", "stderr", "report"} for line in tail)
     assert {line["exit"] for line in tail if line["op"] != "check"} == {0, 1, 2}
+    # every front-end error is a usage error, with its message
+    front_end = tail[len(report_snapshot.ERROR_CASES) * 6:]
+    assert all(line["exit"] == 2 and "error" in line["stderr"] for line in front_end)
 
 
 def test_report_snapshot_counters_total_the_integer_stats_per_operation(monkeypatch, capsys):

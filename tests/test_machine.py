@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercause import boolexpr
 from hypercause.boolexpr import assignments
 from hypercause.counterfactual import CounterfactualAutomaton, contingency_flag, intervention_word
 from hypercause.errors import ParseError, ValidationError
@@ -13,6 +14,7 @@ from hypercause.machine import (
     MooreMachine,
     load_machine,
     load_traces,
+    read_text,
     traces_to_json,
 )
 
@@ -152,6 +154,190 @@ def test_guard_non_input_names_rejected():
     assert str(info.value) == "guard 'a | zz & b' on 'p' uses non-input names ['b', 'zz']"
 
 
+# -- reference: the recursive-descent guard parser `boolexpr.evaluate` replaced
+
+
+def _ref_tokenize(text):
+    ident_start = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+    ident_cont = ident_start | set("0123456789'")
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "()!&|":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        if c in ident_start:
+            j = i + 1
+            while j < len(text) and text[j] in ident_cont:
+                j += 1
+            word = text[i:j]
+            tokens.append(("const" if word in ("true", "false") else "ident", word, i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r} in guard", i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _RefGuardParser:
+    def __init__(self, text, rows, full):
+        self.tokens = _ref_tokenize(text)
+        self.pos = 0
+        self.rows = rows
+        self.full = full
+        self.unknown = set()
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        table = self.disjunction()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        return table
+
+    def disjunction(self):
+        table = self.conjunction()
+        while self.peek()[0] == "|":
+            self.take("|")
+            table |= self.conjunction()
+        return table
+
+    def conjunction(self):
+        table = self.unary()
+        while self.peek()[0] == "&":
+            self.take("&")
+            table &= self.unary()
+        return table
+
+    def unary(self):
+        kind, value, pos = self.peek()
+        if kind == "!":
+            self.take("!")
+            return self.unary() ^ self.full
+        if kind == "(":
+            self.take("(")
+            inner = self.disjunction()
+            self.take(")")
+            return inner
+        if kind == "const":
+            self.take("const")
+            return self.full if value == "true" else 0
+        if kind == "ident":
+            self.take("ident")
+            if value not in self.rows:
+                self.unknown.add(value)
+                return 0
+            return self.rows[value]
+        raise ParseError(f"unexpected token {value!r} in guard", pos)
+
+
+def _ref_guard_table(text, inputs):
+    """Truth table and unknown names of `text` by recursive descent, with
+    rows read off `assignments(inputs)` bit by bit."""
+    sets = list(assignments(inputs))
+    rows = {n: sum(1 << i for i, s in enumerate(sets) if n in s) for n in inputs}
+    parser = _RefGuardParser(text, rows, (1 << len(sets)) - 1)
+    return parser.parse(), frozenset(parser.unknown)
+
+
+def _guard_table(text, inputs):
+    return boolexpr.evaluate(text, boolexpr.guard_rows(inputs))
+
+
+def _guard_outcome(table_of, text, inputs):
+    """`(table, unknown)`, or the text and position of the `ParseError`."""
+    try:
+        return table_of(text, inputs)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _random_guard(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(names)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return "!" + _random_guard(rng, names, depth - 1)
+    if shape == 1:
+        return f"({_random_guard(rng, names, depth - 1)})"
+    op = rng.choice([" & ", "&", " | ", "|"])
+    return _random_guard(rng, names, depth - 1) + op + _random_guard(rng, names, depth - 1)
+
+
+GUARD_NAMES = ["a", "b", "c", "zz", "b'", "true", "false", "a1"]
+MUTATION_CHARS = "ab()!&| \t$1'_~\u00a0"
+
+
+def _mutations(rng, text, count):
+    """`count` single-character edits of `text`: insertions, deletions and
+    replacements of characters of `MUTATION_CHARS`."""
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(MUTATION_CHARS)
+        kind = rng.randrange(3)
+        if kind == 0 or i == len(text):
+            yield text[:i] + c + text[i:]
+        elif kind == 1:
+            yield text[:i] + text[i + 1:]
+        else:
+            yield text[:i] + c + text[i + 1:]
+
+
+def test_guard_tables_match_the_recursive_descent_reference():
+    rng = random.Random(2024)
+    inputs = ("a", "b", "c")
+    guards = [_random_guard(rng, GUARD_NAMES, 4) for _ in range(400)]
+    texts = guards + [m for g in guards for m in _mutations(rng, g, 8)]
+    texts += ["", " ", "()", "!", "a)", "(a))", "((a)", "a b", "a ! b", "a $ (", "( $"]
+    errors = 0
+    for text in texts:
+        expected = _guard_outcome(_ref_guard_table, text, inputs)
+        assert _guard_outcome(_guard_table, text, inputs) == expected, text
+        errors += isinstance(expected[0], str)
+    # the sample reaches both valid guards and every kind of error
+    assert 0.2 < errors / len(texts) < 0.8
+
+
+def test_from_guards_evaluates_each_guard_text_once(monkeypatch):
+    texts = []
+    evaluate = boolexpr.evaluate
+
+    def counted(text, rows):
+        texts.append(text)
+        return evaluate(text, rows)
+
+    monkeypatch.setattr(boolexpr, "evaluate", counted)
+    m = MooreMachine.from_guards(
+        ["a"], [], {"p": [], "q": []}, "p",
+        [("p", "a", "q"), ("p", "!a", "p"), ("q", "a", "p"), ("q", "!a", "q")],
+    )
+    assert sorted(texts) == ["!a", "a"]
+    assert m.delta[("q", frozenset({"a"}))] == "p"
+
+
+def test_repeated_guard_with_non_input_names_names_its_first_state():
+    with pytest.raises(ValidationError) as info:
+        MooreMachine.from_guards(
+            ["a"], [], {"p": [], "q": []}, "p",
+            [("q", "a | zz", "p"), ("q", "!a", "q"), ("p", "a | zz", "p")],
+        )
+    assert str(info.value) == "guard 'a | zz' on 'q' uses non-input names ['zz']"
+
+
 def test_partial_guards_rejected():
     with pytest.raises(ValidationError, match="no guard"):
         MooreMachine.from_guards(
@@ -259,6 +445,15 @@ def test_load_machine_reports_bad_guard(tmp_path):
     path.write_text(__import__("json").dumps(doc))
     with pytest.raises(ValidationError):
         load_machine(path)
+
+
+@pytest.mark.parametrize("data", [b"a\r\nb\rc\n\r\n", "\u00e9\r\r\n\u00a0".encode(), b"", b"\r"])
+def test_files_are_read_as_text_mode_reads_them(tmp_path, data):
+    # error offsets in formulas and JSON count the characters text mode reads
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh:
+        assert read_text(path) == fh.read()
 
 
 def test_load_machine_refuses_duplicate_state_ids():
