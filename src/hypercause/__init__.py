@@ -11,7 +11,6 @@ from .causality import (
     CauseReport,
     actual_cause,
     all_minimal_causes,
-    check_contingency_valid,
     verify_actual_cause,
 )
 from .checker import find_counterexample
@@ -39,7 +38,6 @@ __all__ = [
     "all_minimal_causes",
     "brute_force_causes",
     "candidate_cause",
-    "check_contingency_valid",
     "eval_hyper",
     "eval_ltl",
     "find_counterexample",

@@ -16,11 +16,12 @@ event order.  It asks only about sets that hold a reset the flip-only
 runs do not already show at its source value (`InterventionTable.inert`):
 any other set makes the flip-only world.  `actual_cause` stops at the
 first cause, `all_minimal_causes` takes every cause.  All tests of one
-search share a
-`counterfactual.InterventionTable`, the instance's search context, and
-work on its bit footprints (an int with one bit per event): each
-contingency is a sum of the resettable events' bits, and only a witness is
-turned back into events.
+search share a `counterfactual.InterventionTable`, the instance's search
+context, and work on its one numbering of the events (an int footprint
+with one bit per event, the bits in event order): the search, the
+contingency search and `verify_actual_cause` walk combinations of bits,
+each set is the sum of its bits, and only causes and witnesses are turned
+back into events (`InterventionTable.events`).
 
 One three-valued check, `InterventionTable.repairable`, bounds every world
 a set of interventions can make: in the paper a contingency is a choice of
@@ -63,7 +64,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from . import formulas as F
 from .counterfactual import InterventionTable
-from .events import Counterexample, Event, satisfies_events, sort_events
+from .events import Counterexample, Event, satisfies_events
 from .machine import MooreMachine
 from .satcore import CandidateSet, candidate_set
 from .values import Value
@@ -99,65 +100,69 @@ class CauseReport(Value):
         return self.candidate, self.causes, self.status
 
 
-def least_contingency(
-    table: InterventionTable, cause: tuple[Event, ...]
-) -> tuple[Event, ...] | None:
-    """Order-least valid contingency for a cause that passes the check.
+def least_contingency(table: InterventionTable, cause_bits: int) -> int | None:
+    """Footprint of the order-least valid contingency for a cause
+    footprint, 0 when the flip alone repairs the property, or None.
 
     Canonical across implementations: ascending by size, then by event
-    order, over all resettable output events on the flipped traces, up to
-    `table.max_contingency_size` events.  The sets are tried as bit
-    footprints (`InterventionTable.holds`); only the witness is turned back
-    into events.  The flip alone is tried first; if it fails, the
-    per-subset check (`InterventionTable.repairable`) may show that no reset
-    of any size repairs the property, and then no set is tried.  Otherwise
-    a set made only of resets that leave the flip-only world as it is
+    order, over all resettable output events on the flipped traces
+    (`InterventionTable.resets`), up to `table.max_contingency_size` events.
+    The flip alone is tried first; if it fails, the per-subset check
+    (`InterventionTable.repairable`) may show that no reset of any size
+    repairs the property, and then no set is tried.  Otherwise a set made
+    only of resets that leave the flip-only world as it is
     (`InterventionTable.inert`) gets the flip's verdict, False, without a
     query; the order of the sets, and so the witness, stays the same.
     """
-    cause_bits = table.bits(cause)
     if table.holds(cause_bits, 0):
-        return ()
+        return 0
     if not table.repairable(cause_bits):
         return None
-    universe, bits = table.resettable(tuple(sorted({e.trace for e in cause})))
+    pool = table.resets(cause_bits)
+    bits = _singles(pool)
     limit = len(bits) if table.max_contingency_size is None else table.max_contingency_size
     if not limit:
         return None
-    pool = sum(bits)
     live = pool & ~table.inert(cause_bits, pool)
     for size in range(1, limit + 1):
         for combo in itertools.combinations(bits, size):
             reset = sum(combo)
             if reset & live and table.holds(cause_bits, reset):
-                return tuple(e for e, bit in zip(universe, bits) if bit & reset)
+                return reset
     return None
 
 
+def _singles(footprint: int) -> list[int]:
+    """The bits of `footprint`, lowest first: its events in event order."""
+    return [1 << i for i in range(footprint.bit_length()) if footprint >> i & 1]
+
+
 def _minimal_causes(
-    table: InterventionTable, events: Sequence[Event], limit: int, first: bool
+    table: InterventionTable, candidates: int, limit: int, first: bool
 ) -> tuple[list[tuple[tuple[Event, ...], tuple[Event, ...]]], int, bool | None]:
-    """The causes of at most `limit` of `events` with their witnesses, in
-    (size, event order); the number of subsets decided; and whether the set
-    check closed the search (True), the enumeration decided it (None), or
-    a cause may lie above the bound (False).  `first` stops at the first
-    cause; otherwise `_closed` is asked after each cause and past the bound.
+    """The causes of at most `limit` of the events of footprint
+    `candidates` with their witnesses, in (size, event order); the number of
+    subsets decided; and whether the set check closed the search (True),
+    the enumeration decided it (None), or a cause may lie above the bound
+    (False).  `first` stops at the first cause; otherwise `_closed` is asked
+    after each cause and past the bound.
     """
     found = []
     causes: list[int] = []  # footprints of the causes found
     dead: list[int] = []  # footprints of sets the set check ruled out
-    universe = 0 if first else table.bits(events)  # the events `_closed` may free
+    universe = 0 if first else candidates  # the events `_closed` may free
+    singles = _singles(candidates)
     checked = 0
     for size in range(1, limit + 1):
-        for combo in itertools.combinations(events, size):
-            bits = table.bits(combo)
+        for combo in itertools.combinations(singles, size):
+            bits = sum(combo)
             if any(f & bits == f for f in causes) or dead and any(bits | d == d for d in dead):
                 continue
             checked += 1
-            contingency = least_contingency(table, combo)
-            if contingency is None:
+            witness = least_contingency(table, bits)
+            if witness is None:
                 continue
-            found.append((sort_events(combo), contingency))
+            found.append((table.events(bits), table.events(witness)))
             if first:
                 return found, checked, None
             causes.append(bits)
@@ -165,7 +170,7 @@ def _minimal_causes(
             if closed is not False:
                 return found, checked, closed
     if first:  # with no cause found, every subset is cause-free
-        return found, checked, None if limit >= len(events) else False
+        return found, checked, None if limit >= len(singles) else False
     return found, checked, _closed(table, universe, causes, limit + 1, dead)
 
 
@@ -263,10 +268,12 @@ def _search(
     # after the candidate analysis, so that the pre-check reuses its walk
     # with every input free
     candidate = candidate_set(table)
-    events = candidate.events
-    limit = len(events) if bound is None else min(bound, len(events))
+    size = len(candidate.events)
+    limit = size if bound is None else min(bound, size)
     if table.repairable(0, None):
-        found, subsets_checked, closed = _minimal_causes(table, events, limit, first)
+        found, subsets_checked, closed = _minimal_causes(
+            table, table.bits(candidate.events), limit, first
+        )
         decided_by = "closure" if closed else "search"
     else:
         found, subsets_checked, closed, decided_by = [], 0, None, "precheck"
@@ -301,34 +308,20 @@ def verify_actual_cause(
     satisfy the property, and minimality that no proper subset meet that
     condition.  Together they hold exactly when the cause itself passes the
     contingency search and none of its non-empty proper subsets does, so
-    each of those sets is decided once.  A given `table` brings its own
-    contingency bound.  On an assignment that satisfies the formula no set
-    is a cause.
+    each of those sets is decided once, as a combination of the cause's
+    bits.  A given `table` brings its own contingency bound.  On an
+    assignment that satisfies the formula no set is a cause.
     """
-    cause = sort_events(cause)
+    cause = tuple(cause)
     if not cause or not satisfies_events(cex, cause):
         return False
     table = table or InterventionTable(machine, formula, cex)
-    if table.holds(0, 0) or least_contingency(table, cause) is None:
+    cause_bits = table.bits(cause)
+    if table.holds(0, 0) or least_contingency(table, cause_bits) is None:
         return False
+    singles = _singles(cause_bits)
     return all(
-        least_contingency(table, proper) is None
-        for size in range(1, len(cause))
-        for proper in itertools.combinations(cause, size)
+        least_contingency(table, sum(proper)) is None
+        for size in range(1, len(singles))
+        for proper in itertools.combinations(singles, size)
     )
-
-
-def check_contingency_valid(
-    machine: MooreMachine,
-    formula: F.HyperFormula,
-    cex: Counterexample,
-    cause: Iterable[Event],
-    contingency: Iterable[Event],
-) -> bool:
-    """Does this specific (cause, contingency) pair repair the violation?"""
-    cause = sort_events(cause)
-    contingency = sort_events(contingency)
-    if not satisfies_events(cex, cause) or not satisfies_events(cex, contingency):
-        return False
-    table = InterventionTable(machine, formula, cex)
-    return not table.holds(0, 0) and table.satisfies_after(cause, contingency)

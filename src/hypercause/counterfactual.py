@@ -17,8 +17,10 @@ its contingency bound, and the counterfactual tests.  It works on bit
 footprints (an int with one bit per event) and runs an automaton only for
 a footprint it has not met, and only on a trace whose outputs the body
 reads: it decides verdicts on per-trace views, what the body reads of
-each trace.  It checks each event once per role (cause or reset), where
-the event enters a footprint.  A reset of output ``o`` at position ``p``
+each trace.  It numbers the instance's events once, in event order: each
+satisfied input event gets a cause bit and each satisfied event over a
+controllable output a reset bit, so the bits of a footprint are its
+events in event order.  A reset of output ``o`` at position ``p``
 is a no-op on a run that already shows ``o`` at its source value on every
 step into copy ``p`` (`_no_op`): forcing an output to the value it has
 enters the state the run enters anyway, so the run is the same.  The table
@@ -39,7 +41,7 @@ from collections.abc import Iterable, Sequence
 
 from . import formulas as F
 from .errors import NothingToExplain, ValidationError
-from .events import Counterexample, Event, events_of_trace, sort_events
+from .events import Counterexample, Event
 from .lasso import Lasso
 from .machine import MooreMachine, orbit, walk
 from .semantics import eval_hyper
@@ -317,23 +319,24 @@ class InterventionTable:
     the trace and which the candidate analysis reads too.  The searches call
     `require_violation`, which the constructor leaves out, so that a table
     can test any assignment.  The search tries contingencies of at most
-    `max_contingency_size` events of `resettable`.
+    `max_contingency_size` events of `resets`.
 
     `satisfies_after(cause, contingency)` answers whether the property holds
-    once `cause` is flipped and `contingency` reset.  Events
-    are handled as bit footprints: `bits(events)` gives each event a bit the
-    first time it sees it, and `holds(cause_bits, reset_bits)` is the test
-    on ints, so a search that tries many contingencies for one cause pays
-    for event handling once.  Events are checked where they enter the
-    table, once per role: `bits` makes cause footprints and `reset_bits`
-    contingency footprints, and each passes an event to `_check_event` the
-    first time it meets it in that role.  The table keeps one mask per role
-    of the events that passed, so an input event that passed as a cause
-    still fails as a reset, and an event that fails raises on every call.
-    `holds`, `repairable` and `inert` take footprints made by those two,
-    cause bits that passed as causes and reset bits that passed as resets
-    (one int test per call, which raises `ValidationError` otherwise), and
-    build words without checking the events again.
+    once `cause` is flipped and `contingency` reset.  Events are handled
+    as bit footprints.  The constructor numbers every event a footprint
+    can hold, once, in event order (trace name, position, proposition): each
+    satisfied input event gets a cause bit and each satisfied event over a
+    controllable output a reset bit, exactly the events `_check_event`
+    passes in those roles.  `bits` and `reset_bits` look events up; an
+    event with no bit of the role gets that role's `_check_event` error, on
+    every call.  `events` turns a footprint back into its events, in event
+    order; `resets` gives the reset bits on the traces a cause touches, and
+    `input_bits` each input's bit per trace and position.  `holds(cause_bits,
+    reset_bits)` is the test on ints, so a search that tries many
+    contingencies for one cause pays for event handling once.  `holds`,
+    `repairable` and `inert` take cause bits in the cause role and reset
+    bits in the reset role (one int test per call, which raises
+    `ValidationError` otherwise).
 
     The verdict depends only on what the body reads (the atoms of
     ``formula.program``), so each trace under a footprint is kept as a
@@ -374,9 +377,27 @@ class InterventionTable:
         self.max_contingency_size = max_contingency_size
         self.names = cex.names()
         self.automata = trace_automata(machine, cex)
-        self._bits: dict[Event, int] = {}
-        self._events: list[Event] = []
-        self._masks = dict.fromkeys(self.names, 0)
+        inputs = frozenset(machine.inputs)
+        props = sorted(inputs.union(controllable_outputs(machine)[0]))
+        bits: dict[Event, int] = {}
+        self._masks = dict.fromkeys(self.names, 0)  # per trace: the bits of its events
+        # per trace and position: each input's bit
+        self.input_bits: dict[str, list[dict[str, int]]] = {name: [] for name in self.names}
+        causes = 0
+        for name in sorted(self.names):
+            trace, first = cex[name], len(bits)
+            for n in range(len(trace)):
+                here, inputs_here = trace.at(n), {}
+                for prop in props:
+                    bit = bits[Event(name, n, prop, prop in here)] = 1 << len(bits)
+                    if prop in inputs:
+                        inputs_here[prop] = bit
+                        causes |= bit
+                self.input_bits[name].append(inputs_here)
+            self._masks[name] = (1 << len(bits)) - (1 << first)
+        self._bits, self._events = bits, list(bits)  # the events in bit order
+        # the bits of the cause events, of the reset events
+        self._roles = [causes, ((1 << len(bits)) - 1) ^ causes]
         # per trace: the propositions the body reads on it; an atom whose
         # variable has no trace is left to the evaluator's arity error
         read: list[set[str]] = [set() for _ in self.names]
@@ -388,7 +409,9 @@ class InterventionTable:
         self._word_only = {name for name, props in self.read.items() if not props & outputs}
         # per trace: the bits of the reset events that can change its view
         # (none where the view is the flipped input word)
-        self._reset_masks = dict.fromkeys(self.names, 0)
+        self._reset_masks = {
+            name: 0 if name in self._word_only else mask for name, mask in self._masks.items()
+        }
         self._views: list[Lasso] = []
         self._view_ids: dict[Lasso, int] = {}
         # per trace: footprint -> (view id, the footprint's own run, or None
@@ -397,13 +420,11 @@ class InterventionTable:
             name: {(0, 0): (self._view(name, cex[name]), cex[name])} for name in self.names
         }
         self._verdicts: dict[tuple[int, ...], bool] = {}
-        self._checked = [0, 0]  # footprints of the events that passed as causes, as resets
         # per trace: (cause, free) footprints on it -> its must and may words
         self._word_bounds = {name: {(0, 0): (cex[name], cex[name])} for name in self.names}
         self._repairable: dict[tuple[int, int | None], bool] = {}
         # per trace: (cause, reset) footprints on it -> the inert part of the resets
         self._inert: dict[str, dict[tuple[int, int], int]] = {name: {} for name in self.names}
-        self._resettable: dict[tuple[str, ...], tuple[tuple[Event, ...], tuple[int, ...]]] = {}
         self.evaluations = 0
         self.runs = 0
         self.ruled_out = 0
@@ -429,65 +450,50 @@ class InterventionTable:
 
     def _footprint(self, events: Iterable[Event], reset: bool) -> int:
         footprint = 0
-        checked = self._checked[reset]
+        role = self._roles[reset]
         for e in events:
-            bit = self._bits.get(e)
-            if bit is None:
+            bit = self._bits.get(e, 0) & role
+            if not bit:  # no event of the role: raise its error
                 if e.trace not in self._masks:
                     raise ValidationError(f"event {e} references unknown trace {e.trace!r}")
-                bit = self._bits[e] = 1 << len(self._events)
-                self._events.append(e)
-                self._masks[e.trace] |= bit
-                if e.trace not in self._word_only:
-                    self._reset_masks[e.trace] |= bit
-            if not bit & checked:
                 _check_event(self.automata[e.trace], e, reset)
-                checked = self._checked[reset] = checked | bit
             footprint |= bit
         return footprint
 
-    def resettable(self, traces: tuple[str, ...]) -> tuple[tuple[Event, ...], tuple[int, ...]]:
-        """Satisfied output events on `traces` the counterfactual automata
-        can enact, in event order, and each event's bit."""
-        if traces not in self._resettable:
-            events = sort_events(
-                e for name in traces
-                for e in events_of_trace(name, self.automata[name].source,
-                                         self.automata[name].controllable)
-            )
-            self._resettable[traces] = (events, tuple(self.reset_bits([e]) for e in events))
-        return self._resettable[traces]
+    def resets(self, cause_bits: int) -> int:
+        """Footprint of every reset event on the traces `cause_bits` touches."""
+        return self._roles[1] & sum(mask for mask in self._masks.values() if cause_bits & mask)
 
     def split(self, footprint: int) -> list[int]:
         """The parts of `footprint` on each trace it touches, in trace order."""
         return [footprint & mask for mask in self._masks.values() if footprint & mask]
 
-    def _decode(self, footprint: int) -> list[Event]:
-        return [self._events[i] for i in range(footprint.bit_length()) if footprint >> i & 1]
+    def events(self, footprint: int) -> tuple[Event, ...]:
+        """The events of `footprint`, in event order."""
+        return tuple(self._events[i] for i in range(footprint.bit_length()) if footprint >> i & 1)
 
     def _event(self, bit: int) -> Event:
         return self._events[bit.bit_length() - 1]
 
     def _refuse(self, footprint: int, reset: bool) -> None:
-        """Raise for the bits of `footprint` that did not pass in its role
-        (a cause footprint for `reset` False, a reset footprint otherwise):
-        the role's `_check_event` error for an event it fails."""
-        stray = footprint & ~self._checked[reset]
+        """Raise for the bits of `footprint` outside its role (a cause
+        footprint for `reset` False, a reset footprint otherwise): the
+        role's `_check_event` error for the first such event."""
+        stray = footprint & ~self._roles[reset]
         if not stray:
             return
         bit = stray & -stray
-        role = "contingency" if reset else "cause"
         if bit.bit_length() <= len(self._events):
             e = self._event(bit)
             _check_event(self.automata[e.trace], e, reset)
-            raise ValidationError(f"{role} event {e} did not enter the table as one")
+        role = "contingency" if reset else "cause"
         raise ValidationError(f"{role} footprint {footprint:#x} holds bits of no event")
 
     def _run(self, name: str, cause_bits: int, reset_bits: int) -> tuple[int, Lasso | None]:
         """(view id, run) of trace `name` under one footprint on it."""
         aut = self.automata[name]
         if name in self._word_only:
-            word = _word(aut, self._decode(cause_bits), ())
+            word = _word(aut, self.events(cause_bits), ())
             return self._view(name, word), None
         runs = self._runs[name]
         rest = reset_bits
@@ -497,7 +503,7 @@ class InterventionTable:
             known = runs.get((cause_bits, reset_bits ^ bit))
             if known is not None and _no_op(known[1], aut.source, self._event(bit)):
                 return known
-        run = aut.run(_word(aut, self._decode(cause_bits), self._decode(reset_bits)))
+        run = aut.run(_word(aut, self.events(cause_bits), self.events(reset_bits)))
         self.runs += 1
         return self._view(name, run), run
 
@@ -525,13 +531,13 @@ class InterventionTable:
             run = self._runs[name].get(key, (None, None))[1]
             if run is None:  # a trace whose view needed no run
                 aut = self.automata[name]
-                run = aut.run(_word(aut, *map(self._decode, key)))
+                run = aut.run(_word(aut, *map(self.events, key)))
             world[name] = run
         return Counterexample(world)
 
     def holds(self, cause_bits: int, reset_bits: int) -> bool:
         """`satisfies_after` on footprints made by `bits` and `reset_bits`."""
-        if cause_bits & ~self._checked[0] or reset_bits & ~self._checked[1]:
+        if cause_bits & ~self._roles[0] or reset_bits & ~self._roles[1]:
             self._refuse(cause_bits, False)
             self._refuse(reset_bits, True)
         ids = self._view_key(cause_bits, reset_bits)
@@ -551,9 +557,9 @@ class InterventionTable:
             aut = self.automata[name]
             letters = None
             if free_bits is not None:
-                word = _word(aut, self._decode(cause_bits), ())
+                word = _word(aut, self.events(cause_bits), ())
                 free = [frozenset()] * len(aut.source)  # per copy, the free inputs
-                for e in self._decode(free_bits):
+                for e in self.events(free_bits):
                     free[e.position] |= {e.prop}
                 letters = [
                     frozenset(a for a in aut.machine.input_sets if a ^ letter <= props)

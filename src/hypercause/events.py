@@ -73,13 +73,9 @@ class Counterexample(Value):
     def __contains__(self, name: str) -> bool:
         return name in self.traces
 
-    def __eq__(self, other):
-        if not isinstance(other, Counterexample):
-            return NotImplemented
-        return self.traces == other.traces
-
-    def __hash__(self):
-        return hash(tuple(self.traces.items()))
+    def _key(self) -> tuple:
+        # the order binds traces to quantifiers
+        return tuple(self.traces.items())
 
     def __repr__(self):
         inner = ", ".join(f"{k}: {v}" for k, v in self.traces.items())

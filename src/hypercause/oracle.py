@@ -4,7 +4,8 @@ Independent of the candidate analysis, the alternating automata, and the
 cause-search heuristics: it shares only the intervention table
 (`counterfactual.InterventionTable`: counterfactual runs and the evaluator
 memoized on per-trace views) with the cause search, through its footprint
-interface (`bits`, `reset_bits`, `holds` and `inert`).
+interface (`bits`, `reset_bits`, `holds` and `inert`), which looks each
+event's bit up in the table's one numbering of the instance's events.
 `brute_force_causes` builds and checks the table; `enumerate_causes` takes
 a checked one, so that the CLI's `oracle` builds one table for the
 report's candidate analysis and the enumeration.  Its event universe, its
@@ -16,7 +17,7 @@ Witness contingencies are reported as the order-least valid reset,
 searched over every resettable output event on the flipped traces.
 
 The enumeration runs on bit footprints: each satisfied input event and
-each resettable output event gets its bit from the table once, a subset
+each resettable output event takes its bit from the table once, a subset
 is the sum of a combination of those bits, a superset of a cause found is
 skipped by a footprint test, and each set of flipped traces gets its
 contingency pool once.  Only causes and witnesses are turned back into

@@ -74,12 +74,14 @@ def render_traces(
     cont_spots = {(e.trace, e.position, e.prop) for e in contingency}
     lines = []
     for name, trace in cex.traces.items():
+        # a marked event's proposition may never hold on the trace
+        props = sorted(trace.alphabet() | {e.prop for e in cause + contingency if e.trace == name})
         cells = []
         for pos in range(len(trace)):
             looped = "(" if pos == trace.loop_start else ""
             shown = []
             present = trace.at(pos)
-            for prop in sorted(trace.alphabet() | {e.prop for e in cause if e.trace == name}):
+            for prop in props:
                 text = prop if prop in present else f"!{prop}"
                 if (name, pos, prop) in cause_spots:
                     text = _mark(text, "[*]", ANSI_CAUSE, ansi)

@@ -36,7 +36,7 @@ import functools
 
 from . import formulas as F
 from .counterfactual import InterventionTable
-from .events import Counterexample, Event, events_of_trace, sort_events
+from .events import Counterexample, Event
 from .machine import MooreMachine
 from .values import Value
 
@@ -74,34 +74,30 @@ def candidate_set(table: InterventionTable) -> CandidateSet:
     at a state whose successor ignores the inputs contributes nothing.  The
     formula support reads what the body reads on each trace (`table.read`).
     The rerouting part reads the union of its `step_sets` per copy (see the
-    module docstring for why the three parts are sound).  The walk with
-    every input free stays on the automaton, for the cause search's
-    pre-check (`InterventionTable.repairable`).
+    module docstring for why the three parts are sound).  Each part is a
+    footprint of the table's input bits per position (`table.input_bits`),
+    turned into events by `table.events`.  The walk with every input free
+    stays on the automaton, for the cause search's pre-check
+    (`InterventionTable.repairable`).
     """
-    automata = table.automata
     relevant = functools.cache(MooreMachine.input_support)
     per_step: list[tuple[tuple[str, int], tuple[Event, ...]]] = []
-    events: list[Event] = []
-    rerouted: list[Event] = []
-    support: list[Event] = []
-    for name, aut in automata.items():
-        machine, trace, states = aut.machine, aut.source, aut.states
-        pairs = aut.step_sets()[0]
-        for n in range(len(trace)):
-            here = trace.at(n)
-            step_events = sort_events(
-                Event(name, n, prop, prop in here) for prop in relevant(machine, states[n])
-            )
-            if step_events:
-                per_step.append(((name, n), step_events))
-                events.extend(step_events)
-        rerouted.extend(  # repeats go in `sort_events`
-            Event(name, k, prop, prop in trace.at(k))
-            for held, k in pairs for s in held
-            for prop in relevant(machine, s) - relevant(machine, states[k])
-        )
-        support.extend(events_of_trace(name, trace, table.read[name] & set(machine.inputs)))
-    support_events = sort_events(support)
-    events.extend(support_events)
-    events.extend(rerouted)
-    return CandidateSet(sort_events(events), tuple(per_step), support_events, sort_events(rerouted))
+    steps = support = rerouted = 0
+    for name, aut in table.automata.items():
+        machine, states = aut.machine, aut.states
+        bits = table.input_bits[name]
+        for n, here in enumerate(bits):
+            step = sum(here[prop] for prop in relevant(machine, states[n]))
+            if step:
+                per_step.append(((name, n), table.events(step)))
+                steps |= step
+        for held, k in aut.step_sets()[0]:
+            for s in held:
+                for prop in relevant(machine, s) - relevant(machine, states[k]):
+                    rerouted |= bits[k][prop]
+        read = table.read[name]
+        support |= sum(bit for here in bits for prop, bit in here.items() if prop in read)
+    return CandidateSet(
+        table.events(steps | support | rerouted), tuple(per_step),
+        table.events(support), table.events(rerouted),
+    )

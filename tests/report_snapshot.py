@@ -4,17 +4,18 @@ For each of the 500 instances of the acceptance corpus
 (`genrand.random_violated_instance`, the draws `tests/test_acceptance.py`
 uses), the script writes the machine, formula and counterexample to files
 and runs ``check`` at prefix bound 2 and period bound 2 (the bounds the
-corpus was drawn at), ``candidates``, and ``explain``, ``explain --all`` and
-``oracle`` at cause bound 3 and contingency bound 2, all through
-`hypercause.cli.main`.  Each draw in between that the corpus skips (no
-violation within the bounds, refused by the size guard, or traces over the
-corpus caps) gets its ``check`` line only, so the checker's "no violation"
-answers and guard refusals are compared too.  ``explain`` runs with
-``--dump-aa``, so the alternating automaton of the negated body and its
-accepting run tree are in its stderr.  It prints one JSON line per
-instance and operation: the seed, the operation, the exit
-code, stderr, and the report with its ``stats`` removed (they count work,
-which a refactor may change).  A fixed tail of error paths follows: every
+corpus was drawn at), ``candidates``, and ``explain``, ``explain --all``,
+``explain --all --format text`` and ``oracle`` at cause bound 3 and
+contingency bound 2, all through `hypercause.cli.main`.  Each draw in
+between that the corpus skips (no violation within the bounds, refused by
+the size guard, or traces over the corpus caps) gets its ``check`` line
+only, so the checker's "no violation" answers and guard refusals are
+compared too.  ``explain`` runs with ``--dump-aa``, so the alternating
+automaton of the negated body and its accepting run tree are in its
+stderr.  It prints one JSON line per instance and operation: the seed, the
+operation, the exit code, stderr, and the report with its ``stats``
+removed (they count work, which a refactor may change; the text report
+loses its ``stats:`` line).  A fixed tail of error paths follows: every
 operation, and ``validate``, on the running example with a trace that is
 not a run of the machine, with an assignment that satisfies the formula
 (``t1`` twice), and with one trace for the two-variable formula; then
@@ -69,6 +70,7 @@ OPERATIONS = {
     "candidates": ["candidates"],
     "explain": ["explain", "--dump-aa", *BOUNDS],
     "explain --all": ["explain", "--all", *BOUNDS],
+    "explain --all --format text": ["explain", "--all", "--format", "text", *BOUNDS],
     "oracle": ["oracle", *BOUNDS],
 }
 RUNNING_EXAMPLE = [
@@ -115,14 +117,15 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 def _report(out: str):
-    """The JSON report without its ``stats``, text output as it is, or
-    None; and the ``stats``."""
+    """The JSON report without its ``stats``, text output without its
+    ``stats:`` line, or None; and the JSON ``stats``."""
     if not out:
         return None, {}
     try:
         report = json.loads(out)
     except json.JSONDecodeError:
-        return out, {}
+        kept = [line for line in out.splitlines(True) if not line.startswith("stats: ")]
+        return "".join(kept), {}
     return report, report.pop("stats", {})
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from hypercause import formulas as F
 from hypercause.alternating import accepts_lasso, annotated_events, ltl_to_alternating
-from hypercause.causality import all_minimal_causes, check_contingency_valid, verify_actual_cause
+from hypercause.causality import all_minimal_causes, verify_actual_cause
 from hypercause.counterfactual import CounterfactualAutomaton, InterventionTable, intervene
 from hypercause.events import Counterexample, Event, satisfies_events
 from hypercause.lasso import Lasso
@@ -130,8 +130,8 @@ def test_criterion_2_minimal_causes(running_example):
         high_flip = by_cause[(Event("t2", 0, "hi", True),)]
         assert high_flip.contingency != () and high_flip.verified
         assert verify_actual_cause(machine, formula, cex, high_flip.cause)
-        assert check_contingency_valid(
-            machine, formula, cex, high_flip.cause, [Event("t2", 2, "lo", True)]
+        assert eval_hyper(
+            intervene(machine, cex, high_flip.cause, [Event("t2", 2, "lo", True)]), formula
         )
 
 

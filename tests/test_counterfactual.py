@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hypercause import counterfactual
 from hypercause import formulas as F
-from hypercause.causality import all_minimal_causes
+from hypercause.causality import actual_cause, all_minimal_causes
 from hypercause.counterfactual import (
     CounterfactualAutomaton,
     InterventionTable,
@@ -17,10 +17,12 @@ from hypercause.counterfactual import (
     intervention_word,
 )
 from hypercause.errors import ValidationError
-from hypercause.events import Counterexample, Event, satisfied_events, satisfies_events
+from hypercause.events import (
+    Counterexample, Event, satisfied_events, satisfies_events, sort_events,
+)
 from hypercause.lasso import Lasso, joint_shape
 from hypercause.machine import MooreMachine, walk
-from hypercause.oracle import brute_force_causes
+from hypercause.oracle import brute_force_causes, enumerate_causes
 from hypercause.parser import parse_hyperltl
 from hypercause.semantics import eval_hyper
 
@@ -470,9 +472,9 @@ def test_reset_valid_on_one_trace_does_not_pass_on_another(machine):
             table.satisfies_after(cause, base + [valid])
 
 
-def test_each_event_is_checked_once_per_role(machine, cex, monkeypatch):
-    # events are checked where they enter a table's footprints, so a search
-    # checks each (event, role) pair at most once however often it tries it
+def test_a_search_that_raises_nothing_never_calls_check_event(machine, cex, monkeypatch):
+    # the table numbers every event of a role when it is built, so a search
+    # looks bits up and checks no event
     calls = []
     check = counterfactual._check_event
 
@@ -482,43 +484,81 @@ def test_each_event_is_checked_once_per_role(machine, cex, monkeypatch):
 
     monkeypatch.setattr(counterfactual, "_check_event", counting)
     formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
-    for search in (all_minimal_causes, brute_force_causes):
-        calls.clear()
-        search(machine, formula, cex, 3, 2)
-        assert {reset for _, reset in calls} == {False, True}
-        assert len(calls) == len(set(calls)), search
+    for search in (actual_cause, all_minimal_causes, brute_force_causes):
+        assert search(machine, formula, cex, 3, 2)
+    assert calls == []
 
 
-def test_an_event_that_passed_as_a_cause_fails_as_a_reset(machine, cex):
+def test_footprints_decode_to_their_events_in_event_order(machine, cex):
     formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
     table = InterventionTable(machine, formula, cex)
-    flip = Event("t1", 0, "hi", False)
-    table.satisfies_after([flip], [])
-    for _ in range(2):
-        with pytest.raises(ValidationError, match="is not over an output"):
-            table.satisfies_after([], [flip])
-        with pytest.raises(ValidationError, match="is not over an output"):
-            table.reset_bits([flip])
+    inputs = satisfied_events(cex, machine.inputs)[::-1]
+    sets = [s for k in range(4) for s in itertools.combinations(inputs, k)]
+    assert len(sets) == 42
+    for s in sets:
+        assert table.events(table.bits(s)) == sort_events(s)
+
+
+def test_each_kind_of_bad_event_raises_on_every_call():
+    # y is never on, so no reset can force it: it is not controllable
+    m = MooreMachine.from_guards(
+        inputs=["a"],
+        outputs=["x", "y"],
+        labels={"p": [], "q": ["x"]},
+        initial="p",
+        transitions=[("p", "a", "q"), ("p", "!a", "p"), ("q", "true", "p")],
+    )
+    trace = m.run(Lasso([frozenset({"a"})], [frozenset()]))
+    cex = Counterexample({"t": trace})
+    table = InterventionTable(m, parse_hyperltl("forall p. G !x[p]"), cex)
+    flip, reset = Event("t", 0, "a", True), Event("t", 1, "x", True)
+    bad = [  # (event, as a reset, the error)
+        (Event("u", 0, "a", True), False, "references unknown trace 'u'"),
+        (Event("u", 1, "x", True), True, "references unknown trace 'u'"),
+        (Event("t", len(trace), "a", False), False, "position out of range"),
+        (Event("t", len(trace), "x", False), True, "position out of range"),
+        (Event("t", 0, "a", False), False, "not satisfied by the trace"),
+        (Event("t", 1, "x", False), True, "not satisfied by the trace"),
+        (flip, True, "is not over an output"),
+        (reset, False, "is not over an input"),
+        (Event("t", 1, "y", False), True, "is not contingency-controllable"),
+        (Event("t", 1, "y", False), False, "is not over an input"),
+    ]
+    flip_bits, reset_bits = table.bits([flip]), table.reset_bits([reset])
+    # the bits of the two events a role refuses, as the other role's ints
+    calls = [
+        (lambda: table.holds(0, flip_bits), "is not over an output"),
+        (lambda: table.inert(0, flip_bits), "is not over an output"),
+        (lambda: table.holds(reset_bits, 0), "is not over an input"),
+        (lambda: table.inert(reset_bits, 0), "is not over an input"),
+        (lambda: table.repairable(reset_bits), "is not over an input"),
+        (lambda: table.repairable(0, reset_bits), "is not over an input"),
+    ]
+    for e, as_reset, error in bad:  # each after a valid event of its role
+        calls.append((lambda e=e, r=as_reset: (
+            table.reset_bits([reset, e]) if r else table.bits([flip, e])
+        ), error))
+    for _ in range(2):  # before and after a search on the table
+        for call, error in calls:
+            for _ in range(2):
+                with pytest.raises(ValidationError, match=error):
+                    call()
+        assert enumerate_causes(table, m, cex) == (((flip,), ()),)
 
 
 def test_footprint_entry_points_refuse_bits_outside_their_role(machine, cex):
-    # `holds`, `repairable` and `inert` take cause bits that passed as
-    # causes and reset bits that passed as resets, and raise otherwise
+    # `holds`, `repairable` and `inert` take cause bits in the cause role
+    # and reset bits in the reset role, and raise otherwise
     formula = parse_hyperltl('Forall (Forall (G (Eq (AP "lo" 0) (AP "lo" 1))))')
     table = InterventionTable(machine, formula, cex)
     flip = table.bits([Event("t1", 0, "hi", False)])
     reset = table.reset_bits([Event("t1", 1, "lo", True)])
-    with pytest.raises(ValidationError, match="is not over an input"):
-        table.bits([Event("t2", 2, "lo", True)])  # a reset, which gets a bit
-    unentered = table._bits[Event("t2", 2, "lo", True)]
     for _ in range(2):
         for call in (table.holds, table.inert):
             with pytest.raises(ValidationError, match="is not over an output"):
                 call(0, flip)
             with pytest.raises(ValidationError, match="is not over an input"):
                 call(reset, 0)
-            with pytest.raises(ValidationError, match="did not enter the table as one"):
-                call(0, unentered)
             with pytest.raises(ValidationError, match="holds bits of no event"):
                 call(1 << 40, 0)
         with pytest.raises(ValidationError, match="is not over an input"):

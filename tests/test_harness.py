@@ -42,13 +42,13 @@ def test_report_snapshot_prints_one_line_per_instance_and_operation(monkeypatch,
     monkeypatch.setattr(report_snapshot, "SUITE_SIZE", 3)
     report_snapshot.main()
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    corpus, tail = lines[:19], lines[19:]
+    corpus, tail = lines[:22], lines[22:]
     assert all(set(line) == {"seed", "op", "exit", "stderr", "report"} for line in corpus)
     ops: dict[int, list[str]] = {}
     for line in corpus:
         ops.setdefault(line["seed"], []).append(line["op"])
     every = list(report_snapshot.OPERATIONS)
-    assert len(every) == 5
+    assert len(every) == 6
     assert ops == {1: every, 2: ["check"], 3: ["check"], 4: every,
                    5: ["check"], 6: ["check"], 7: every}
     # the draws the corpus skips: no violation (exit 1), and the size guard (exit 3)
@@ -57,11 +57,11 @@ def test_report_snapshot_prints_one_line_per_instance_and_operation(monkeypatch,
     # the error tail: every operation and validate on each broken case,
     # then each command line argparse refuses
     cases = len(report_snapshot.ERROR_CASES) + len(report_snapshot.FILE_ERROR_CASES)
-    assert len(tail) == cases * 6 + len(report_snapshot.USAGE_ERROR_CASES) == 56
+    assert len(tail) == cases * 7 + len(report_snapshot.USAGE_ERROR_CASES) == 65
     assert all(set(line) == {"case", "op", "exit", "stderr", "report"} for line in tail)
     assert {line["exit"] for line in tail if line["op"] != "check"} == {0, 1, 2}
     # every front-end error is a usage error, with its message
-    front_end = tail[len(report_snapshot.ERROR_CASES) * 6:]
+    front_end = tail[len(report_snapshot.ERROR_CASES) * 7:]
     assert all(line["exit"] == 2 and "error" in line["stderr"] for line in front_end)
 
 
@@ -75,6 +75,8 @@ def test_report_snapshot_counters_total_the_integer_stats_per_operation(monkeypa
     totals = {line.pop("op"): line for line in lines}
     assert all(type(v) is int for total in totals.values() for v in total.values())
     assert totals["check"] == totals["candidates"] == totals["validate"] == {}
+    # the text report's stats are not read
+    assert totals["explain --all --format text"] == {}
     assert set(totals["oracle"]) == {"evaluations", "runs"}
     search = {"subsets_checked", "evaluations", "runs", "ruled_out", "set_checks"}
     for op in ("explain", "explain --all"):

@@ -1,7 +1,8 @@
 import json
 
 from hypercause.causality import CauseEntry, CauseReport
-from hypercause.events import Event
+from hypercause.events import Counterexample, Event
+from hypercause.lasso import Lasso
 from hypercause.reports import (
     candidate_to_json,
     event_to_json,
@@ -70,6 +71,17 @@ def test_render_traces_plain_markers():
     assert "hi[*]" in text
     assert "lo[~]" in text
     assert "t1:" in text and "t2:" in text
+
+
+def test_render_traces_marks_props_that_never_hold_on_the_trace():
+    # the shape of acceptance draw 224: neither i0 nor o0 holds anywhere on
+    # t1, and the cause flips i0 under a reset of o0
+    cex = Counterexample({"t1": Lasso([], [frozenset({"o1"})])})
+    text = render_traces(
+        cex, cause=(Event("t1", 0, "i0", False),), contingency=(Event("t1", 0, "o0", False),),
+        ansi=False,
+    )
+    assert text == "t1: ({!i0[*] !o0[~] o1})^w"
 
 
 def test_render_traces_ansi():

@@ -26,7 +26,8 @@ from hypercause.alternating import RunNode, RunTree, accepts_lasso, ltl_to_alter
 from hypercause.causality import CauseEntry, CauseReport, all_minimal_causes
 from hypercause.counterfactual import InterventionTable
 from hypercause.errors import UnsupportedFragmentError, ValidationError
-from hypercause.events import Event
+from hypercause.events import Counterexample, Event
+from hypercause.lasso import Lasso
 from hypercause.parser import Token, parse_hyperltl, tokenize
 from hypercause.satcore import CandidateSet
 from hypercause.semantics import ZippedTrace, eval_hyper, eval_ltl, zip_hyper
@@ -151,6 +152,18 @@ def test_traces_are_immutable_values():
     cex = leaky_cex()
     for value in [cex, *cex.lassos()]:
         assert_immutable(value)
+
+
+def test_counterexamples_with_the_traces_in_another_order_differ():
+    # the order binds traces to quantifiers, so it can change the verdict
+    a, b = Lasso([], [frozenset({"x"})]), Lasso([], [frozenset()])
+    ab, ba = Counterexample({"t1": a, "t2": b}), Counterexample({"t2": b, "t1": a})
+    formula = parse_hyperltl("forall p q. x[p]")
+    assert eval_hyper(ab, formula) != eval_hyper(ba, formula)
+    assert ab != ba
+    same = Counterexample({"t1": a, "t2": b})
+    assert ab == same and hash(ab) == hash(same)
+    assert len({ab, ba, same}) == 2
 
 
 def test_compiled_programs_are_immutable():
